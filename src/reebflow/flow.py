@@ -15,6 +15,13 @@ state and its Laplacian part advanced implicitly, while the zeroth-order
 (m+1)v term stays explicit.  The Laplacian is what makes the problem
 stiff; the zeroth-order term is harmless at Delta s = 1e-3.
 
+Between records the march carries only the volume ratio r_base(v): each
+attempted step applies one Laplacian, to the candidate, forming its ratio
+exactly as metric_state does (summed in extended precision, then cast).
+That ratio is the admissibility test of the candidate and, once the step
+is accepted, the ratio the next step linearizes about.  No metric state
+is built between records.
+
 Monitor quantities are recomputed from scratch at every record through
 metric_state, never evolved, so the maximum-principle checks are
 independent of stepper error:
@@ -38,6 +45,7 @@ path state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,12 +54,18 @@ from numpy.typing import NDArray
 
 from .continuity import PathPolicy, solve_ma_at_t
 from .curvature import calabi_bound, calabi_functional
-from .errors import ConfigurationError, InvariantViolation, SolverError
+from .errors import (
+    ConfigurationError,
+    InadmissibleError,
+    InvariantViolation,
+    SolverError,
+)
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
     BasicPotential,
     MetricState,
+    _ratio_ld,
     metric_state,
 )
 
@@ -70,15 +84,30 @@ __all__ = [
 ]
 
 MP1 = M_DIM + 1
+# the records evaluate e^{2(m+1)s}; past this flow time it overflows float64
+S_END_MAX = math.log(sys.float_info.max) / (2 * MP1)
+
+
+def _ratio(grid, values: NDArray) -> NDArray[np.float64]:
+    """Volume ratio of a total potential, bit for bit that of metric_state."""
+    return _ratio_ld(grid, values).astype(np.float64)
+
+
+def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
+    """log r_base(v) + (m+1) v - h_base from the volume ratio r of base + v."""
+    return np.log(ratio / base.ratio) + MP1 * v_values - base.ricci_potential
 
 
 def flow_rhs(v: BasicPotential, base: MetricState) -> NDArray[np.float64]:
-    """Right-hand side log r_base(v) + (m+1) v - h_base, pointwise."""
-    grid = v.grid
-    total = BasicPotential(values=base.potential.values + v.values, grid=grid)
-    state = metric_state(total)
-    log_rel = np.log(state.ratio / base.ratio)
-    return log_rel + MP1 * v.values - base.ricci_potential
+    """Right-hand side log r_base(v) + (m+1) v - h_base, pointwise.
+
+    Raises InadmissibleError when base + v is not positive.
+    """
+    ratio = _ratio(v.grid, base.potential.values + v.values)
+    margin = float(ratio.min())
+    if not (margin > 0.0):
+        raise InadmissibleError(margin)
+    return _rhs(ratio, v.values, base)
 
 
 def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
@@ -111,6 +140,7 @@ class FlowMonitors:
     bound_d_slack: float
     s_pinch: float         # max |S^T - 2m(m+1)|
     holder_h: float
+    lap_h_min: float       # min Lap_s h_s
 
 
 @dataclass(frozen=True)
@@ -147,7 +177,7 @@ def _make_flow_record(
     total = BasicPotential(values=base.potential.values + v.values, grid=grid)
     state = metric_state(total)
     h = state.ricci_potential
-    vdot = np.log(state.ratio / base.ratio) + MP1 * v.values - base.ricci_potential
+    vdot = _rhs(state.ratio, v.values, base)
     dh2 = state.grad_norm_sq(h)
     lap_h = state.laplacian(h)
     c_s = state.integrate(h + vdot)
@@ -168,6 +198,7 @@ def _make_flow_record(
         bound_d_slack=growth * h0_norm - abs(float(c_s)),
         s_pinch=float(np.abs(state.scalar_curvature - SCALAR_TARGET).max()),
         holder_h=holder_seminorm(grid, h),
+        lap_h_min=float(lap_h.min()),
     )
     return FlowRecord(s=float(s), v=v, h=h, vdot=vdot, monitors=mon)
 
@@ -179,18 +210,28 @@ def run_flow(
 ) -> FlowTrajectory:
     """Semi-implicit march of the flow from v = 0 to s_end.
 
-    On an inadmissibility failure the step is halved; reaching the step
+    The march carries the volume ratio of base + v from step to step,
+    starting from base.ratio.  Each attempted step solves one dense
+    system and applies one Laplacian, to the candidate; the candidate's
+    ratio is the admissibility test.  A candidate whose ratio is not
+    positive everywhere (NaN included) halves the step; reaching the step
     floor returns a partial trajectory with the failure marker set.
-    Records are taken every policy.record_stride accepted steps and at
-    the final time.
+    Records, each built from a full metric_state, are taken every
+    policy.record_stride accepted steps and at the final time.
+
+    s_end must be positive and below S_END_MAX (about 177 at m = 1),
+    where the records' bound e^{2(m+1)s} still fits in float64.
     """
-    if not (s_end > 0):
-        raise ConfigurationError(f"s_end must be positive, got {s_end}")
+    if not (0.0 < s_end < S_END_MAX):
+        raise ConfigurationError(
+            f"s_end must lie in (0, {S_END_MAX:.6g}), got {s_end}"
+        )
     grid = base.potential.grid
     h0_norm = float(np.abs(base.ricci_potential).max())
     lap0_h0 = base.laplacian(base.ricci_potential)
 
     v = np.zeros(grid.n)
+    ratio = base.ratio
     s = 0.0
     records = [_make_flow_record(0.0, v, base, h0_norm, lap0_h0)]
     completed = True
@@ -200,19 +241,12 @@ def run_flow(
     eye = np.eye(grid.n)
     while s < s_end - 1e-12:
         step = min(ds, s_end - s)
-        total = base.potential.values + v
-        try:
-            state = metric_state(BasicPotential(values=total, grid=grid))
-        except Exception as err:  # inadmissible between records
-            completed = False
-            failure = f"state inadmissible at s = {s:.6g}: {err}"
-            break
-        rhs = np.log(state.ratio / base.ratio) + MP1 * v - base.ricci_potential
-        lin = grid.lap / (4.0 * state.ratio)[:, None]
+        rhs = _rhs(ratio, v, base)
+        lin = grid.lap / (4.0 * ratio)[:, None]
         delta = np.linalg.solve(eye - step * lin, step * rhs)
         cand = v + delta
-        cand_ratio = 1.0 + grid.laplacian(base.potential.values + cand) / 4.0
-        if cand_ratio.min() <= 0.0:
+        cand_ratio = _ratio(grid, base.potential.values + cand)
+        if not (cand_ratio.min() > 0.0):
             ds *= 0.5
             if ds < policy.ds_floor:
                 completed = False
@@ -220,6 +254,7 @@ def run_flow(
                 break
             continue
         v = cand
+        ratio = cand_ratio
         s += step
         ds = min(ds * 2.0, policy.ds)
         accepted += 1
@@ -399,12 +434,7 @@ def epsilon_pinching(
     h_slack = 4.0 * growth * h_norm - max(r.monitors.sup_h for r in trajectory.records)
     late = [r for r in trajectory.records if r.s >= 1.0]
     dh2_slack = 8.0 * growth**2 * h_norm**2 - max(r.monitors.sup_dh2 for r in late)
-    lap_min = min(
-        float(metric_state(
-            BasicPotential(values=state.potential.values + r.v.values, grid=grid)
-        ).laplacian(r.h).min())
-        for r in trajectory.records
-    )
+    lap_min = min(r.monitors.lap_h_min for r in trajectory.records)
     smoothing = smoothing_monitors(trajectory, one_minus_t=1.0 - t)
     return PinchResult(
         structure=final,

@@ -104,7 +104,7 @@ class _Ray:
             self._base_ratio_ld + np.longdouble(s) * self._quarter_lap_ld
         ).astype(np.float64)
         margin = float(ratio.min())
-        if margin <= 0.0:
+        if not (margin > 0.0):
             raise InadmissibleError(margin)
         return ratio
 

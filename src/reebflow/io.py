@@ -4,7 +4,8 @@ All CSV floats are written with "%.17g" (full float64 round trip), rows
 in deterministic order, so identical inputs produce byte-identical
 files.  The manifest is the one deliberately non-reproducible artifact
 (it records wall time); determinism comparisons exclude it and use the
-content hashes it lists.
+content hashes it lists.  It also records what those bytes depend on
+beyond the inputs: the BLAS thread settings and the longdouble epsilon.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -41,7 +43,12 @@ __all__ = [
     "write_manifest",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# environment variables that set the BLAS thread count; the summation order
+# of a threaded dense product, and so the last bits of the artifacts,
+# depends on it
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def format_float(v: float) -> str:
@@ -215,6 +222,10 @@ def write_manifest(
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+        },
+        "numerics": {
+            "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARIABLES},
+            "longdouble_eps": float(np.finfo(np.longdouble).eps),
         },
         "wall_time_seconds": wall_time if math.isfinite(wall_time) else None,
         "artifacts": [

@@ -372,16 +372,22 @@ def log_mean_exp(grid_or_weights, z: NDArray) -> float:
     return zmax + float(np.log(w @ np.exp(z - zmax)))
 
 
+def _ratio_ld(grid: Grid, values: NDArray) -> NDArray[np.longdouble]:
+    """Volume ratio 1 + Lap(values)/4 in extended precision; its float64
+    cast is the ratio of metric_state, bit for bit."""
+    return 1.0 + grid._laplacian_ld(values) / 4.0
+
+
 def metric_state(phi: BasicPotential) -> MetricState:
     """Volume ratio, scalar curvature and Ricci potential of a potential.
 
     Raises InadmissibleError when the deformed structure is not positive.
     """
     grid = phi.grid
-    ratio_ld = 1.0 + grid._laplacian_ld(phi.values) / 4.0
+    ratio_ld = _ratio_ld(grid, phi.values)
     ratio = ratio_ld.astype(np.float64)
     margin = float(ratio.min())
-    if margin <= 0.0:
+    if not (margin > 0.0):  # a NaN margin is not admissible either
         raise InadmissibleError(margin)
     log_ratio = np.log(ratio)
     # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,

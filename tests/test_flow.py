@@ -1,14 +1,17 @@
 """Normalized flow stepping, maximum-principle monitors, pinching."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from reebflow import flow, transverse
 from reebflow import (
     BasicPotential,
     ConfigurationError,
     FlowPolicy,
+    InadmissibleError,
     epsilon_pinching,
     flow_rhs,
     holder_seminorm,
@@ -17,7 +20,7 @@ from reebflow import (
     run_flow,
     smoothing_monitors,
 )
-from reebflow.transverse import M_DIM
+from reebflow.transverse import M_DIM, Grid
 from tests.conftest import psi_bump
 
 MP1 = M_DIM + 1
@@ -32,6 +35,15 @@ class TestRhs:
     def test_round_fixed_point(self, grid128, ref128):
         rhs = flow_rhs(BasicPotential.zero(grid128), ref128)
         assert np.abs(rhs).max() < 1e-13
+
+    def test_inadmissible_raises(self, grid96, ref96):
+        v = BasicPotential.from_callable(grid96, lambda x: 3.0 * (1.0 - x * x))
+        with pytest.raises(InadmissibleError):
+            flow_rhs(v, ref96)
+
+    def test_matches_record_vdot(self, traj96, base96):
+        rec = traj96.records[-1]
+        assert np.array_equal(flow_rhs(rec.v, base96), rec.vdot)
 
     def test_einstein_translate_fixed_point(self, grid128, base128, psi128):
         # v = -psi + const reaches a round total structure, where the
@@ -105,6 +117,80 @@ class TestRunFlow:
     def test_invalid_s_end(self, ref128):
         with pytest.raises(ConfigurationError):
             run_flow(ref128, s_end=0.0)
+
+    @pytest.mark.parametrize("s_end", [math.inf, math.nan, 200.0])
+    def test_s_end_beyond_float_range(self, ref96, s_end):
+        # e^{2(m+1) s} in the records overflows float64 past s ~ 177.4
+        assert 177.0 < flow.S_END_MAX < 178.0
+        with pytest.raises(ConfigurationError):
+            run_flow(ref96, s_end=s_end)
+
+    def test_nan_step_halves_to_the_floor(self, base96, monkeypatch):
+        # a NaN candidate ratio is not admissible: the step is halved,
+        # never accepted, until the floor stops the march
+        real_solve = np.linalg.solve
+        solves = []
+
+        def solve(a, b):
+            solves.append(1)
+            x = real_solve(a, b)
+            return x if len(solves) <= 20 else np.full_like(x, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        traj = run_flow(
+            base96, s_end=1.0, policy=FlowPolicy(ds=1e-3, record_stride=10, ds_floor=1e-6)
+        )
+        assert not traj.completed
+        assert traj.failure == "step floor 1e-06 reached at s = 0.02"
+        assert [r.s for r in traj.records] == pytest.approx([0.0, 0.01, 0.02])
+        assert all(np.isfinite(r.v.values).all() for r in traj.records)
+        # 20 accepted steps, then 1e-3 halved ten times to below 1e-6
+        assert len(solves) == 20 + 10
+
+    @pytest.mark.parametrize("stride", [10**6, 10])
+    def test_one_laplacian_per_attempted_step(self, base96, monkeypatch, stride):
+        # between records the march carries the ratio: one Laplacian per
+        # attempted step; each record builds one metric state (two
+        # Laplacians) and applies one more to h_s; the set-up applies one
+        # to h_0
+        laps_per_record, setup_laps = 3, 1
+        calls = Counter()
+        real_lap = Grid._laplacian_ld
+        real_state = transverse.metric_state
+        real_solve = np.linalg.solve
+
+        def lap(self, f):
+            calls["laplacian"] += 1
+            return real_lap(self, f)
+
+        def state(phi):
+            calls["metric_state"] += 1
+            return real_state(phi)
+
+        def solve(a, b):
+            calls["solve"] += 1
+            return real_solve(a, b)
+
+        monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+        monkeypatch.setattr(transverse, "metric_state", state)
+        monkeypatch.setattr(flow, "metric_state", state)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        traj = run_flow(base96, s_end=0.04, policy=FlowPolicy(record_stride=stride))
+        assert traj.completed
+        assert calls["solve"] == 40
+        assert len(traj.records) == (2 if stride > 40 else 5)
+        assert calls["metric_state"] == len(traj.records)
+        assert calls["laplacian"] == (
+            calls["solve"] + laps_per_record * len(traj.records) + setup_laps
+        )
+
+    def test_records_carry_lap_h_min(self, base96, traj96):
+        grid = base96.potential.grid
+        for rec in traj96.records[:: len(traj96.records) // 3]:
+            state = metric_state(
+                BasicPotential(values=base96.potential.values + rec.v.values, grid=grid)
+            )
+            assert rec.monitors.lap_h_min == float(state.laplacian(rec.h).min())
 
 
 class TestHolderSeminorm:

@@ -279,3 +279,11 @@ class TestAffineRay:
             with pytest.raises(InadmissibleError) as exc:
                 fn(phi, ref128)
             assert exc.value.margin <= 0.0
+
+    def test_nan_potential_raises(self, ref128, grid128):
+        values = np.zeros(grid128.n)
+        values[grid128.n // 2] = np.nan
+        phi = BasicPotential(values=values, grid=grid128)
+        with pytest.raises(InadmissibleError) as exc:
+            eval_I(phi, ref128)
+        assert np.isnan(exc.value.margin)

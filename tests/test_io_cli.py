@@ -88,6 +88,19 @@ class TestWriters:
         ]
         assert io.content_hash(f) == io.content_hash(f)
 
+    def test_manifest_records_numerics(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        man = io.write_manifest(tmp_path / "manifest.json", {}, [], 0.1)
+        numerics = json.loads(man.read_text())["numerics"]
+        assert numerics["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": "2",
+        }
+        assert numerics["longdouble_eps"] == float(np.finfo(np.longdouble).eps)
+
 
 class TestExpressionParser:
     @pytest.mark.parametrize(
@@ -212,6 +225,14 @@ class TestCliExitCodes:
         )
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s_end", ["inf", "200"])
+    def test_flow_s_end_out_of_range(self, tmp_path, capsys, s_end):
+        out = tmp_path / "o"
+        rc = cli.main(["flow", "--n", "16", "--s-end", s_end, "--out", str(out)])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (out / "flow.csv").exists()
 
     def test_invariant_violation(self, tmp_path, capsys, monkeypatch):
         def broken_flow(base, s_end, policy):

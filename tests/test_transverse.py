@@ -128,6 +128,14 @@ class TestMetricState:
                 BasicPotential.from_callable(grid96, lambda x: 3.0 * (1.0 - x * x))
             )
 
+    def test_nan_potential_raises(self, grid96):
+        # a NaN margin fails every comparison, so it must not pass as positive
+        values = np.zeros(grid96.n)
+        values[grid96.n // 2] = np.nan
+        with pytest.raises(InadmissibleError) as exc:
+            metric_state(BasicPotential(values=values, grid=grid96))
+        assert np.isnan(exc.value.margin)
+
     def test_ratio_affine_in_potential(self, grid128):
         phi = BasicPotential.from_callable(grid128, lambda x: 0.1 * x)
         state = metric_state(phi)
