@@ -21,15 +21,11 @@ from .transverse import (
     BasicPotential,
     Grid,
     MetricState,
-    Model,
     admissibility,
-    basic_laplacian,
-    integrate,
     make_grid,
     metric_state,
     reference_state,
     spectrum,
-    tanno_deform,
 )
 from .functionals import (
     FunctionalLedger,
@@ -87,14 +83,12 @@ __all__ = [
     "InadmissibleError",
     "InvariantViolation",
     "MetricState",
-    "Model",
     "PathPolicy",
     "PreconditionError",
     "ReebflowError",
     "ResolutionError",
     "SolverError",
     "admissibility",
-    "basic_laplacian",
     "calabi_bound",
     "calabi_functional",
     "epsilon_pinching",
@@ -104,7 +98,6 @@ __all__ = [
     "eval_K_energy",
     "flow_rhs",
     "holder_seminorm",
-    "integrate",
     "ma_defect",
     "ma_jacobian",
     "make_grid",
@@ -123,7 +116,6 @@ __all__ = [
     "smoothing_monitors",
     "solve_ma_at_t",
     "spectrum",
-    "tanno_deform",
     "verify_all",
     "verify_cocycle",
     "verify_ij_sandwich",

@@ -113,8 +113,12 @@ def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         env = {"x": np.asarray(x, dtype=np.float64), **_CONSTANTS, **_FUNCTIONS}
-        out = eval(code, {"__builtins__": {}}, env)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), np.shape(x)).copy()
+        try:
+            out = eval(code, {"__builtins__": {}}, env)
+            out = np.asarray(out, dtype=np.float64)
+        except ArithmeticError as exc:  # 1/0, 0^(-1), 2^10000
+            raise UsageError(f"cannot evaluate expression {text!r}: {exc}") from exc
+        return np.broadcast_to(out, np.shape(x)).copy()
 
     return evaluate
 

@@ -15,32 +15,34 @@ because at t = 1 over the round structure the linearization has the
 one-dimensional automorphism kernel (the Moebius direction), and the
 minimum-norm step simply never moves along it.
 
-Paths in t are marched adaptively with warm starts.  A path can also be
-asked to place its records at Gauss nodes of (0, 1), which turns the
-recorded (I - J) values into a spectral quadrature rule; that is what
-makes the t-integral identity relating F at the Einstein base to the
-path integral of I - J checkable to 1e-5 rather than to trapezoid
+Paths in t are marched adaptively with warm starts by one stepper,
+``_march``: it tries t + dt, halves dt when Newton fails, doubles it back
+up to dt_init after each accepted step, and raises SolverError once dt
+would drop below dt_floor.  Both record modes of ``run_continuity_path``
+and the continuity stage of ``flow.epsilon_pinching`` run on it.  A path
+can also be asked to place its records at Gauss nodes of (0, 1), which
+turns the recorded (I - J) values into a spectral quadrature rule; that
+is what makes the t-integral identity relating F at the Einstein base to
+the path integral of I - J checkable to 1e-5 rather than to trapezoid
 accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, InvariantViolation, SolverError
-from .functionals import FunctionalLedger, eval_F, eval_J, relative_state
+from .functionals import FunctionalLedger, _gauss01, eval_F, eval_J, relative_state
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
     BasicPotential,
     Grid,
     MetricState,
-    metric_state,
 )
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
     "path_diagnostics",
     "mt_scan",
     "mobius_potential",
-    "gauss_record_ts",
 ]
 
 
@@ -70,17 +71,18 @@ class PathPolicy:
     max_backtracks: int = 30
     monotone_tol: float = 1e-8
 
-
-def _relative_ratio(base: MetricState, state: MetricState) -> NDArray[np.float64]:
-    """Volume ratio of the state measured against the base (elementwise)."""
-    return state.ratio / base.ratio
+    def __post_init__(self):
+        if not (self.dt_init > 0 and self.dt_floor > 0):
+            raise ConfigurationError(
+                f"dt_init and dt_floor must be positive, got {self.dt_init}, {self.dt_floor}"
+            )
 
 
 def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
     """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi)."""
     state = relative_state(base, phi)
     rhs = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
-    return _relative_ratio(base, state) - rhs
+    return state.ratio / base.ratio - rhs
 
 
 def ma_jacobian(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
@@ -199,25 +201,38 @@ class ContinuityPath:
         return self.records[-1]
 
 
-def gauss_record_ts(n: int = 48) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Gauss-Legendre nodes and weights on (0, 1) for path records."""
-    t, w = npleg.leggauss(n)
-    return (t + 1.0) / 2.0, w / 2.0
+def _march(
+    base: MetricState,
+    phi: BasicPotential,
+    t_from: float,
+    t_to: float,
+    policy: PathPolicy,
+) -> Iterator[tuple[float, BasicPotential]]:
+    """Warm-started adaptive march from the solution phi at t_from to t_to.
 
-
-def _make_record(
-    t: float, phi: BasicPotential, base: MetricState, base_tag: str, residual: float
-) -> PathRecord:
-    ledger = FunctionalLedger.evaluate(
-        f"t={t:.8f}", phi, base, base_name=base_tag
-    )
-    return PathRecord(
-        t=float(t),
-        phi=phi,
-        ledger=ledger,
-        residual=float(residual),
-        c0_norm=phi.sup(),
-    )
+    Yields (t, phi_t) after each accepted step; the last one is at t_to
+    exactly.  The first step is min(dt_init, t_to - t_from); a Newton
+    failure halves dt, an accepted step doubles it up to dt_init, and a dt
+    below dt_floor raises SolverError naming the last accepted t, with the
+    failed solve's trace.
+    """
+    t = t_from
+    dt = min(policy.dt_init, t_to - t_from)
+    while t < t_to:
+        t_next = min(t + dt, t_to)
+        try:
+            phi = solve_ma_at_t(t_next, base, phi, policy)
+        except SolverError as err:
+            dt *= 0.5
+            if dt < policy.dt_floor:
+                raise SolverError(
+                    f"step floor {policy.dt_floor} reached at t = {t:.6g}",
+                    trace=err.trace,
+                ) from err
+            continue
+        t = t_next
+        dt = min(dt * 2.0, policy.dt_init)
+        yield t, phi
 
 
 def run_continuity_path(
@@ -230,11 +245,12 @@ def run_continuity_path(
 ) -> ContinuityPath:
     """March the family in t with warm starts and adaptive steps.
 
-    With ``records=None`` the path records every accepted step from
-    t_start to t_end (initial step policy.dt_init, halved on Newton
-    failure down to policy.dt_floor; reaching the floor returns a partial
-    path with the failure marker set, which is meaningful properness
-    diagnostics, not an exception).
+    With ``records=None`` the path records every accepted step of the
+    march from t_start to t_end (``_march``: initial step policy.dt_init,
+    halved on Newton failure down to policy.dt_floor).  In either record
+    mode, reaching the floor returns a partial path with the failure
+    marker set, which is meaningful properness diagnostics, not an
+    exception.
 
     With ``records=n`` the records sit at the n Gauss nodes of (0, 1)
     plus the t = 1 endpoint, and the returned path carries the matching
@@ -249,12 +265,11 @@ def run_continuity_path(
         raise ConfigurationError(
             f"need 0 < t_start <= t_end <= 1, got ({t_start}, {t_end})"
         )
-    grid = base.potential.grid
     weights: Optional[NDArray[np.float64]] = None
     if records is None:
-        targets = None
+        targets = [t_start, t_end]
     elif isinstance(records, int):
-        ts, ws = gauss_record_ts(records)
+        ts, ws = _gauss01(records)
         targets = list(ts)
         weights = list(ws)
         if t_end == 1.0 and not np.isclose(targets[-1], 1.0):
@@ -270,93 +285,39 @@ def run_continuity_path(
     completed = True
     failure = None
 
-    def append_checked(rec: PathRecord) -> None:
+    def record(t: float, phi: BasicPotential) -> None:
+        ledger = FunctionalLedger.evaluate(f"t={t:.8f}", phi, base, base_name=base_tag)
         if recs:
             prev = recs[-1].ledger.I - recs[-1].ledger.J
-            cur = rec.ledger.I - rec.ledger.J
+            cur = ledger.I - ledger.J
             if cur < prev - policy.monotone_tol:
                 raise InvariantViolation(
                     f"(I-J) decreased along the path: {prev:.12g} -> {cur:.12g} "
-                    f"at t = {rec.t:.6g}"
+                    f"at t = {t:.6g}"
                 )
-        recs.append(rec)
+        residual = float(np.abs(ma_defect(phi, t, base)).max())
+        recs.append(PathRecord(float(t), phi, ledger, residual, phi.sup()))
 
-    phi = BasicPotential.zero(grid)
-
-    def advance(
-        t_from: float, t_to: float, phi_cur: BasicPotential
-    ) -> tuple[Optional[BasicPotential], float]:
-        """Continuation from t_from to t_to; returns (solution, t_to) or
-        (None, last t reached) when the step floor is hit."""
-        t_cur = t_from
-        dt = min(policy.dt_init, t_to - t_from)
-        while t_cur < t_to:
-            t_next = min(t_cur + dt, t_to)
-            try:
-                phi_cur = solve_ma_at_t(t_next, base, phi_cur, policy)
-            except SolverError:
-                dt *= 0.5
-                if dt < policy.dt_floor:
-                    return None, t_cur
-                continue
-            t_cur = t_next
-            dt = min(dt * 2.0, policy.dt_init)
-        return phi_cur, t_cur
-
-    if targets is None:
-        # record every accepted step
-        dt = policy.dt_init
-        t_cur = 0.0
-        phi_cur = phi
-        # first solve directly at t_start
-        try:
-            phi_cur = solve_ma_at_t(t_start, base, phi_cur, policy)
-        except SolverError as err:
-            return ContinuityPath(base_tag, (), policy, False, str(err), None)
-        res = float(np.abs(ma_defect(phi_cur, t_start, base)).max())
-        append_checked(_make_record(t_start, phi_cur, base, base_tag, res))
-        t_cur = t_start
-        while t_cur < t_end:
-            t_next = min(t_cur + dt, t_end)
-            try:
-                phi_cur = solve_ma_at_t(t_next, base, phi_cur, policy)
-            except SolverError:
-                dt *= 0.5
-                if dt < policy.dt_floor:
-                    completed = False
-                    failure = f"step floor {policy.dt_floor} reached at t = {t_cur:.6g}"
-                    break
-                continue
-            t_cur = t_next
-            dt = min(dt * 2.0, policy.dt_init)
-            res = float(np.abs(ma_defect(phi_cur, t_cur, base)).max())
-            append_checked(_make_record(t_cur, phi_cur, base, base_tag, res))
-    else:
-        phi_cur = phi
-        t_cur = 0.0
-        for t_rec in targets:
-            if t_cur == 0.0:
-                # head directly for the first target; small t is the easy
-                # regime (the zeroth-order term dominates the Jacobian)
-                try:
-                    phi_cur = solve_ma_at_t(t_rec, base, phi_cur, policy)
-                except SolverError as err:
-                    return ContinuityPath(base_tag, tuple(recs), policy, False, str(err), None)
-                t_cur = t_rec
-            else:
-                phi_new, t_reached = advance(t_cur, t_rec, phi_cur)
-                if phi_new is None:
-                    completed = False
-                    failure = (
-                        f"step floor {policy.dt_floor} reached at t = {t_reached:.6g}"
-                    )
-                    break
-                phi_cur = phi_new
-                t_cur = t_rec
-            res = float(np.abs(ma_defect(phi_cur, t_cur, base)).max())
-            append_checked(_make_record(t_cur, phi_cur, base, base_tag, res))
-        if weights is not None and len(recs) != len(weights):
-            weights = weights[: len(recs)]
+    # head directly for the first target; small t is the easy regime (the
+    # zeroth-order term dominates the Jacobian)
+    t_cur = targets[0]
+    try:
+        phi = solve_ma_at_t(t_cur, base, BasicPotential.zero(base.grid), policy)
+    except SolverError as err:
+        return ContinuityPath(base_tag, (), policy, False, str(err), None)
+    record(t_cur, phi)
+    try:
+        for t_rec in targets[1:]:
+            for t_cur, phi in _march(base, phi, t_cur, t_rec, policy):
+                if records is None:
+                    record(t_cur, phi)
+            if records is not None:
+                record(t_rec, phi)
+    except SolverError as err:
+        completed = False
+        failure = str(err)
+    if weights is not None:
+        weights = weights[: len(recs)]
 
     return ContinuityPath(
         base_tag=base_tag,

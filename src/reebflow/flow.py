@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .continuity import PathPolicy, solve_ma_at_t
+from .continuity import PathPolicy, _march, solve_ma_at_t
 from .curvature import calabi_bound, calabi_functional
 from .errors import (
     ConfigurationError,
@@ -60,13 +60,13 @@ from .errors import (
     InvariantViolation,
     SolverError,
 )
+from .functionals import relative_state
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
     BasicPotential,
     MetricState,
     _ratio_ld,
-    metric_state,
 )
 
 __all__ = [
@@ -126,6 +126,17 @@ class FlowPolicy:
     record_stride: int = 10
     ds_floor: float = 1e-6
 
+    def __post_init__(self):
+        if not (self.ds > 0 and self.ds_floor > 0):
+            raise ConfigurationError(
+                f"ds and ds_floor must be positive, got {self.ds}, {self.ds_floor}"
+            )
+        stride = self.record_stride
+        if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise ConfigurationError(
+                f"record_stride must be an integer >= 1, got {stride!r}"
+            )
+
 
 @dataclass(frozen=True)
 class FlowMonitors:
@@ -174,8 +185,7 @@ def _make_flow_record(
 ) -> FlowRecord:
     grid = base.potential.grid
     v = BasicPotential(values=np.array(v_values), grid=grid)
-    total = BasicPotential(values=base.potential.values + v.values, grid=grid)
-    state = metric_state(total)
+    state = relative_state(base, v)
     h = state.ricci_potential
     vdot = _rhs(state.ratio, v.values, base)
     dh2 = state.grad_norm_sq(h)
@@ -324,9 +334,7 @@ def smoothing_monitors(
         held = bool(lo >= 0.0 and hi >= 0.0)
         if one_minus_t is not None and h0_norm > 0:
             h1 = rec1.h
-            h1_centered = h1 - metric_state(
-                BasicPotential(values=base.potential.values + rec1.v.values, grid=grid)
-            ).integrate(h1)
+            h1_centered = h1 - relative_state(base, rec1.v).integrate(h1)
             denom = one_minus_t ** (1.0 / 3.0) * h0_norm ** (2.0 / 3.0)
             c1 = float(np.abs(h1_centered).max() / denom) if denom > 0 else None
             holder_norm = float(np.abs(h1).max()) + rec1.monitors.holder_h
@@ -376,55 +384,46 @@ def epsilon_pinching(
     the state's Ricci potential drops below eps/2, then run the flow for
     s in [0, 2] from that structure and measure max|S^T - 2m(m+1)|.
 
-    Asserts achieved <= eps (the flow contracts far below the worst-case
-    constants); a solver failure before the target is raised as the
-    properness diagnostic it is.
+    The first stage solves at t_start and then runs the continuity
+    stepper (``continuity._march``, with path_policy's dt_init and
+    dt_floor) toward t = 1, stopping at the first accepted t whose state
+    has sup|h| <= eps/2.  Asserts achieved <= eps (the flow contracts far
+    below the worst-case constants).  A solver failure before the target
+    is raised as the properness diagnostic it is: a SolverError "pinching
+    path failed at its start" or "pinching path stalled at t = ...",
+    carrying the trace of the last failed Newton solve.
     """
     if not (eps > 0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
-    grid = base.potential.grid
     target = eps / 2.0
     t = t_start
-    dt = path_policy.dt_init
-    phi = BasicPotential.zero(grid)
     try:
-        phi = solve_ma_at_t(t, base, phi, path_policy)
+        phi = solve_ma_at_t(t, base, BasicPotential.zero(base.grid), path_policy)
     except SolverError as err:
         raise SolverError(
             f"pinching path failed at its start t = {t_start:.4g}: {err}",
             trace=err.trace,
         ) from err
-    state = metric_state(
-        BasicPotential(values=base.potential.values + phi.values, grid=grid)
-    )
+    state = relative_state(base, phi)
     h_norm = float(np.abs(state.ricci_potential).max())
-    while h_norm > target and t < 1.0:
-        t_next = min(t + dt, 1.0)
+    if h_norm > target:
         try:
-            phi = solve_ma_at_t(t_next, base, phi, path_policy)
+            for t, phi in _march(base, phi, t, 1.0, path_policy):
+                state = relative_state(base, phi)
+                h_norm = float(np.abs(state.ricci_potential).max())
+                if h_norm <= target:
+                    break
         except SolverError as err:
-            dt *= 0.5
-            if dt < path_policy.dt_floor:
-                raise SolverError(
-                    f"pinching path stalled at t = {t:.6g} with sup|h| = {h_norm:.3e} "
-                    f"(target {target:.3e})",
-                    trace=err.trace,
-                ) from err
-            continue
-        t = t_next
-        dt = min(dt * 2.0, path_policy.dt_init)
-        state = metric_state(
-            BasicPotential(values=base.potential.values + phi.values, grid=grid)
-        )
-        h_norm = float(np.abs(state.ricci_potential).max())
+            raise SolverError(
+                f"pinching path stalled at t = {t:.6g} with sup|h| = {h_norm:.3e} "
+                f"(target {target:.3e})",
+                trace=err.trace,
+            ) from err
 
     trajectory = run_flow(state, s_end=2.0, policy=flow_policy)
     if not trajectory.completed:
         raise SolverError(f"pinching flow stage failed: {trajectory.failure}")
-    end = trajectory.endpoint()
-    final = metric_state(
-        BasicPotential(values=state.potential.values + end.v.values, grid=grid)
-    )
+    final = relative_state(state, trajectory.endpoint().v)
     achieved = float(np.abs(final.scalar_curvature - SCALAR_TARGET).max())
     if achieved > eps:
         raise InvariantViolation(

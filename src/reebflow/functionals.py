@@ -37,7 +37,12 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.typing import NDArray
 
-from .errors import InadmissibleError, PreconditionError, SolverError
+from .errors import (
+    ConfigurationError,
+    InadmissibleError,
+    PreconditionError,
+    SolverError,
+)
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
@@ -135,7 +140,7 @@ class _Ray:
             a = lambda t: t * t
             adot = lambda t: 2.0 * t
         else:
-            raise ValueError(f"unknown path {path!r}")
+            raise ConfigurationError(f"unknown path {path!r}")
         w, phi = self.phi.grid.w, self.phi.values
         t_nodes, t_weights = _gauss01(path_nodes)
         total = 0.0
@@ -196,6 +201,7 @@ def eval_K_energy(
     ``path`` selects the parametrization of the ray to phi: "linear"
     (phi_t = t phi) or "quadratic" (phi_t = t^2 phi).  The value is
     path-independent; the second parametrization exists to verify that.
+    Any other ``path`` raises ConfigurationError.
     The ratio r_t at each of the path_nodes Gauss nodes is read off the
     affine ray r(psi) + a(t) Lap(phi)/4, and Lap(phi) is the same one
     field that carries the moved Laplacian of log r_t, so the whole

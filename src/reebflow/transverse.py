@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -212,50 +212,6 @@ def make_grid(n: int = 256) -> Grid:
 
 
 @dataclass(frozen=True)
-class Model:
-    """Bookkeeping for the Sasakian model: transverse complex dimension m,
-    the D-homothetic (Tanno) scale, and the collocation grid.
-
-    The target equation couples the transverse Ricci form to (m+1) times
-    the contact form; ``einstein_target`` records that constant.  At
-    tanno_scale = 1 the reference structure is the constant-curvature
-    Sasakian-Einstein one with transverse Einstein constant 2(m+1).
-    PDE paths (states, functionals, flows) require m = 1; the curvature
-    algebra accepts any m >= 1.
-    """
-
-    m: int = 1
-    tanno_scale: float = 1.0
-    grid: Optional[Grid] = None
-
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ConfigurationError(f"m must be a positive integer, got {self.m}")
-        if not (self.tanno_scale > 0):
-            raise ConfigurationError(f"tanno_scale must be positive, got {self.tanno_scale}")
-
-    @property
-    def einstein_target(self) -> float:
-        return float(self.m + 1)
-
-    @property
-    def transverse_einstein_constant(self) -> float:
-        """Constant mu in Ric^T = mu g^T for the (rescaled) reference."""
-        return 2.0 * (self.m + 1) / self.tanno_scale
-
-
-def tanno_deform(model: Model, s: float) -> Model:
-    """D-homothetic deformation g^T -> s g^T; mu maps to mu / s.
-
-    The choice s = mu / (2(m+1)) renormalizes any transverse-Einstein
-    structure to the Einstein constant 2(m+1).
-    """
-    if not (s > 0):
-        raise ConfigurationError(f"tanno scale factor must be positive, got {s}")
-    return Model(m=model.m, tanno_scale=model.tanno_scale * s, grid=model.grid)
-
-
-@dataclass(frozen=True)
 class BasicPotential:
     """Axisymmetric basic potential sampled on the collocation grid."""
 
@@ -289,14 +245,6 @@ class BasicPotential:
 
     def sup(self) -> float:
         return float(np.abs(self.values).max())
-
-
-def _check_same_grid(*grids: Grid) -> Grid:
-    g0 = grids[0]
-    for g in grids[1:]:
-        if g.n != g0.n:
-            raise GridMismatchError(f"grid sizes differ: {g0.n} vs {g.n}")
-    return g0
 
 
 def _ratio_of(grid: Grid, values: NDArray) -> NDArray[np.float64]:
@@ -410,27 +358,6 @@ def metric_state(phi: BasicPotential) -> MetricState:
 
 def reference_state(grid: Grid) -> MetricState:
     return metric_state(BasicPotential.zero(grid))
-
-
-def basic_laplacian(f: NDArray, state: Optional[MetricState] = None,
-                    grid: Optional[Grid] = None) -> NDArray[np.float64]:
-    """Basic Laplacian of f: reference operator, or the deformed one when a
-    state is given."""
-    if state is not None:
-        return state.laplacian(f)
-    if grid is None:
-        raise ConfigurationError("basic_laplacian needs a state or a grid")
-    return grid.laplacian(f)
-
-
-def integrate(f: NDArray, state: Optional[MetricState] = None,
-              grid: Optional[Grid] = None) -> float:
-    """Integral of f against the normalized reference or deformed measure."""
-    if state is not None:
-        return state.integrate(f)
-    if grid is None:
-        raise ConfigurationError("integrate needs a state or a grid")
-    return grid.integrate(f)
 
 
 # ---------------------------------------------------------------------------

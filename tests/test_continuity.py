@@ -1,7 +1,12 @@
 """Newton solver, continuity path, diagnostics, automorphism scans."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
+
+from reebflow import continuity
 
 from reebflow import (
     BasicPotential,
@@ -9,6 +14,7 @@ from reebflow import (
     InadmissibleError,
     PathPolicy,
     SolverError,
+    epsilon_pinching,
     ma_defect,
     ma_jacobian,
     metric_state,
@@ -20,7 +26,6 @@ from reebflow import (
     run_continuity_path,
     solve_ma_at_t,
 )
-from reebflow.continuity import gauss_record_ts
 from tests.conftest import psi_bump
 
 
@@ -90,6 +95,14 @@ class TestNewtonSolve:
         with pytest.raises(ConfigurationError):
             solve_ma_at_t(0.5, ref, bad)
 
+    @pytest.mark.parametrize(
+        "field, value", [("dt_init", 0.0), ("dt_init", -0.05), ("dt_floor", 0.0),
+                         ("dt_floor", float("nan"))]
+    )
+    def test_policy_steps_must_be_positive(self, field, value):
+        with pytest.raises(ConfigurationError):
+            PathPolicy(**{field: value})
+
     def test_iteration_cap(self, grid96):
         base = metric_state(psi_bump(grid96))
         with pytest.raises(SolverError):
@@ -123,9 +136,11 @@ class TestContinuityPath:
     def test_gauss_records_and_weights(self, gauss):
         assert len(gauss.records) == 49  # 48 nodes + endpoint
         assert gauss.record_weights is not None
-        nodes, weights = gauss_record_ts(48)
-        np.testing.assert_allclose(gauss.ts()[:-1], nodes, rtol=0, atol=1e-14)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        nodes, weights = np.polynomial.legendre.leggauss(48)
+        np.testing.assert_allclose(
+            gauss.ts()[:-1], (nodes + 1.0) / 2.0, rtol=0, atol=1e-14
+        )
+        assert (weights / 2.0).sum() == pytest.approx(1.0, abs=1e-14)
         assert gauss.record_weights[-1] == 0.0
 
     def test_energy_identity(self, gauss, base128):
@@ -150,6 +165,53 @@ class TestContinuityPath:
         assert len(path.records) < 3
         with pytest.raises(ConfigurationError):
             path_diagnostics(path, base128)
+
+
+STUB_TRACE = [1.0, 0.5, 0.25]
+
+
+@pytest.fixture
+def newton_fails_past_half(monkeypatch):
+    """Every binding of solve_ma_at_t raises SolverError for t > 0.5."""
+    real = continuity.solve_ma_at_t
+
+    def solve(t, base, initial_guess, policy=PathPolicy()):
+        if t > 0.5:
+            raise SolverError(f"stub failure at t = {t}", trace=STUB_TRACE)
+        return real(t, base, initial_guess, policy)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reebflow" and getattr(
+            module, "solve_ma_at_t", None
+        ) is real:
+            monkeypatch.setattr(module, "solve_ma_at_t", solve)
+
+
+class TestStepperFailures:
+    FLOOR = re.compile(r"step floor 0\.0001 reached at t = (\S+)$")
+
+    def test_adaptive_path_stops_at_the_floor(self, base96, newton_fails_past_half):
+        path = run_continuity_path(base96)
+        assert not path.completed
+        ts = path.ts()
+        assert 0.45 < ts[-1] <= 0.5
+        assert path.failure == f"step floor 0.0001 reached at t = {ts[-1]:.6g}"
+        assert path.record_weights is None
+
+    def test_recorded_path_stops_at_the_floor(self, base96, newton_fails_past_half):
+        path = run_continuity_path(base96, records=6)
+        assert not path.completed
+        match = self.FLOOR.match(path.failure)
+        assert match and 0.45 < float(match.group(1)) <= 0.5
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        kept = (nodes + 1.0) / 2.0 <= 0.5
+        np.testing.assert_allclose(path.ts(), (nodes[kept] + 1.0) / 2.0, atol=1e-14)
+        np.testing.assert_allclose(path.record_weights, weights[kept] / 2.0, atol=1e-14)
+
+    def test_pinching_path_stalls(self, base96, newton_fails_past_half):
+        with pytest.raises(SolverError, match="pinching path stalled at t = ") as info:
+            epsilon_pinching(base96, eps=1e-3)
+        assert info.value.trace == STUB_TRACE
 
 
 class TestMobius:

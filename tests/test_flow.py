@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reebflow import flow, transverse
+from reebflow import flow, functionals, transverse
 from reebflow import (
     BasicPotential,
     ConfigurationError,
@@ -114,6 +114,15 @@ class TestRunFlow:
             ends.append(v.values - base128.integrate(v.values))
         assert np.abs(ends[0] - ends[1]).max() < 1e-6
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"ds": 0.0}, {"ds": -1e-3}, {"ds_floor": 0.0}, {"ds": float("nan")},
+         {"record_stride": 0}, {"record_stride": -1}, {"record_stride": 2.5}],
+    )
+    def test_policy_validation(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            FlowPolicy(**kwargs)
+
     def test_invalid_s_end(self, ref128):
         with pytest.raises(ConfigurationError):
             run_flow(ref128, s_end=0.0)
@@ -173,7 +182,7 @@ class TestRunFlow:
 
         monkeypatch.setattr(Grid, "_laplacian_ld", lap)
         monkeypatch.setattr(transverse, "metric_state", state)
-        monkeypatch.setattr(flow, "metric_state", state)
+        monkeypatch.setattr(functionals, "metric_state", state)
         monkeypatch.setattr(np.linalg, "solve", solve)
         traj = run_flow(base96, s_end=0.04, policy=FlowPolicy(record_stride=stride))
         assert traj.completed

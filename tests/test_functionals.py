@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from reebflow import (
     BasicPotential,
+    ConfigurationError,
     FunctionalLedger,
     InadmissibleError,
     admissibility,
@@ -122,6 +123,10 @@ class TestIdentities:
         k_lin = eval_K_energy(phi, ref128, path="linear")
         k_quad = eval_K_energy(phi, ref128, path="quadratic")
         assert k_quad == pytest.approx(k_lin, abs=1e-8)
+
+    def test_k_energy_unknown_path(self, ref128, linear128):
+        with pytest.raises(ConfigurationError, match="unknown path 'cubic'"):
+            eval_K_energy(linear128, ref128, path="cubic")
 
     def test_k_energy_vanishes_on_automorphisms(self, ref128, grid128):
         for lam in (1.5, 2.0, 4.0):

@@ -234,6 +234,29 @@ class TestCliExitCodes:
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "flow.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--ds", "0"), ("--stride", "0")])
+    def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        rc = cli.main(["flow", "--n", "16", "--s-end", "0.1", flag, value,
+                       "--out", str(out)])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (out / "flow.csv").exists()
+
+    @pytest.mark.parametrize("psi", ["1/0", "0^(-1)", "2^10000"])
+    def test_expression_arithmetic_error(self, tmp_path, capsys, psi):
+        rc = cli.main(["solve", "--n", "16", "--psi", psi, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_nan_potential_is_invalid_input(self, tmp_path, capsys):
+        # log(x) is NaN on half the grid; the state rejects its NaN margin
+        with np.errstate(invalid="ignore"):
+            rc = cli.main(["solve", "--n", "16", "--psi", "log(x)",
+                           "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_invariant_violation(self, tmp_path, capsys, monkeypatch):
         def broken_flow(base, s_end, policy):
             traj = run_flow(base, s_end=0.05, policy=FlowPolicy(record_stride=10))

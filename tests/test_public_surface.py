@@ -1,0 +1,42 @@
+"""The public surface: every exported name resolves, removed ones stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import reebflow
+
+MODULES = sorted(
+    f"reebflow.{info.name}" for info in pkgutil.iter_modules(reebflow.__path__)
+)
+
+# API that no computation used, deleted rather than kept in step with the rest
+REMOVED = {
+    "reebflow": ("Model", "tanno_deform", "basic_laplacian", "integrate"),
+    "reebflow.transverse": (
+        "Model",
+        "tanno_deform",
+        "basic_laplacian",
+        "integrate",
+        "_check_same_grid",
+    ),
+    "reebflow.continuity": ("gauss_record_ts", "_relative_ratio"),
+}
+
+
+@pytest.mark.parametrize("module", ["reebflow", *MODULES])
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    missing = [name for name in exported if not hasattr(mod, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(module)
+    present = [name for name in REMOVED[module] if hasattr(mod, name)]
+    assert not present
+    assert not set(REMOVED[module]) & set(getattr(mod, "__all__", ()))

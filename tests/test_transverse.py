@@ -10,17 +10,13 @@ from reebflow import (
     ConfigurationError,
     GridMismatchError,
     InadmissibleError,
-    Model,
     admissibility,
-    basic_laplacian,
-    integrate,
     make_grid,
     metric_state,
     reference_state,
     spectrum,
-    tanno_deform,
 )
-from reebflow.transverse import M_DIM, SCALAR_TARGET, log_mean_exp
+from reebflow.transverse import SCALAR_TARGET, log_mean_exp
 
 
 def legendre_values(k, x):
@@ -169,26 +165,6 @@ class TestMetricState:
     def test_measure_mass(self, base128):
         assert abs(base128.measure.sum() - 1.0) < 1e-14
 
-    def test_integrate_dispatch(self, grid128, base128):
-        f = grid128.x**2
-        assert integrate(f, grid=grid128) == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert integrate(f, state=base128) == pytest.approx(
-            float(base128.measure @ f), abs=1e-16
-        )
-        with pytest.raises(ConfigurationError):
-            integrate(f)
-
-    def test_basic_laplacian_dispatch(self, grid128, base128):
-        f = grid128.x**3
-        np.testing.assert_allclose(
-            basic_laplacian(f, grid=grid128), grid128.laplacian(f), atol=0
-        )
-        np.testing.assert_allclose(
-            basic_laplacian(f, state=base128),
-            grid128.laplacian(f) / base128.ratio,
-            atol=0,
-        )
-
 
 class TestLogMeanExp:
     def test_matches_naive_for_small_values(self, grid96):
@@ -200,22 +176,6 @@ class TestLogMeanExp:
         z = 800.0 + 0.1 * grid96.x
         val = log_mean_exp(grid96, z)
         assert np.isfinite(val) and 799.0 < val < 801.0
-
-
-class TestModel:
-    def test_tanno_scale_bookkeeping(self, grid96):
-        model = Model(m=1, tanno_scale=1.0, grid=grid96)
-        assert model.einstein_target == M_DIM + 1
-        assert model.transverse_einstein_constant == 2 * (M_DIM + 1)
-        scaled = tanno_deform(model, 2.0)
-        assert scaled.tanno_scale == 2.0
-        assert scaled.grid is grid96
-        # mu / s: the deformation renormalizes the Einstein constant
-        assert scaled.transverse_einstein_constant == (M_DIM + 1)
-        with pytest.raises(ConfigurationError):
-            tanno_deform(model, 0.0)
-        with pytest.raises(ConfigurationError):
-            Model(m=0, tanno_scale=1.0, grid=grid96)
 
 
 class TestSpectrum:
