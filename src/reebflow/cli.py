@@ -44,7 +44,7 @@ from .errors import (
 )
 from .flow import FlowPolicy, epsilon_pinching, run_flow
 from .functionals import relative_state
-from .transverse import BasicPotential, make_grid, metric_state, spectrum
+from .transverse import BasicPotential, make_grid, metric_state, reference_state, spectrum
 from .verification import DEFAULT_SEED, verify_all
 
 __all__ = ["main", "parse_expression", "build_parser"]
@@ -85,6 +85,9 @@ def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
         if isinstance(node, (ast.Expression, ast.Load)):
             continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            if isinstance(node.op, ast.Pow):
+                # a float base overflows at once; in ints 3^9^9 runs for minutes
+                node.left = ast.BinOp(node.left, ast.Mult(), ast.Constant(1.0))
             continue
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
             continue
@@ -109,14 +112,15 @@ def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
             "allowed: + - * / ^ numbers, x, pi, e, sin, cos, exp, log, pow"
         )
 
-    code = compile(tree, "<expression>", "eval")
+    code = compile(ast.fix_missing_locations(tree), "<expression>", "eval")
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         env = {"x": np.asarray(x, dtype=np.float64), **_CONSTANTS, **_FUNCTIONS}
         try:
             out = eval(code, {"__builtins__": {}}, env)
             out = np.asarray(out, dtype=np.float64)
-        except ArithmeticError as exc:  # 1/0, 0^(-1), 2^10000
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            # 1/0, 2^10000; (-8)^(1/3) is complex; pow(2,-1) a negative int power
             raise UsageError(f"cannot evaluate expression {text!r}: {exc}") from exc
         return np.broadcast_to(out, np.shape(x)).copy()
 
@@ -324,8 +328,6 @@ def _cmd_flow(args) -> int:
 def _cmd_scan(args) -> int:
     t0 = time.perf_counter()
     grid = make_grid(args.n)
-    from .transverse import reference_state
-
     ref = reference_state(grid)
     if args.family == "mobius":
         members = [(lam, mobius_potential(lam, grid)) for lam in args.lambdas]

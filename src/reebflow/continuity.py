@@ -43,6 +43,8 @@ from .transverse import (
     BasicPotential,
     Grid,
     MetricState,
+    _admissible,
+    _ratio_ld,
 )
 
 __all__ = [
@@ -79,10 +81,11 @@ class PathPolicy:
 
 
 def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
-    """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi)."""
-    state = relative_state(base, phi)
+    """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi), from the
+    volume ratio of base + phi alone (InadmissibleError if not positive)."""
+    ratio = _admissible(_ratio_ld(phi.grid, base.potential.values + phi.values))
     rhs = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
-    return state.ratio / base.ratio - rhs
+    return ratio / base.ratio - rhs
 
 
 def ma_jacobian(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
@@ -109,50 +112,53 @@ def solve_ma_at_t(
     The Jacobian comes from ``ma_jacobian`` and is exact, so convergence
     is quadratic once inside the basin. Steps are Armijo-damped on the
     sup-norm of the defect and rejected outright if they push the total
-    potential below the admissibility margin floor.
+    potential below the admissibility margin floor.  Each candidate is
+    evaluated once, from one Laplacian; its margin and defect stay in
+    float64, the rounding that fixes the iterates.  A guess whose margin
+    is not positive raises ConfigurationError; a residual that is not
+    finite or a failed least-squares solve raises SolverError.
     """
     if not (0.0 < t <= 1.0):
         raise ConfigurationError(f"t must lie in (0, 1], got {t}")
     grid = initial_guess.grid
     mp1 = M_DIM + 1
 
-    def total_margin(values: NDArray) -> float:
-        return float(
-            (base.ratio + grid.laplacian(values) / 4.0).min()
-        )
-
-    def defect_of(values: NDArray) -> NDArray[np.float64]:
-        rel = 1.0 + grid.laplacian(values) / (4.0 * base.ratio)
-        return rel - np.exp(base.ricci_potential - t * mp1 * values)
+    def evaluate(values: NDArray) -> tuple[float, NDArray[np.float64]]:
+        lap = grid.laplacian(values)
+        defect = 1.0 + lap / (4.0 * base.ratio) - np.exp(base.ricci_potential - t * mp1 * values)
+        return float((base.ratio + lap / 4.0).min()), defect
 
     phi = np.array(initial_guess.values, dtype=np.float64)
-    if total_margin(phi) <= 0.0:
+    margin, defect = evaluate(phi)
+    if not (margin > 0.0):  # not the transverse rule: Newton's float64 margin
         raise ConfigurationError("initial guess is not admissible over the base")
+    res = float(np.abs(defect).max())
+    if not np.isfinite(res):
+        raise SolverError(f"initial Newton residual {res} at t = {t:.6g}", trace=[res])
     trace: list[float] = []
-    res = float(np.abs(defect_of(phi)).max())
     for _ in range(policy.max_iterations):
         trace.append(res)
+        jac = ma_jacobian(BasicPotential(values=phi, grid=grid), t, base)
+        try:
+            step = np.linalg.lstsq(jac, -defect, rcond=1e-10)[0]
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"Newton step failed at t = {t:.6g}: {err}", trace=trace) from err
         if res < policy.newton_tol:
             # one polishing step: the quadratic tail typically buys several
             # digits, which the along-path curvature identity benefits from
-            jac = ma_jacobian(BasicPotential(values=phi, grid=grid), t, base)
-            step = np.linalg.lstsq(jac, -defect_of(phi), rcond=1e-10)[0]
             polished = phi + step
-            if (
-                total_margin(polished) >= policy.margin_floor
-                and float(np.abs(defect_of(polished)).max()) < res
-            ):
+            margin, defect = evaluate(polished)
+            if margin >= policy.margin_floor and float(np.abs(defect).max()) < res:
                 phi = polished
             return BasicPotential(values=phi, grid=grid)
-        jac = ma_jacobian(BasicPotential(values=phi, grid=grid), t, base)
-        step = np.linalg.lstsq(jac, -defect_of(phi), rcond=1e-10)[0]
         alpha = 1.0
         for _ in range(policy.max_backtracks):
             cand = phi + alpha * step
-            if total_margin(cand) >= policy.margin_floor:
-                cand_res = float(np.abs(defect_of(cand)).max())
+            margin, cand_defect = evaluate(cand)
+            if margin >= policy.margin_floor:
+                cand_res = float(np.abs(cand_defect).max())
                 if cand_res <= (1.0 - policy.armijo_c * alpha) * res:
-                    phi, res = cand, cand_res
+                    phi, res, defect = cand, cand_res, cand_defect
                     break
             alpha *= 0.5
         else:
@@ -171,6 +177,9 @@ def solve_ma_at_t(
 # ---------------------------------------------------------------------------
 
 
+HOLDER_ALPHA = 1.0 - 1.0 / (4 * M_DIM + 2)  # 5/6 at m = 1
+
+
 @dataclass(frozen=True)
 class PathRecord:
     t: float
@@ -178,6 +187,13 @@ class PathRecord:
     ledger: FunctionalLedger
     residual: float
     c0_norm: float
+
+    @property
+    def f_t(self) -> float:
+        """Decay profile (1-t)^{1-alpha} (1 + 2 (1-t) sup|phi_t|)^alpha."""
+        return (1.0 - self.t) ** (1.0 - HOLDER_ALPHA) * (
+            1.0 + 2.0 * (1.0 - self.t) * self.c0_norm
+        ) ** HOLDER_ALPHA
 
 
 @dataclass(frozen=True)
@@ -333,9 +349,6 @@ def run_continuity_path(
 # diagnostics
 # ---------------------------------------------------------------------------
 
-HOLDER_ALPHA = 1.0 - 1.0 / (4 * M_DIM + 2)  # 5/6 at m = 1
-
-
 @dataclass(frozen=True)
 class PathDiagnostics:
     monotone_margin: float            # min consecutive increment of (I-J)
@@ -378,13 +391,7 @@ def path_diagnostics(
         _, f_se = eval_F(base.potential, reference)
         energy_residual = f_se - integral
 
-    decay = tuple(
-        float(
-            (1.0 - r.t) ** (1.0 - HOLDER_ALPHA)
-            * (1.0 + 2.0 * (1.0 - r.t) * r.c0_norm) ** HOLDER_ALPHA
-        )
-        for r in recs
-    )
+    decay = tuple(r.f_t for r in recs)
 
     growth = None
     if np.isclose(recs[-1].t, 1.0):

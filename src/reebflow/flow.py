@@ -66,6 +66,7 @@ from .transverse import (
     SCALAR_TARGET,
     BasicPotential,
     MetricState,
+    _admissible,
     _ratio_ld,
 )
 
@@ -88,11 +89,6 @@ MP1 = M_DIM + 1
 S_END_MAX = math.log(sys.float_info.max) / (2 * MP1)
 
 
-def _ratio(grid, values: NDArray) -> NDArray[np.float64]:
-    """Volume ratio of a total potential, bit for bit that of metric_state."""
-    return _ratio_ld(grid, values).astype(np.float64)
-
-
 def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
     """log r_base(v) + (m+1) v - h_base from the volume ratio r of base + v."""
     return np.log(ratio / base.ratio) + MP1 * v_values - base.ricci_potential
@@ -103,11 +99,7 @@ def flow_rhs(v: BasicPotential, base: MetricState) -> NDArray[np.float64]:
 
     Raises InadmissibleError when base + v is not positive.
     """
-    ratio = _ratio(v.grid, base.potential.values + v.values)
-    margin = float(ratio.min())
-    if not (margin > 0.0):
-        raise InadmissibleError(margin)
-    return _rhs(ratio, v.values, base)
+    return _rhs(_admissible(_ratio_ld(v.grid, base.potential.values + v.values)), v.values, base)
 
 
 def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
@@ -255,8 +247,9 @@ def run_flow(
         lin = grid.lap / (4.0 * ratio)[:, None]
         delta = np.linalg.solve(eye - step * lin, step * rhs)
         cand = v + delta
-        cand_ratio = _ratio(grid, base.potential.values + cand)
-        if not (cand_ratio.min() > 0.0):
+        try:
+            cand_ratio = _admissible(_ratio_ld(grid, base.potential.values + cand))
+        except InadmissibleError:
             ds *= 0.5
             if ds < policy.ds_floor:
                 completed = False
@@ -328,13 +321,14 @@ def smoothing_monitors(
         rec1 = trajectory.record_at(1.0)
         u_slack = (math.exp(MP1) / MP1) * h0_norm - rec1.v.sup()
         grid = base.potential.grid
-        r_tot = 1.0 + grid.laplacian(base.potential.values + rec1.v.values) / 4.0
+        # the sandwich and the centring of h_1 read only the volume ratio
+        r_tot = _admissible(_ratio_ld(grid, base.potential.values + rec1.v.values))
         lo = float(r_tot.min()) - 0.5
         hi = 1.0 - float(r_tot.max())
         held = bool(lo >= 0.0 and hi >= 0.0)
         if one_minus_t is not None and h0_norm > 0:
             h1 = rec1.h
-            h1_centered = h1 - relative_state(base, rec1.v).integrate(h1)
+            h1_centered = h1 - float((grid.w * r_tot) @ h1)
             denom = one_minus_t ** (1.0 / 3.0) * h0_norm ** (2.0 / 3.0)
             c1 = float(np.abs(h1_centered).max() / denom) if denom > 0 else None
             holder_norm = float(np.abs(h1).max()) + rec1.monitors.holder_h

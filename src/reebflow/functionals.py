@@ -10,9 +10,9 @@ The functionals read only volume ratios along the ray s -> psi + s phi,
 and those are affine in s: r(psi + s phi) = r(psi) + s Lap(phi)/4
 exactly.  Each evaluation therefore applies the Laplacian once, to phi,
 and forms every ratio on the ray from the base ratio and that one field
-in extended precision, cast to float64 as ``metric_state`` casts its
-ratio.  Every ratio formed is checked for positivity, and a nonpositive
-one raises InadmissibleError with its margin.  ``FunctionalLedger``
+in extended precision; ``transverse`` casts and checks each one as it
+does the ratio of ``metric_state``, so a nonpositive one raises
+InadmissibleError with its margin.  ``FunctionalLedger``
 shares the one Laplacian across I, J, F0, F and K.
 
 Quadrature choices: J integrates I(s phi)/s with a 32-node Gauss rule in
@@ -37,18 +37,15 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.typing import NDArray
 
-from .errors import (
-    ConfigurationError,
-    InadmissibleError,
-    PreconditionError,
-    SolverError,
-)
+from .errors import ConfigurationError, PreconditionError, SolverError
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
     BasicPotential,
     Grid,
     MetricState,
+    _admissible,
+    admissibility,
     log_mean_exp,
     metric_state,
 )
@@ -105,13 +102,7 @@ class _Ray:
 
     def ratio(self, s: float) -> NDArray[np.float64]:
         """Volume ratio of psi + s phi; InadmissibleError if not positive."""
-        ratio = (
-            self._base_ratio_ld + np.longdouble(s) * self._quarter_lap_ld
-        ).astype(np.float64)
-        margin = float(ratio.min())
-        if not (margin > 0.0):
-            raise InadmissibleError(margin)
-        return ratio
+        return _admissible(self._base_ratio_ld + np.longdouble(s) * self._quarter_lap_ld)
 
     def i_value(self, s: float = 1.0) -> float:
         """I(s phi) = int s phi (dmu_base - dmu_{s phi})."""
@@ -411,8 +402,7 @@ def random_potential(
         decay = 0.6 ** np.arange(degree + 1)
         coeffs[1:] = rng.normal(0.0, amplitude, degree) * decay[1:]
         phi = BasicPotential(values=grid.from_coeffs(coeffs), grid=grid)
-        margin = 1.0 + grid.laplacian(phi.values).min() / 4.0
-        if margin >= min_margin:
+        if admissibility(phi)[1] >= min_margin:
             return phi
     raise SolverError(
         f"no admissible sample with margin >= {min_margin} in {max_tries} tries",

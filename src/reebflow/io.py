@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .continuity import HOLDER_ALPHA, ContinuityPath
+from .continuity import ContinuityPath
 from .curvature import CharacteristicIntegrandReport
 from .flow import FlowTrajectory
 from .functionals import FunctionalLedger
@@ -97,13 +97,10 @@ def write_path_csv(path: Path, cpath: ContinuityPath) -> Path:
     def rows():
         for rec in cpath.records:
             led = rec.ledger
-            f_t = (1.0 - rec.t) ** (1.0 - HOLDER_ALPHA) * (
-                1.0 + 2.0 * (1.0 - rec.t) * rec.c0_norm
-            ) ** HOLDER_ALPHA
             yield (
                 rec.t, rec.residual, rec.c0_norm,
                 led.I, led.J, led.F0, led.F, led.K,
-                led.I - led.J, f_t,
+                led.I - led.J, rec.f_t,
             )
 
     return _write_rows(

@@ -11,7 +11,8 @@ reference objects take fully explicit form:
 * reference measure: uniform, dmu_ref = dx/2 (normalized to mass 1);
 * basic Laplacian:   Lap f = 4 d/dx[(1 - x^2) f'(x)], with Legendre
   eigenfunctions P_k and eigenvalues -4k(k+1);
-* volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4;
+* volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4, formed
+  (``_ratio_ld``) and checked (``_admissible``) here for the whole package;
 * transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2,
   so the reference has S = 4 = 2m(m+1) at transverse complex dimension
   m = 1.
@@ -247,14 +248,28 @@ class BasicPotential:
         return float(np.abs(self.values).max())
 
 
-def _ratio_of(grid: Grid, values: NDArray) -> NDArray[np.float64]:
-    return 1.0 + grid.laplacian(values) / 4.0
+def _ratio_ld(grid: Grid, values: NDArray) -> NDArray[np.longdouble]:
+    """Volume ratio 1 + Lap(values)/4 of a total potential, in extended
+    precision (a ray's r(psi) + s Lap(phi)/4 is summed the same way)."""
+    return 1.0 + grid._laplacian_ld(values) / 4.0
+
+
+def _admissible(ratio_ld: NDArray[np.longdouble]) -> NDArray[np.float64]:
+    """Cast a volume ratio to float64, as every ratio in the package is;
+    InadmissibleError(margin) unless its minimum is positive (NaN is not)."""
+    ratio = ratio_ld.astype(np.float64)
+    margin = float(ratio.min())
+    if not (margin > 0.0):
+        raise InadmissibleError(margin)
+    return ratio
 
 
 def admissibility(phi: BasicPotential) -> tuple[bool, float]:
     """Whether the deformed structure is positive, and the margin min r(phi)."""
-    margin = float(_ratio_of(phi.grid, phi.values).min())
-    return margin > 0.0, margin
+    try:
+        return True, float(_admissible(_ratio_ld(phi.grid, phi.values)).min())
+    except InadmissibleError as exc:
+        return False, exc.margin
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +335,6 @@ def log_mean_exp(grid_or_weights, z: NDArray) -> float:
     return zmax + float(np.log(w @ np.exp(z - zmax)))
 
 
-def _ratio_ld(grid: Grid, values: NDArray) -> NDArray[np.longdouble]:
-    """Volume ratio 1 + Lap(values)/4 in extended precision; its float64
-    cast is the ratio of metric_state, bit for bit."""
-    return 1.0 + grid._laplacian_ld(values) / 4.0
-
-
 def metric_state(phi: BasicPotential) -> MetricState:
     """Volume ratio, scalar curvature and Ricci potential of a potential.
 
@@ -333,10 +342,7 @@ def metric_state(phi: BasicPotential) -> MetricState:
     """
     grid = phi.grid
     ratio_ld = _ratio_ld(grid, phi.values)
-    ratio = ratio_ld.astype(np.float64)
-    margin = float(ratio.min())
-    if not (margin > 0.0):  # a NaN margin is not admissible either
-        raise InadmissibleError(margin)
+    ratio = _admissible(ratio_ld)
     log_ratio = np.log(ratio)
     # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
     # so c is the explicit log-integral below (no root-find needed: e^c
@@ -352,7 +358,7 @@ def metric_state(phi: BasicPotential) -> MetricState:
         scalar_curvature=_lock(scalar),
         ricci_potential=_lock(h),
         norm_constant=float(c),
-        margin=margin,
+        margin=float(ratio.min()),
     )
 
 

@@ -341,7 +341,7 @@ def flow_suite(
     base = metric_state(psi)
     h0 = base.ricci_potential
     h0n = float(np.abs(h0).max())
-    lap0_min = float((grid.laplacian(h0) / base.ratio).min())
+    lap0_min = float(base.laplacian(h0).min())
     c_scale = abs(lap0_min) if abs(lap0_min) > 1e-12 else 1.0
     mp1 = M_DIM + 1
 

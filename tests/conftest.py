@@ -1,7 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from reebflow import BasicPotential, make_grid, metric_state, reference_state
+from reebflow import (
+    BasicPotential,
+    functionals,
+    make_grid,
+    metric_state,
+    reference_state,
+    transverse,
+)
+from reebflow.transverse import Grid
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +67,28 @@ def base96(grid96):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts Laplacian applications, lstsq calls and metric states."""
+    calls = Counter()
+    real_lap, real_lstsq, real_state = Grid._laplacian_ld, np.linalg.lstsq, transverse.metric_state
+
+    def lap(self, f):
+        calls["laplacian"] += 1
+        return real_lap(self, f)
+
+    def lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return real_lstsq(*args, **kwargs)
+
+    def state(phi):
+        calls["metric_state"] += 1
+        return real_state(phi)
+
+    monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(transverse, "metric_state", state)
+    monkeypatch.setattr(functionals, "metric_state", state)
+    return calls

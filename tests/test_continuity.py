@@ -94,6 +94,32 @@ class TestNewtonSolve:
         bad = BasicPotential.from_callable(grid96, lambda x: 3.0 * (1 - x * x))
         with pytest.raises(ConfigurationError):
             solve_ma_at_t(0.5, ref, bad)
+        # a NaN margin is not admissible either
+        values = np.zeros(grid96.n)
+        values[grid96.n // 2] = np.nan
+        with pytest.raises(ConfigurationError):
+            solve_ma_at_t(0.5, ref, BasicPotential(values=values, grid=grid96))
+
+    def test_overflowing_guess_is_a_solver_error(self, grid96, monkeypatch):
+        # e^{h - 2t(-400)} overflows: the residual is infinite, and Newton
+        # stops before any least-squares solve
+        def lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called on a non-finite residual")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        guess = BasicPotential.from_callable(grid96, lambda x: np.full_like(x, -400.0))
+        with np.errstate(over="ignore"), pytest.raises(SolverError) as info:
+            solve_ma_at_t(1.0, reference_state(grid96), guess)
+        assert info.value.trace == [np.inf]
+
+    def test_linalg_error_is_a_solver_error(self, base96, monkeypatch):
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        with pytest.raises(SolverError, match="Newton step failed at t = 0.5") as info:
+            solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+        assert len(info.value.trace) == 1
 
     @pytest.mark.parametrize(
         "field, value", [("dt_init", 0.0), ("dt_init", -0.05), ("dt_floor", 0.0),
@@ -160,11 +186,45 @@ class TestContinuityPath:
         assert diag.f_upper_constant >= 0.0
         assert len(diag.decay_profile) == len(adaptive.records)
 
+    def test_decay_profile_is_the_records_f_t(self, adaptive, base128):
+        diag = path_diagnostics(adaptive, base128)
+        assert diag.decay_profile == tuple(rec.f_t for rec in adaptive.records)
+        rec = adaptive.records[0]
+        expected = (1 - rec.t) ** (1 / 6) * (1 + 2 * (1 - rec.t) * rec.c0_norm) ** (5 / 6)
+        assert rec.f_t == pytest.approx(expected, rel=1e-14)
+        assert adaptive.endpoint().f_t == 0.0
+
     def test_diagnostics_need_records(self, base128):
         path = run_continuity_path(base128, records=[0.5])
         assert len(path.records) < 3
         with pytest.raises(ConfigurationError):
             path_diagnostics(path, base128)
+
+
+class TestOperatorCounts:
+    def test_newton_applies_one_laplacian_per_candidate(self, base96, counts):
+        # a solve that never backtracks: one Laplacian for the guess, one
+        # per Newton candidate and one for the polished iterate
+        counts.clear()
+        phi = solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+        solves = counts["lstsq"]
+        assert solves >= 3
+        assert counts == {"laplacian": solves + 1, "lstsq": solves}
+        assert np.abs(ma_defect(phi, 0.5, base96)).max() < 1e-10
+
+    def test_defect_reads_one_ratio(self, base96, counts):
+        phi = BasicPotential.from_callable(base96.grid, lambda x: 0.05 * np.sin(2 * x))
+        expected = relative_state(base96, phi).ratio / base96.ratio - np.exp(
+            base96.ricci_potential - 0.4 * 2 * phi.values
+        )
+        counts.clear()
+        np.testing.assert_array_equal(ma_defect(phi, 0.4, base96), expected)
+        assert counts == {"laplacian": 1}
+
+    def test_defect_of_inadmissible_potential_raises(self, ref96):
+        bad = BasicPotential.from_callable(ref96.grid, lambda x: 3.0 * (1 - x * x))
+        with pytest.raises(InadmissibleError):
+            ma_defect(bad, 0.5, ref96)
 
 
 STUB_TRACE = [1.0, 0.5, 0.25]

@@ -17,6 +17,7 @@ from reebflow import (
     holder_seminorm,
     metric_state,
     reference_state,
+    relative_state,
     run_flow,
     smoothing_monitors,
 )
@@ -234,6 +235,21 @@ class TestSmoothing:
         assert rep.sandwich_held is not None
         assert rep.c1_fit is not None and rep.c1_fit > 0
         assert rep.c7_fit is not None and rep.c7_fit > 0
+
+    def test_time_one_section_reads_one_ratio(self, base96, traj96, counts):
+        # the sandwich and the centring of h_1 read the volume ratio of
+        # base + v_1 alone: one Laplacian, no metric state
+        counts.clear()
+        rep = smoothing_monitors(traj96, one_minus_t=0.4)
+        assert counts == {"laplacian": 1}
+        # the same numbers, bit for bit, as a full state of base + v_1
+        rec1 = traj96.record_at(1.0)
+        full = relative_state(base96, rec1.v)
+        assert rep.sandwich_lo_margin == float(full.ratio.min()) - 0.5
+        assert rep.sandwich_hi_margin == 1.0 - float(full.ratio.max())
+        h0n = float(np.abs(base96.ricci_potential).max())
+        denom = 0.4 ** (1.0 / 3.0) * h0n ** (2.0 / 3.0)
+        assert rep.c1_fit == float(np.abs(rec1.h - full.integrate(rec1.h)).max() / denom)
 
     def test_short_trajectory_rejected(self, base96):
         traj = run_flow(base96, s_end=0.5, policy=FlowPolicy(record_stride=10**6))

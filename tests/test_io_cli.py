@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebflow import cli, io
 from reebflow import (
@@ -243,19 +245,33 @@ class TestCliExitCodes:
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "flow.csv").exists()
 
-    @pytest.mark.parametrize("psi", ["1/0", "0^(-1)", "2^10000"])
+    @pytest.mark.parametrize(
+        "psi", ["1/0", "0^(-1)", "2^10000", "(-8)^(1/3)", "pow(2,-1)", "3^9^9"]
+    )
     def test_expression_arithmetic_error(self, tmp_path, capsys, psi):
+        # (-8)^(1/3) is complex, pow(2,-1) an integer to a negative power,
+        # and 3^9^9 overflows as a float instead of running on in integers
         rc = cli.main(["solve", "--n", "16", "--psi", psi, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_nan_potential_is_invalid_input(self, tmp_path, capsys):
-        # log(x) is NaN on half the grid; the state rejects its NaN margin
+    @pytest.mark.parametrize("flag", ["--psi", "--guess"])
+    def test_nan_potential_is_invalid_input(self, tmp_path, capsys, flag):
+        # log(x) is NaN on half the grid; the base state and Newton's guess
+        # check both reject its NaN margin
         with np.errstate(invalid="ignore"):
-            rc = cli.main(["solve", "--n", "16", "--psi", "log(x)",
+            rc = cli.main(["solve", "--n", "16", flag, "log(x)",
                            "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
+
+    def test_overflowing_guess_is_an_invariant_failure(self, tmp_path, capsys):
+        # e^{h + 800} overflows: Newton reports the infinite residual
+        with np.errstate(over="ignore"):
+            rc = cli.main(["solve", "--n", "16", "--guess", "-400",
+                           "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "residual inf" in capsys.readouterr().err
 
     def test_invariant_violation(self, tmp_path, capsys, monkeypatch):
         def broken_flow(base, s_end, policy):
@@ -274,3 +290,36 @@ class TestCliExitCodes:
         )
         assert rc == 2
         assert "invariant violated" in capsys.readouterr().err
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 9).map(str), st.sampled_from(["0.5", "1e-3", "x", "pi", "e"])
+)
+
+
+def _grow(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        sub.map(lambda a: f"(-{a})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log"]), sub).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+        st.tuples(sub, sub).map(lambda t: f"pow({t[0]},{t[1]})"),
+    )
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _grow, max_leaves=6)
+
+
+class TestExpressionProperty:
+    """Any expression of the grammar, as the base or as Newton's guess,
+    ends in an exit code: 0, 1 (input) or 2 (invariant), never an
+    exception."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(flag=st.sampled_from(["--psi", "--guess"]), expr=EXPRESSIONS)
+    def test_solve_returns_an_exit_code(self, tmp_path_factory, flag, expr):
+        out = tmp_path_factory.getbasetemp() / "expression-property"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["solve", "--n", "16", flag, expr, "--out", str(out)])
+        assert rc in (0, 1, 2)
