@@ -29,6 +29,7 @@ accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -78,6 +79,16 @@ class PathPolicy:
             raise ConfigurationError(
                 f"dt_init and dt_floor must be positive, got {self.dt_init}, {self.dt_floor}"
             )
+        for name in ("newton_tol", "margin_floor", "armijo_c", "monotone_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if not self.armijo_c < 1:
+            raise ConfigurationError(f"armijo_c must be below 1, got {self.armijo_c}")
+        for name in ("max_iterations", "max_backtracks"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:

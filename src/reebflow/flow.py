@@ -15,6 +15,15 @@ state and its Laplacian part advanced implicitly, while the zeroth-order
 (m+1)v term stays explicit.  The Laplacian is what makes the problem
 stiff; the zeroth-order term is harmless at Delta s = 1e-3.
 
+The step matrix I - Delta s Lap/(4r) moves only by O(Delta s) from one
+step to the next, so the march keeps one inverse of it and reuses it by
+defect correction (the chord method): each step starts from the kept
+inverse applied to the right-hand side and makes at most a few sweeps
+x += P (b - A x), two float64 matvecs each, until the correction is
+below a relative tolerance.  When the sweeps do not get there (the first
+step, a halving or doubling of the step, a fast transient) the inverse is
+refreshed from this step's matrix and the step is redone from it.
+
 Between records the march carries only the volume ratio r_base(v): each
 attempted step applies one Laplacian, to the candidate, forming its ratio
 exactly as metric_state does (summed in extended precision, then cast).
@@ -47,6 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -87,6 +97,12 @@ __all__ = [
 MP1 = M_DIM + 1
 # the records evaluate e^{2(m+1)s}; past this flow time it overflows float64
 S_END_MAX = math.log(sys.float_info.max) / (2 * MP1)
+# the march stops once s is within this of s_end
+_S_TOL = 1e-12
+# the chord step: sweeps from a kept inverse before it is refreshed, and
+# the sup of the last correction relative to the sup of the solution
+_CHORD_SWEEPS = 3
+_CHORD_TOL = 1e-13
 
 
 def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
@@ -102,14 +118,25 @@ def flow_rhs(v: BasicPotential, base: MetricState) -> NDArray[np.float64]:
     return _rhs(_admissible(_ratio_ld(v.grid, base.potential.values + v.values)), v.values, base)
 
 
+@lru_cache(maxsize=8)
+def _holder_distances(grid, k: float) -> tuple[NDArray[np.bool_], NDArray[np.float64]]:
+    """The pairs of distinct nodes and their distances to the power k,
+    per grid size and k."""
+    theta = np.arccos(np.clip(-np.asarray(grid.x), -1.0, 1.0))
+    d = np.abs(theta[:, None] - theta[None, :]) / 2.0
+    mask = d > 0
+    dk = d[mask] ** k
+    mask.flags.writeable = False
+    dk.flags.writeable = False
+    return mask, dk
+
+
 def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
     """Discrete C^{0,k} seminorm with the geodesic distance of the round
     quotient (a sphere of radius 1/2): d = |theta_i - theta_j| / 2."""
-    theta = np.arccos(np.clip(-np.asarray(grid.x), -1.0, 1.0))
-    d = np.abs(theta[:, None] - theta[None, :]) / 2.0
+    mask, dk = _holder_distances(grid, k)
     df = np.abs(np.asarray(f)[:, None] - np.asarray(f)[None, :])
-    mask = d > 0
-    return float((df[mask] / d[mask] ** k).max())
+    return float((df[mask] / dk).max())
 
 
 @dataclass(frozen=True)
@@ -205,6 +232,41 @@ def _make_flow_record(
     return FlowRecord(s=float(s), v=v, h=h, vdot=vdot, monitors=mon)
 
 
+class _ChordSolver:
+    """Solves the step system (I - diag(q) Lap) x = b, q = step/(4r), by
+    defect correction from one kept inverse P of an earlier step matrix.
+
+    A call starts from x = P b and makes at most _CHORD_SWEEPS sweeps
+    x += P (b - x + q Lap x), stopping once the sup of the correction is
+    at most _CHORD_TOL times the sup of x.  If they have not converged,
+    P is refreshed from this call's matrix (one dense factorization) and
+    the call is redone from it; the sweeps from a fresh P are taken as
+    they end.
+    """
+
+    def __init__(self, lap: NDArray[np.float64]):
+        self.lap = lap
+        self.inverse: Optional[NDArray[np.float64]] = None
+
+    def _sweeps(self, q: NDArray, b: NDArray) -> tuple[NDArray[np.float64], bool]:
+        x = self.inverse @ b
+        for _ in range(_CHORD_SWEEPS):
+            dx = self.inverse @ (b - x + q * (self.lap @ x))
+            x = x + dx
+            if np.abs(dx).max() <= _CHORD_TOL * np.abs(x).max():
+                return x, True
+        return x, False
+
+    def __call__(self, q: NDArray, b: NDArray) -> NDArray[np.float64]:
+        if self.inverse is not None:
+            x, converged = self._sweeps(q, b)
+            if converged:
+                return x
+        eye = np.eye(len(b))
+        self.inverse = np.linalg.solve(eye - q[:, None] * self.lap, eye)
+        return self._sweeps(q, b)[0]
+
+
 def run_flow(
     base: MetricState,
     s_end: float = 5.0,
@@ -213,11 +275,15 @@ def run_flow(
     """Semi-implicit march of the flow from v = 0 to s_end.
 
     The march carries the volume ratio of base + v from step to step,
-    starting from base.ratio.  Each attempted step solves one dense
-    system and applies one Laplacian, to the candidate; the candidate's
-    ratio is the admissibility test.  A candidate whose ratio is not
-    positive everywhere (NaN included) halves the step; reaching the step
-    floor returns a partial trajectory with the failure marker set.
+    starting from base.ratio.  Each attempted step solves its linear
+    system by defect correction from a kept inverse of an earlier step
+    matrix (``_ChordSolver``), refreshed by one dense factorization at
+    the first step and whenever a few sweeps do not converge, as after a
+    halving or doubling of the step or in the fast early transient.  It
+    then applies one Laplacian, to the candidate, whose ratio is the
+    admissibility test.  A candidate whose ratio is not positive
+    everywhere (NaN included) halves the step; reaching the step floor
+    returns a partial trajectory with the failure marker set.
     Records, each built from a full metric_state, are taken every
     policy.record_stride accepted steps and at the final time.
 
@@ -240,12 +306,10 @@ def run_flow(
     failure = None
     ds = policy.ds
     accepted = 0
-    eye = np.eye(grid.n)
-    while s < s_end - 1e-12:
+    solve_step = _ChordSolver(grid.lap)
+    while s < s_end - _S_TOL:
         step = min(ds, s_end - s)
-        rhs = _rhs(ratio, v, base)
-        lin = grid.lap / (4.0 * ratio)[:, None]
-        delta = np.linalg.solve(eye - step * lin, step * rhs)
+        delta = solve_step(step / (4.0 * ratio), step * _rhs(ratio, v, base))
         cand = v + delta
         try:
             cand_ratio = _admissible(_ratio_ld(grid, base.potential.values + cand))
@@ -261,7 +325,7 @@ def run_flow(
         s += step
         ds = min(ds * 2.0, policy.ds)
         accepted += 1
-        if accepted % policy.record_stride == 0 or s >= s_end - 1e-12:
+        if accepted % policy.record_stride == 0 or s >= s_end - _S_TOL:
             records.append(_make_flow_record(s, v, base, h0_norm, lap0_h0))
     return FlowTrajectory(
         initial=base,
@@ -269,6 +333,38 @@ def run_flow(
         policy=policy,
         completed=completed,
         failure=failure,
+    )
+
+
+def _prefix(trajectory: FlowTrajectory, s_end: float) -> FlowTrajectory:
+    """The trajectory ``run_flow(trajectory.initial, s_end,
+    trajectory.policy)`` returns, read off a longer march instead of
+    marched again.
+
+    The shorter march takes the same steps and records as the longer one
+    when s_end falls on a record after whole steps of ds; that is checked
+    (InvariantViolation otherwise, also when the longer march stopped
+    before s_end).
+    """
+    recs = trajectory.records
+    last = next(
+        (k for k, rec in enumerate(recs) if rec.s >= s_end - _S_TOL), len(recs) - 1
+    )
+    policy = trajectory.policy
+    if not (
+        last * policy.record_stride == round(s_end / policy.ds)
+        and abs(recs[last].s - s_end) <= _S_TOL
+    ):
+        raise InvariantViolation(
+            f"s = {s_end} is not a record after whole steps of {policy.ds} "
+            f"in a march that ended at s = {recs[-1].s:.6g}"
+        )
+    return FlowTrajectory(
+        initial=trajectory.initial,
+        records=recs[: last + 1],
+        policy=policy,
+        completed=True,
+        failure=None,
     )
 
 

@@ -129,6 +129,17 @@ class TestNewtonSolve:
         with pytest.raises(ConfigurationError):
             PathPolicy(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, value) for field in ("newton_tol", "margin_floor", "armijo_c", "monotone_tol")
+         for value in (0.0, -1e-3, float("nan"), float("inf"))]
+        + [("armijo_c", 1.0), ("max_iterations", 0), ("max_iterations", 2.5),
+           ("max_backtracks", 0), ("max_backtracks", -1), ("max_backtracks", 3.0)],
+    )
+    def test_policy_tolerances_and_caps_checked(self, field, value):
+        with pytest.raises(ConfigurationError):
+            PathPolicy(**{field: value})
+
     def test_iteration_cap(self, grid96):
         base = metric_state(psi_bump(grid96))
         with pytest.raises(SolverError):

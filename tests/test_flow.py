@@ -12,6 +12,7 @@ from reebflow import (
     ConfigurationError,
     FlowPolicy,
     InadmissibleError,
+    InvariantViolation,
     epsilon_pinching,
     flow_rhs,
     holder_seminorm,
@@ -138,15 +139,15 @@ class TestRunFlow:
     def test_nan_step_halves_to_the_floor(self, base96, monkeypatch):
         # a NaN candidate ratio is not admissible: the step is halved,
         # never accepted, until the floor stops the march
-        real_solve = np.linalg.solve
+        real_step = flow._ChordSolver.__call__
         solves = []
 
-        def solve(a, b):
+        def step(self, q, b):
             solves.append(1)
-            x = real_solve(a, b)
+            x = real_step(self, q, b)
             return x if len(solves) <= 20 else np.full_like(x, np.nan)
 
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(flow._ChordSolver, "__call__", step)
         traj = run_flow(
             base96, s_end=1.0, policy=FlowPolicy(ds=1e-3, record_stride=10, ds_floor=1e-6)
         )
@@ -167,7 +168,7 @@ class TestRunFlow:
         calls = Counter()
         real_lap = Grid._laplacian_ld
         real_state = transverse.metric_state
-        real_solve = np.linalg.solve
+        real_step = flow._ChordSolver.__call__
 
         def lap(self, f):
             calls["laplacian"] += 1
@@ -177,21 +178,21 @@ class TestRunFlow:
             calls["metric_state"] += 1
             return real_state(phi)
 
-        def solve(a, b):
-            calls["solve"] += 1
-            return real_solve(a, b)
+        def step(self, q, b):
+            calls["step"] += 1
+            return real_step(self, q, b)
 
         monkeypatch.setattr(Grid, "_laplacian_ld", lap)
         monkeypatch.setattr(transverse, "metric_state", state)
         monkeypatch.setattr(functionals, "metric_state", state)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(flow._ChordSolver, "__call__", step)
         traj = run_flow(base96, s_end=0.04, policy=FlowPolicy(record_stride=stride))
         assert traj.completed
-        assert calls["solve"] == 40
+        assert calls["step"] == 40
         assert len(traj.records) == (2 if stride > 40 else 5)
         assert calls["metric_state"] == len(traj.records)
         assert calls["laplacian"] == (
-            calls["solve"] + laps_per_record * len(traj.records) + setup_laps
+            calls["step"] + laps_per_record * len(traj.records) + setup_laps
         )
 
     def test_records_carry_lap_h_min(self, base96, traj96):
@@ -203,7 +204,113 @@ class TestRunFlow:
             assert rec.monitors.lap_h_min == float(state.laplacian(rec.h).min())
 
 
+@pytest.fixture
+def step_log(monkeypatch):
+    """Logs each flow step solve as (q, b, x) and, for each dense
+    factorization, the number of step solves begun before it."""
+    log = {"steps": [], "factorizations": [], "begun": 0}
+    real_step, real_solve = flow._ChordSolver.__call__, np.linalg.solve
+
+    def step(self, q, b):
+        log["begun"] += 1
+        x = real_step(self, q, b)
+        log["steps"].append((q, b, x))
+        return x
+
+    def solve(a, b):
+        log["factorizations"].append(log["begun"])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(flow._ChordSolver, "__call__", step)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    log["exact"] = real_solve
+    return log
+
+
+class TestChordStep:
+    def test_matches_a_dense_solve(self, base96, step_log):
+        # the early transient refreshes the inverse at each step; the
+        # later steps reuse it
+        run_flow(base96, s_end=0.2, policy=FlowPolicy(record_stride=10**6))
+        steps = step_log["steps"]
+        assert len(steps) == 200
+        assert len(step_log["factorizations"]) < 150
+        lap = base96.potential.grid.lap
+        for q, b, x in steps:
+            exact = step_log["exact"](np.eye(len(b)) - q[:, None] * lap, b)
+            assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_halving_refreshes_the_inverse(self, base96, step_log, monkeypatch):
+        # steps 150 and 151 reuse the inverse; reject step 150 once, and
+        # its retry at half the step makes a fresh factorization
+        policy = FlowPolicy(record_stride=10**6)
+        run_flow(base96, s_end=0.2, policy=policy)
+        assert not {150, 151} & set(step_log["factorizations"])
+        step_log.update(steps=[], factorizations=[], begun=0)
+        real_admissible = flow._admissible
+        rejected = []
+
+        def admissible(ratio):
+            if step_log["begun"] == 150 and not rejected:
+                rejected.append(150)
+                raise InadmissibleError(0.0)
+            return real_admissible(ratio)
+
+        monkeypatch.setattr(flow, "_admissible", admissible)
+        traj = run_flow(base96, s_end=0.2, policy=policy)
+        assert traj.completed and rejected == [150]
+        # the retry covers half a step, so one more step reaches s = 0.2
+        assert len(step_log["steps"]) == 200 + 1 + 1
+        q_rejected, q_retry = step_log["steps"][149][0], step_log["steps"][150][0]
+        assert np.array_equal(q_retry, 0.5 * q_rejected)
+        assert 151 in step_log["factorizations"]
+
+    def test_round_reference_factors_once(self, ref128, step_log):
+        # a zero right-hand side is solved by the first inverse forever
+        traj = run_flow(ref128, s_end=5.0, policy=FlowPolicy(record_stride=100))
+        assert traj.completed
+        assert len(step_log["steps"]) == 5000
+        assert step_log["factorizations"] == [1]
+        assert all(not r.v.values.any() for r in traj.records)
+
+
+class TestPrefix:
+    @pytest.fixture(scope="class")
+    def long96(self, base96):
+        return run_flow(base96, s_end=2.5)
+
+    def test_equals_the_shorter_march(self, base96, long96):
+        # the flow suite reads its s in [0, 2] trajectory off the march to s = 5
+        short = run_flow(base96, s_end=2.0)
+        prefix = flow._prefix(long96, 2.0)
+        assert (prefix.completed, prefix.failure, prefix.policy) == (
+            short.completed, short.failure, short.policy)
+        assert len(prefix.records) == len(short.records) == 201
+        for a, b in zip(prefix.records, short.records):
+            assert a.s == b.s and a.monitors == b.monitors
+            for field in ("h", "vdot"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert np.array_equal(a.v.values, b.v.values)
+
+    @pytest.mark.parametrize("s_end", [1.995, 3.0])
+    def test_end_off_a_record_is_refused(self, long96, s_end):
+        # 1.995 falls between records, 3.0 past the end of the march
+        with pytest.raises(InvariantViolation):
+            flow._prefix(long96, s_end)
+
+
 class TestHolderSeminorm:
+    def test_cached_distances_keep_the_bits(self, grid96, rng):
+        f = rng.standard_normal(grid96.n)
+        theta = np.arccos(np.clip(-grid96.x, -1.0, 1.0))
+        d = np.abs(theta[:, None] - theta[None, :]) / 2.0
+        mask = d > 0
+        df = np.abs(f[:, None] - f[None, :])
+        for k in (0.5, 0.25):
+            expected = float((df[mask] / d[mask] ** k).max())
+            assert holder_seminorm(grid96, f, k) == expected
+            assert holder_seminorm(grid96, f, k) == expected
+
     def test_max_pair_closed_form(self, grid96):
         # for f = theta the pairwise ratio sqrt(2 |dtheta|) peaks at the
         # widest node separation

@@ -245,6 +245,13 @@ class TestCliExitCodes:
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "flow.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_newton_tol_out_of_range(self, tmp_path, capsys, tol):
+        rc = cli.main(["solve", "--n", "16", "--newton-tol", tol,
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "psi", ["1/0", "0^(-1)", "2^10000", "(-8)^(1/3)", "pow(2,-1)", "3^9^9"]
     )
