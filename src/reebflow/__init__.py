@@ -12,7 +12,6 @@ from .errors import (
     GridMismatchError,
     InadmissibleError,
     InvariantViolation,
-    PreconditionError,
     ReebflowError,
     ResolutionError,
     SolverError,
@@ -36,7 +35,6 @@ from .functionals import (
     random_potential,
     relative_state,
     verify_cocycle,
-    verify_ij_sandwich,
     verify_mabuchi_f_relation,
 )
 from .continuity import (
@@ -61,8 +59,6 @@ from .flow import (
 from .curvature import (
     calabi_bound,
     calabi_functional,
-    pinch_estimates,
-    q_norm_field,
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
@@ -84,7 +80,6 @@ __all__ = [
     "InvariantViolation",
     "MetricState",
     "PathPolicy",
-    "PreconditionError",
     "ReebflowError",
     "ResolutionError",
     "SolverError",
@@ -105,8 +100,6 @@ __all__ = [
     "mobius_potential",
     "mt_scan",
     "path_diagnostics",
-    "pinch_estimates",
-    "q_norm_field",
     "random_potential",
     "reference_state",
     "relative_state",
@@ -118,7 +111,6 @@ __all__ = [
     "spectrum",
     "verify_all",
     "verify_cocycle",
-    "verify_ij_sandwich",
     "verify_mabuchi_f_relation",
     "verify_round_characteristic_integrand",
     "__version__",

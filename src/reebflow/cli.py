@@ -38,7 +38,6 @@ from .errors import (
     GridMismatchError,
     InadmissibleError,
     InvariantViolation,
-    PreconditionError,
     ResolutionError,
     SolverError,
 )
@@ -433,8 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, GridMismatchError, PreconditionError,
-            InadmissibleError, ResolutionError) as exc:
+    except (ConfigurationError, GridMismatchError, InadmissibleError,
+            ResolutionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

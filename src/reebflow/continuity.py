@@ -283,7 +283,9 @@ def run_continuity_path(
     plus the t = 1 endpoint, and the returned path carries the matching
     quadrature weights; intermediate continuation solves are inserted
     adaptively but not recorded.  A sequence of explicit t values behaves
-    the same way without weights.
+    the same way without weights.  t_start governs only ``records=None``;
+    a record t outside (0, t_end] (a Gauss node above t_end < 1, say)
+    raises ConfigurationError.
 
     The (I - J) monotonicity of records is asserted; a violation raises
     InvariantViolation.
@@ -305,8 +307,8 @@ def run_continuity_path(
         weights = np.array(weights)
     else:
         targets = sorted(float(t) for t in records)
-        if any(not (0.0 < t <= 1.0) for t in targets):
-            raise ConfigurationError("explicit record ts must lie in (0, 1]")
+    if any(not (0.0 < t <= t_end) for t in targets):
+        raise ConfigurationError(f"record ts must lie in (0, t_end] = (0, {t_end}]")
 
     recs: list[PathRecord] = []
     completed = True

@@ -18,18 +18,16 @@ class integrand below requires.
 
 At m = 1 the curvature tensor has a single component equal to the
 quotient Gauss curvature, so |Rm|^2 = (S^T)^2 pointwise and the traceless
-part Q vanishes identically; q_norm_field checks that degeneracy through
-two independent numerical pipelines.
+part Q vanishes identically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import ConfigurationError
 from .transverse import BasicPotential, MetricState, SCALAR_TARGET, metric_state
@@ -37,13 +35,10 @@ from .transverse import BasicPotential, MetricState, SCALAR_TARGET, metric_state
 __all__ = [
     "RoundCurvatureModel",
     "CharacteristicIntegrandReport",
-    "PinchEstimates",
     "round_tensor_contractions",
     "verify_round_characteristic_integrand",
-    "q_norm_field",
     "calabi_functional",
     "calabi_bound",
-    "pinch_estimates",
 ]
 
 NORM_CONVENTION = (
@@ -161,23 +156,6 @@ def verify_round_characteristic_integrand(
     )
 
 
-def q_norm_field(phi: BasicPotential, state: Optional[MetricState] = None) -> NDArray[np.float64]:
-    """Pointwise |Q|^2 of the deformed structure at m = 1.
-
-    Every m = 1 metric has pointwise constant transverse holomorphic
-    sectional curvature, so the field must vanish identically; computing
-    |Rm|^2 = K^2 through the plain conformal-factor Gauss formula and
-    S^T through the factored state pipeline makes this a consistency
-    check between two numerically distinct chains.
-    """
-    if state is None:
-        state = metric_state(phi)
-    grid = phi.grid
-    log_r = np.log(state.ratio)
-    gauss = (SCALAR_TARGET - 0.5 * grid.laplacian(log_r)) / state.ratio
-    return gauss**2 - state.scalar_curvature**2
-
-
 def calabi_functional(phi: BasicPotential, state: Optional[MetricState] = None) -> float:
     """Integral of (S^T - 2m(m+1))^2 against the deformed measure."""
     if state is None:
@@ -192,30 +170,3 @@ def calabi_bound(eps: float, m: int = 1) -> float:
     if not (eps > 0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
     return 2.0 * (2 * m) ** 2 * (m + 1) * eps + (2 * m) ** 2 * eps**2
-
-
-@dataclass(frozen=True)
-class PinchEstimates:
-    alpha_upper: float
-    beta_lower: float
-    n_states: int
-
-
-def pinch_estimates(states: Iterable[MetricState], m: int = 1) -> PinchEstimates:
-    """Upper estimate of alpha and lower estimate of beta from produced
-    structures: a structure with 0 <= S^T <= 2m lambda witnesses
-    alpha <= lambda, one with S^T >= 2m lambda witnesses beta >= lambda.
-    These are one-sided estimates over the sample, never the true values.
-    """
-    alpha = np.inf
-    beta = -np.inf
-    count = 0
-    for st in states:
-        s = st.scalar_curvature
-        count += 1
-        if s.min() >= 0.0:
-            alpha = min(alpha, s.max() / (2 * m))
-        beta = max(beta, s.min() / (2 * m))
-    if count == 0:
-        raise ConfigurationError("need at least one state for pinch estimates")
-    return PinchEstimates(alpha_upper=float(alpha), beta_lower=float(beta), n_states=count)

@@ -23,10 +23,6 @@ class InadmissibleError(ReebflowError):
         )
 
 
-class PreconditionError(ReebflowError):
-    """A documented precondition of an operation does not hold."""
-
-
 class ResolutionError(ReebflowError):
     """Grid too coarse for the requested computation."""
 

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError, PreconditionError, SolverError
+from .errors import ConfigurationError, SolverError
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
@@ -45,6 +45,7 @@ from .transverse import (
     Grid,
     MetricState,
     _admissible,
+    _ricci_potential,
     admissibility,
     log_mean_exp,
     metric_state,
@@ -53,20 +54,14 @@ from .transverse import (
 __all__ = [
     "FunctionalLedger",
     "CocycleReport",
-    "SandwichReport",
-    "ShiftBoundReport",
     "MabuchiReport",
-    "OscBoundReport",
     "relative_state",
     "eval_I",
     "eval_J",
     "eval_F",
     "eval_K_energy",
     "verify_cocycle",
-    "verify_ij_sandwich",
-    "verify_shift_bound",
     "verify_mabuchi_f_relation",
-    "osc_bound_report",
     "random_potential",
 ]
 
@@ -246,63 +241,6 @@ def verify_cocycle(
 
 
 @dataclass(frozen=True)
-class SandwichReport:
-    i_value: float
-    j_value: float
-    lower_slack: float   # (m+1)(I-J) - I >= 0
-    upper_slack: float   # m I - (m+1)(I-J) >= 0
-    holds: bool
-
-
-def verify_ij_sandwich(
-    phi: BasicPotential, base: MetricState, tol: float = 1e-12
-) -> SandwichReport:
-    """I >= 0, J >= 0 and I <= (m+1)(I-J) <= m I, with slack values.
-
-    At m = 1 both slacks collapse to zero (J = I/2 exactly)."""
-    i_val = eval_I(phi, base)
-    j_val = eval_J(phi, base)
-    mid = (M_DIM + 1) * (i_val - j_val)
-    lower = mid - i_val
-    upper = M_DIM * i_val - mid
-    holds = (
-        i_val >= -tol and j_val >= -tol and lower >= -tol and upper >= -tol
-    )
-    return SandwichReport(
-        i_value=i_val,
-        j_value=j_val,
-        lower_slack=lower,
-        upper_slack=upper,
-        holds=bool(holds),
-    )
-
-
-@dataclass(frozen=True)
-class ShiftBoundReport:
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-
-
-def verify_shift_bound(
-    phi: BasicPotential, shift: BasicPotential, base: MetricState
-) -> ShiftBoundReport:
-    """|I_{base_shift}(phi - shift) - I_base(phi)| <= (m+1) Osc(shift).
-
-    Both I-values see the same deformed structure: relative to the
-    shifted base it is represented by the potential phi - shift.
-    """
-    shifted_base = relative_state(base, shift)
-    rel = BasicPotential(values=phi.values - shift.values, grid=phi.grid)
-    lhs = abs(eval_I(rel, shifted_base) - eval_I(phi, base))
-    rhs = (M_DIM + 1) * shift.osc()
-    return ShiftBoundReport(
-        lhs=lhs, rhs=rhs, slack=rhs - lhs, holds=bool(lhs <= rhs + 1e-12)
-    )
-
-
-@dataclass(frozen=True)
 class MabuchiReport:
     k_energy: float
     f_value: float
@@ -321,15 +259,17 @@ def verify_mabuchi_f_relation(
 
     The inequality slack is -2 int h_phi dmu_phi, nonnegative because
     the normalization int e^{h_phi} dmu_phi = 1 forces the mean of h_phi
-    to be nonpositive (Jensen).
+    to be nonpositive (Jensen).  h_phi is read off the ray's ratio at
+    s = 1, so the report applies one Laplacian and builds no state.
     """
     grid = phi.grid
     ray = _Ray(phi, base)
     k_val = ray.k_energy(path_nodes)
     _, f_val = ray.f_values(ray.j_value())
-    state = relative_state(base, phi)
+    ratio = ray.ratio(1.0)
+    h_phi, _ = _ricci_potential(grid, ratio, base.potential.values + phi.values)
     h_base = float(grid.w @ (base.ratio * base.ricci_potential))
-    h_state = float(grid.w @ (state.ratio * state.ricci_potential))
+    h_state = float(grid.w @ (ratio * h_phi))
     residual = k_val - 2 * (M_DIM + 1) * f_val - 2 * (h_base - h_state)
     slack = -2.0 * h_state
     return MabuchiReport(
@@ -340,45 +280,6 @@ def verify_mabuchi_f_relation(
         residual=residual,
         inequality_slack=slack,
         holds=bool(slack >= -1e-10),
-    )
-
-
-@dataclass(frozen=True)
-class OscBoundReport:
-    osc: float
-    i_value: float
-    eps: float
-    excess: float            # Osc - I
-    implied_constant: float  # (Osc - I) * eps, an upper estimate for the
-    #                          eps-scaled constant in the oscillation bound
-
-
-def osc_bound_report(
-    phi: BasicPotential, base: MetricState, eps: float
-) -> OscBoundReport:
-    """Oscillation-versus-I report under the curvature lower bound.
-
-    Requires S^T of the deformed state to be at least 2 eps (at m = 1
-    the transverse Ricci bound reduces to exactly that).  Violation is a
-    precondition error carrying the offending minimum.
-    """
-    if not (eps > 0):
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    state = relative_state(base, phi)
-    s_min = float(state.scalar_curvature.min())
-    if s_min < 2.0 * eps:
-        raise PreconditionError(
-            f"transverse curvature bound fails: min S^T = {s_min:.6g} < 2 eps = {2 * eps:.6g}"
-        )
-    osc = phi.osc()
-    i_val = eval_I(phi, base)
-    excess = osc - i_val
-    return OscBoundReport(
-        osc=osc,
-        i_value=i_val,
-        eps=eps,
-        excess=excess,
-        implied_constant=excess * eps,
     )
 
 

@@ -89,7 +89,7 @@ def write_ledger_csv(path: Path, ledgers: Iterable[FunctionalLedger]) -> Path:
     return _write_rows(
         path,
         ["tag", "I", "J", "F0", "F", "K", "osc", "margin"],
-        ((l.tag, l.I, l.J, l.F0, l.F, l.K, l.osc, l.margin) for l in ledgers),
+        (led.row() for led in ledgers),
     )
 
 

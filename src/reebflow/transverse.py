@@ -13,6 +13,8 @@ reference objects take fully explicit form:
   eigenfunctions P_k and eigenvalues -4k(k+1);
 * volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4, formed
   (``_ratio_ld``) and checked (``_admissible``) here for the whole package;
+* normalized Ricci potential: h = -log r - (m+1) phi + c, read off the
+  ratio with no further Laplacian (``_ricci_potential``);
 * transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2,
   so the reference has S = 4 = 2m(m+1) at transverse complex dimension
   m = 1.
@@ -104,13 +106,10 @@ class Grid:
     x: NDArray[np.float64]
     w: NDArray[np.float64]
     vander: NDArray[np.float64]      # P_k(x_i), shape (n, n)
-    fwd: NDArray[np.float64]         # nodal values -> Legendre coefficients
-    dcoef: NDArray[np.float64]       # coefficient-space d/dx
-    lap_eigs: NDArray[np.float64]    # -4k(k+1)
     lap: NDArray[np.float64]
-    # extended-precision copies of the factored operators; pointwise
-    # derivative and Laplacian applications run through these so that the
-    # 8 n^3 roundoff amplification lands on the longdouble epsilon
+    # the factored operators, in extended precision; pointwise derivative
+    # and Laplacian applications run through these so that the 8 n^3
+    # roundoff amplification lands on the longdouble epsilon
     _w_ld: NDArray[np.longdouble]
     _vander_ld: NDArray[np.longdouble]
     _fwd_ld: NDArray[np.longdouble]
@@ -125,19 +124,11 @@ class Grid:
 
     # -- transforms ------------------------------------------------------
 
-    def to_coeffs(self, f: NDArray) -> NDArray[np.float64]:
-        """Legendre coefficients of the degree-(n-1) interpolant."""
-        return self.fwd @ np.asarray(f, dtype=np.float64)
-
     def from_coeffs(self, c: NDArray) -> NDArray[np.float64]:
         c = np.asarray(c, dtype=np.float64)
         if len(c) < self.n:
             c = np.pad(c, (0, self.n - len(c)))
         return self.vander @ c
-
-    def interpolate(self, f: NDArray, x_new: NDArray) -> NDArray[np.float64]:
-        """Evaluate the spectral interpolant of nodal values at new points."""
-        return npleg.legval(np.asarray(x_new, dtype=np.float64), self.to_coeffs(f))
 
     # -- calculus --------------------------------------------------------
 
@@ -181,7 +172,6 @@ def make_grid(n: int = 256) -> Grid:
     x = x_ld.astype(np.float64)
     w = (w_raw_ld / 2).astype(np.float64)
     vander = vander_ld.astype(np.float64)
-    fwd = fwd_ld.astype(np.float64)
     dcoef = np.zeros((n, n))
     for j in range(1, n):
         e = np.zeros(j + 1)
@@ -195,9 +185,6 @@ def make_grid(n: int = 256) -> Grid:
         x=_lock(x),
         w=_lock(w),
         vander=_lock(vander),
-        fwd=_lock(fwd),
-        dcoef=_lock(dcoef),
-        lap_eigs=_lock(lam),
         lap=_lock(lap),
         _w_ld=w_raw_ld / 2,
         _vander_ld=vander_ld,
@@ -214,7 +201,8 @@ def make_grid(n: int = 256) -> Grid:
 
 @dataclass(frozen=True)
 class BasicPotential:
-    """Axisymmetric basic potential sampled on the collocation grid."""
+    """Axisymmetric basic potential sampled on the collocation grid; its
+    values must be finite (ConfigurationError otherwise)."""
 
     values: NDArray[np.float64]
     grid: Grid
@@ -225,6 +213,8 @@ class BasicPotential:
             raise GridMismatchError(
                 f"potential has shape {v.shape}, grid expects ({self.grid.n},)"
             )
+        if not np.isfinite(v).all():
+            raise ConfigurationError("potential has non-finite values")
         object.__setattr__(self, "values", _lock(v))
 
     @classmethod
@@ -335,6 +325,20 @@ def log_mean_exp(grid_or_weights, z: NDArray) -> float:
     return zmax + float(np.log(w @ np.exp(z - zmax)))
 
 
+def _ricci_potential(
+    grid: Grid, ratio: NDArray[np.float64], values: NDArray
+) -> tuple[NDArray[np.float64], float]:
+    """Ricci potential h = -log r - (m+1) phi + c of the total potential
+    ``values`` and its constant c, read off the checked ratio r alone: no
+    Laplacian, and the same bits as ``metric_state``'s."""
+    log_ratio = np.log(ratio)
+    # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
+    # so c is the explicit log-integral below (no root-find needed: e^c
+    # multiplies a fixed positive integral).
+    c = -log_mean_exp(grid, -(M_DIM + 1) * values)
+    return -log_ratio - (M_DIM + 1) * values + c, c
+
+
 def metric_state(phi: BasicPotential) -> MetricState:
     """Volume ratio, scalar curvature and Ricci potential of a potential.
 
@@ -343,12 +347,7 @@ def metric_state(phi: BasicPotential) -> MetricState:
     grid = phi.grid
     ratio_ld = _ratio_ld(grid, phi.values)
     ratio = _admissible(ratio_ld)
-    log_ratio = np.log(ratio)
-    # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
-    # so c is the explicit log-integral below (no root-find needed: e^c
-    # multiplies a fixed positive integral).
-    c = -log_mean_exp(grid, -(M_DIM + 1) * phi.values)
-    h = -log_ratio - (M_DIM + 1) * phi.values + c
+    h, c = _ricci_potential(grid, ratio, phi.values)
     scalar = (
         (SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(ratio_ld))) / ratio_ld
     ).astype(np.float64)

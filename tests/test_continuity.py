@@ -205,6 +205,21 @@ class TestContinuityPath:
         assert rec.f_t == pytest.approx(expected, rel=1e-14)
         assert adaptive.endpoint().f_t == 0.0
 
+    def test_records_past_t_end_rejected(self, base96, counts):
+        # the Gauss nodes of (0, 1) reach 0.966 > t_end: refused before any
+        # solve
+        counts.clear()
+        with pytest.raises(ConfigurationError, match=r"\(0, t_end\]"):
+            run_continuity_path(base96, t_start=0.1, t_end=0.5, records=6)
+        with pytest.raises(ConfigurationError, match=r"\(0, t_end\]"):
+            run_continuity_path(base96, t_end=0.5, records=[0.2, 0.6])
+        assert counts == {}
+
+    def test_explicit_records_up_to_t_end(self, base96):
+        path = run_continuity_path(base96, t_end=0.5, records=[0.4, 0.2, 0.5])
+        assert path.completed
+        assert path.ts().tolist() == [0.2, 0.4, 0.5]
+
     def test_diagnostics_need_records(self, base128):
         path = run_continuity_path(base128, records=[0.5])
         assert len(path.records) < 3

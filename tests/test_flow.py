@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reebflow import flow, functionals, transverse
+from reebflow import continuity, flow, functionals, transverse
 from reebflow import (
     BasicPotential,
     ConfigurationError,
@@ -397,3 +397,39 @@ class TestPinching:
     def test_invalid_eps(self, base96):
         with pytest.raises(ConfigurationError):
             epsilon_pinching(base96, eps=0.0)
+
+    def test_continuity_stage_reads_h_off_the_ratio(self, base96, counts, monkeypatch):
+        # Newton aside, each accepted t applies one Laplacian (its ratio,
+        # which gives h); one full state is built, at the stop, as the
+        # flow's base
+        newton = Counter()
+        real_solve = flow.solve_ma_at_t
+
+        def solve(t, base, guess, policy):
+            before = counts["laplacian"]
+            try:
+                phi = real_solve(t, base, guess, policy)
+            finally:
+                newton["laplacian"] += counts["laplacian"] - before
+            newton["accepted"] += 1
+            return phi
+
+        class Stop(Exception):
+            pass
+
+        stage = {}
+
+        def stop(state, s_end, policy):
+            stage.update(counts, state=state)
+            raise Stop
+
+        for module in (flow, continuity):
+            monkeypatch.setattr(module, "solve_ma_at_t", solve)
+        monkeypatch.setattr(flow, "run_flow", stop)
+        counts.clear()
+        with pytest.raises(Stop):
+            epsilon_pinching(base96, eps=0.1)
+        assert newton["accepted"] > 2
+        assert stage["metric_state"] == 1
+        assert stage["laplacian"] - newton["laplacian"] == newton["accepted"] + 2
+        assert np.abs(stage["state"].ricci_potential).max() <= 0.05

@@ -21,11 +21,10 @@ from reebflow import (
     reference_state,
     relative_state,
     verify_cocycle,
-    verify_ij_sandwich,
     verify_mabuchi_f_relation,
 )
-from reebflow.functionals import osc_bound_report, verify_shift_bound
-from reebflow.transverse import log_mean_exp
+from reebflow.functionals import MabuchiReport
+from reebflow.transverse import M_DIM, log_mean_exp
 
 # Frozen reference values for phi = 0.1 x on the round base.  I and J
 # have closed forms (I = 2 eps^2 / 3, J = I / 2 for eps x); F and K were
@@ -94,11 +93,13 @@ class TestIdentities:
         assert rep.max_residual() < 1e-12
 
     def test_sandwich(self, ref128, grid128, rng):
+        # I <= (m+1)(I - J) <= m I from one ledger, as the identity suite
+        # reads it; at m = 1 both slacks collapse to zero
         phi = random_potential(grid128, rng)
-        rep = verify_ij_sandwich(phi, ref128)
-        assert rep.holds
-        assert rep.i_value >= 0 and rep.j_value >= 0
-        assert abs(rep.lower_slack) < 1e-12 and abs(rep.upper_slack) < 1e-12
+        led = FunctionalLedger.evaluate("s", phi, ref128)
+        mid = (M_DIM + 1) * (led.I - led.J)
+        assert led.I >= 0 and led.J >= 0
+        assert abs(mid - led.I) < 1e-12 and abs(M_DIM * led.I - mid) < 1e-12
 
     def test_mabuchi_relation(self, ref128, grid128, rng):
         phi = random_potential(grid128, rng)
@@ -166,27 +167,18 @@ class TestIdentities:
 
 class TestBoundReports:
     def test_shift_bound(self, ref128, grid128, rng):
+        # |I_{base + shift}(phi - shift) - I_base(phi)| <= (m+1) Osc(shift):
+        # both I-values see the same deformed structure
         phi = random_potential(grid128, rng)
         shift = random_potential(grid128, rng, amplitude=0.1)
-        rep = verify_shift_bound(phi, shift, ref128)
-        assert rep.holds
+        rel = BasicPotential(values=phi.values - shift.values, grid=grid128)
+        lhs = abs(eval_I(rel, relative_state(ref128, shift)) - eval_I(phi, ref128))
+        assert lhs <= (M_DIM + 1) * shift.osc() + 1e-12
 
     def test_osc_bound(self, ref128, grid128):
-        phi = BasicPotential.from_callable(grid128, lambda x: 0.1 * (1 - x * x))
-        rep = osc_bound_report(phi, ref128, eps=0.5)
         # oscillation dominates I for admissible potentials
-        assert rep.excess >= 0.0
-        assert rep.implied_constant == pytest.approx(rep.excess * rep.eps)
-
-    def test_osc_bound_precondition(self, grid128):
-        from reebflow import PreconditionError
-
-        # a strongly deformed structure violates the curvature floor
-        phi = BasicPotential.from_callable(grid128, lambda x: 0.45 * (1 - x * x))
-        state = metric_state(phi)
-        eps_too_big = float(state.scalar_curvature.min()) / 2.0 + 1.0
-        with pytest.raises(PreconditionError):
-            osc_bound_report(phi, reference_state(grid128), eps=eps_too_big)
+        phi = BasicPotential.from_callable(grid128, lambda x: 0.1 * (1 - x * x))
+        assert eval_I(phi, ref128) <= phi.osc()
 
 
 class TestRandomPotential:
@@ -268,6 +260,30 @@ class TestAffineRay:
         )
         assert led.K == eval_K_energy(phi, base128)
 
+    def test_mabuchi_report_reads_h_off_the_ray(self, ref128, grid128, counts):
+        # one Laplacian and no state, and on the reference base the same
+        # bits as the report built from the full state of phi
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            phi = random_potential(grid128, rng)
+            counts.clear()
+            rep = verify_mabuchi_f_relation(phi, ref128)
+            assert counts == {"laplacian": 1}
+            state = relative_state(ref128, phi)
+            k_val = eval_K_energy(phi, ref128)
+            _, f_val = eval_F(phi, ref128)
+            h_base = float(grid128.w @ (ref128.ratio * ref128.ricci_potential))
+            h_state = float(grid128.w @ (state.ratio * state.ricci_potential))
+            assert rep == MabuchiReport(
+                k_energy=k_val,
+                f_value=f_val,
+                h_base_mean=h_base,
+                h_state_mean=h_state,
+                residual=k_val - 2 * (M_DIM + 1) * f_val - 2 * (h_base - h_state),
+                inequality_slack=-2.0 * h_state,
+                holds=bool(-2.0 * h_state >= -1e-10),
+            )
+
     def test_inadmissible_potential_raises(self, ref128, grid128):
         # r = 1 - 1.6 + 4.8 x^2 at s = 1: negative for |x| < 0.35, and at
         # every ray node with s > 0.625
@@ -286,9 +302,8 @@ class TestAffineRay:
             assert exc.value.margin <= 0.0
 
     def test_nan_potential_raises(self, ref128, grid128):
+        # refused where it is made, before any functional reads it
         values = np.zeros(grid128.n)
         values[grid128.n // 2] = np.nan
-        phi = BasicPotential(values=values, grid=grid128)
-        with pytest.raises(InadmissibleError) as exc:
-            eval_I(phi, ref128)
-        assert np.isnan(exc.value.margin)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            eval_I(BasicPotential(values=values, grid=grid128), ref128)

@@ -51,6 +51,8 @@ class TestWriters:
         assert rows[0] == ["tag", "I", "J", "F0", "F", "K", "osc", "margin"]
         assert rows[1][0] == "probe"
         assert float(rows[1][1]) == led.I
+        # the row is the ledger's own row(), each float at full precision
+        assert rows[1] == [led.tag, *map(io.format_float, led.row()[1:])]
 
     def test_flow_and_path_csv_shapes(self, tmp_path, base96):
         traj = run_flow(base96, s_end=0.2, policy=FlowPolicy(record_stride=50))
@@ -235,6 +237,15 @@ class TestCliExitCodes:
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "flow.csv").exists()
+
+    def test_path_records_past_t_end(self, tmp_path, capsys):
+        # the 6 Gauss nodes of (0, 1) reach t = 0.966, past t_end = 0.5
+        out = tmp_path / "o"
+        rc = cli.main(["path", "--n", "16", "--records", "6", "--t-end", "0.5",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (out / "path.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--ds", "0"), ("--stride", "0")])
     def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):

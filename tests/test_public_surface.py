@@ -13,7 +13,16 @@ MODULES = sorted(
 
 # API that no computation used, deleted rather than kept in step with the rest
 REMOVED = {
-    "reebflow": ("Model", "tanno_deform", "basic_laplacian", "integrate"),
+    "reebflow": (
+        "Model",
+        "tanno_deform",
+        "basic_laplacian",
+        "integrate",
+        "q_norm_field",
+        "pinch_estimates",
+        "verify_ij_sandwich",
+        "PreconditionError",
+    ),
     "reebflow.transverse": (
         "Model",
         "tanno_deform",
@@ -22,6 +31,17 @@ REMOVED = {
         "_check_same_grid",
     ),
     "reebflow.continuity": ("gauss_record_ts", "_relative_ratio"),
+    "reebflow.curvature": ("q_norm_field", "pinch_estimates", "PinchEstimates"),
+    "reebflow.functionals": (
+        "verify_ij_sandwich",
+        "SandwichReport",
+        "verify_shift_bound",
+        "ShiftBoundReport",
+        "osc_bound_report",
+        "OscBoundReport",
+        "PreconditionError",
+    ),
+    "reebflow.errors": ("PreconditionError",),
 }
 
 
@@ -40,3 +60,10 @@ def test_removed_names_are_gone(module):
     present = [name for name in REMOVED[module] if hasattr(mod, name)]
     assert not present
     assert not set(REMOVED[module]) & set(getattr(mod, "__all__", ()))
+
+
+def test_removed_grid_members_are_gone(grid96):
+    # the float64 transform copies no computation read, and the
+    # interpolation helpers built on them
+    for name in ("interpolate", "to_coeffs", "fwd", "dcoef", "lap_eigs"):
+        assert not hasattr(grid96, name), name

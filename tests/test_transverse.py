@@ -16,6 +16,7 @@ from reebflow import (
     reference_state,
     spectrum,
 )
+from reebflow import transverse
 from reebflow.transverse import SCALAR_TARGET, log_mean_exp
 
 
@@ -42,9 +43,13 @@ class TestGrid:
         np.testing.assert_allclose(grid96.w.sum(), 1.0, rtol=0, atol=1e-15)
 
     def test_coeff_roundtrip(self, grid96, rng):
-        f = rng.standard_normal(grid96.n)
-        back = grid96.from_coeffs(grid96.to_coeffs(f))
-        np.testing.assert_allclose(back, f, rtol=0, atol=1e-10)
+        # Gauss quadrature with the grid's weights inverts from_coeffs:
+        # c_k = (2k+1) int f P_k dx/2 is exact for degree < n
+        c = rng.standard_normal(grid96.n)
+        f = grid96.from_coeffs(c)
+        k = np.arange(grid96.n)
+        back = (2 * k + 1) * (grid96.vander.T @ (grid96.w * f))
+        np.testing.assert_allclose(back, c, rtol=0, atol=1e-10)
 
     def test_integrate_moments(self, grid128):
         # int x^k dx/2 = 1/(k+1) for even k, 0 for odd k
@@ -57,12 +62,14 @@ class TestGrid:
         expected = 5.0 * grid96.x**4 - 4.0 * grid96.x
         np.testing.assert_allclose(grid96.deriv(f), expected, rtol=0, atol=1e-11)
 
-    def test_interpolate_matches_polynomial(self, grid96):
-        f = 0.3 * grid96.x**3 - grid96.x
-        xs = np.linspace(-0.95, 0.95, 17)
-        np.testing.assert_allclose(
-            grid96.interpolate(f, xs), 0.3 * xs**3 - xs, rtol=0, atol=1e-12
-        )
+    def test_from_coeffs_matches_legval(self, grid96):
+        # a short coefficient vector is padded with zeros
+        rng = np.random.default_rng(5)
+        for degree in (0, 5, 12, grid96.n - 1):
+            c = rng.standard_normal(degree + 1) * 0.6 ** np.arange(degree + 1)
+            np.testing.assert_allclose(
+                grid96.from_coeffs(c), legendre.legval(grid96.x, c), rtol=0, atol=1e-13
+            )
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 10])
     def test_laplacian_eigenfunctions(self, grid128, k):
@@ -92,6 +99,15 @@ class TestPotentials:
     def test_shifted(self, grid96):
         phi = BasicPotential.from_callable(grid96, lambda x: x**2)
         np.testing.assert_allclose(phi.shifted(2.5).values, phi.values + 2.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, grid96, bad):
+        values = np.zeros(grid96.n)
+        values[3] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            BasicPotential(values=values, grid=grid96)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            BasicPotential.from_callable(grid96, lambda x: bad * x)
 
     def test_grid_mismatch_raises(self, grid96, grid128):
         phi = BasicPotential.zero(grid96)
@@ -125,12 +141,26 @@ class TestMetricState:
             )
 
     def test_nan_potential_raises(self, grid96):
-        # a NaN margin fails every comparison, so it must not pass as positive
+        # a NaN potential is refused where it is made; a NaN ratio (margin)
+        # fails every comparison, so it must not pass as positive either
         values = np.zeros(grid96.n)
         values[grid96.n // 2] = np.nan
-        with pytest.raises(InadmissibleError) as exc:
+        with pytest.raises(ConfigurationError):
             metric_state(BasicPotential(values=values, grid=grid96))
+        ratio = np.ones(grid96.n, dtype=np.longdouble)
+        ratio[grid96.n // 2] = np.nan
+        with pytest.raises(InadmissibleError) as exc:
+            transverse._admissible(ratio)
         assert np.isnan(exc.value.margin)
+
+    def test_ricci_potential_from_the_ratio_alone(self, psi128, counts):
+        # the ratio-only helper gives metric_state's h and c bit for bit
+        state = metric_state(psi128)
+        counts.clear()
+        h, c = transverse._ricci_potential(psi128.grid, state.ratio, psi128.values)
+        assert counts == {}
+        np.testing.assert_array_equal(h, state.ricci_potential)
+        assert c == state.norm_constant
 
     def test_ratio_affine_in_potential(self, grid128):
         phi = BasicPotential.from_callable(grid128, lambda x: 0.1 * x)
