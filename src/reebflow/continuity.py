@@ -284,8 +284,8 @@ def run_continuity_path(
     quadrature weights; intermediate continuation solves are inserted
     adaptively but not recorded.  A sequence of explicit t values behaves
     the same way without weights.  t_start governs only ``records=None``;
-    a record t outside (0, t_end] (a Gauss node above t_end < 1, say)
-    raises ConfigurationError.
+    a count below 1, or a record t outside (0, t_end] (a Gauss node
+    above t_end < 1, say), raises ConfigurationError.
 
     The (I - J) monotonicity of records is asserted; a violation raises
     InvariantViolation.
@@ -298,6 +298,8 @@ def run_continuity_path(
     if records is None:
         targets = [t_start, t_end]
     elif isinstance(records, int):
+        if records < 1:
+            raise ConfigurationError(f"need at least 1 Gauss record, got {records}")
         ts, ws = _gauss01(records)
         targets = list(ts)
         weights = list(ws)

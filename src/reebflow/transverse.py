@@ -35,7 +35,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.typing import NDArray
-import scipy.linalg
 
 from .errors import (
     ConfigurationError,
@@ -172,12 +171,9 @@ def make_grid(n: int = 256) -> Grid:
     x = x_ld.astype(np.float64)
     w = (w_raw_ld / 2).astype(np.float64)
     vander = vander_ld.astype(np.float64)
-    dcoef = np.zeros((n, n))
-    for j in range(1, n):
-        e = np.zeros(j + 1)
-        e[j] = 1.0
-        dc = npleg.legder(e)
-        dcoef[: len(dc), j] = dc
+    # P_j' = sum of (2k+1) P_k over k < j with j - k odd
+    gap = k[None, :] - k[:, None]
+    dcoef = np.where((gap > 0) & (gap % 2 == 1), 2 * k[:, None] + 1, 0)
     lam = -4.0 * k * (k + 1.0)
     lap = (vander * (lam * (2 * k + 1))[None, :]) @ (vander.T * w[None, :])
     return Grid(
@@ -403,10 +399,11 @@ def spectrum(state: MetricState, k: int, obstruction_tol: float = 1e-6) -> Spect
             f"requested {k} eigenvalues on an n={grid.n} grid; "
             f"resolvable window is k <= {grid.n // 3}"
         )
-    a = grid.w[:, None] * grid.lap
-    a = 0.5 * (a + a.T)
-    b = grid.w * state.ratio
-    vals = scipy.linalg.eigh(a, np.diag(b), eigvals_only=True)
+    # B = diag(w r) is positive, so the problem is the symmetric
+    # eigenproblem of B^{-1/2} A B^{-1/2}
+    s = 1.0 / np.sqrt(grid.w * state.ratio)
+    a = s[:, None] * (grid.w[:, None] * grid.lap) * s[None, :]
+    vals = np.linalg.eigvalsh(0.5 * (a + a.T))
     vals = vals[::-1][: k + 1]  # descending: 0 first
     clusters: list[tuple[float, int]] = []
     for v in vals:

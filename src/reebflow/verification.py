@@ -225,9 +225,7 @@ def manufactured_path_suite(
 
     end_phi = gauss.endpoint().phi
     end_state = relative_state(base, end_phi)
-    diag_adaptive = path_diagnostics(
-        adaptive, base, reference=relative_state(base, adaptive.endpoint().phi)
-    )
+    diag_adaptive = path_diagnostics(adaptive, base)
     diag_gauss = path_diagnostics(gauss, base, reference=end_state)
 
     rec_adaptive = float(np.abs(adaptive.endpoint().phi.values - expected).max())

@@ -215,6 +215,13 @@ class TestContinuityPath:
             run_continuity_path(base96, t_end=0.5, records=[0.2, 0.6])
         assert counts == {}
 
+    @pytest.mark.parametrize("records", [0, -2])
+    def test_record_count_below_one_rejected(self, base96, counts, records):
+        counts.clear()
+        with pytest.raises(ConfigurationError, match="at least 1 Gauss record"):
+            run_continuity_path(base96, records=records)
+        assert counts == {}
+
     def test_explicit_records_up_to_t_end(self, base96):
         path = run_continuity_path(base96, t_end=0.5, records=[0.4, 0.2, 0.5])
         assert path.completed

@@ -247,6 +247,14 @@ class TestCliExitCodes:
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "path.csv").exists()
 
+    @pytest.mark.parametrize("records", ["0", "-2"])
+    def test_path_record_count_below_one(self, tmp_path, capsys, records):
+        out = tmp_path / "o"
+        rc = cli.main(["path", "--n", "16", "--records", records, "--out", str(out)])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (out / "path.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [("--ds", "0"), ("--stride", "0")])
     def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"

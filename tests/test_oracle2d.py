@@ -92,3 +92,12 @@ class TestSampling:
         profile = np.asarray(lift(sphere256, lambda x: x)[:, 0], float)
         sampled = sample_profile(sphere256, profile, grid128.x)
         assert np.abs(sampled - grid128.x).max() < 1e-12
+
+    def test_sampling_is_exact_for_degree_seven(self, sphere256, grid128):
+        # away from the pole reflection, the 8-node stencil reproduces any
+        # polynomial of degree 7 in theta; degree 5 would leave ~h^6 errors
+        theta = np.asarray(sphere256.theta, float)
+        x = grid128.x[np.abs(grid128.x) < 0.9]
+        theta_x = np.arccos(-x)
+        sampled = sample_profile(sphere256, (theta - 1.5) ** 7, x)
+        assert np.abs(sampled - (theta_x - 1.5) ** 7).max() < 1e-13

@@ -1,7 +1,10 @@
 """The public surface: every exported name resolves, removed ones stay gone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +70,17 @@ def test_removed_grid_members_are_gone(grid96):
     # interpolation helpers built on them
     for name in ("interpolate", "to_coeffs", "fwd", "dcoef", "lap_eigs"):
         assert not hasattr(grid96, name), name
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows
+    # what importing the package and its command line pulls in
+    code = (
+        "import sys, reebflow, reebflow.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(reebflow.__path__[0])},
+    )
+    assert out.stdout.strip() == "[]"

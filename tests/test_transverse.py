@@ -51,6 +51,17 @@ class TestGrid:
         back = (2 * k + 1) * (grid96.vander.T @ (grid96.w * f))
         np.testing.assert_allclose(back, c, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [8, 64, 128, 256])
+    def test_dcoef_matches_legder(self, n):
+        # column j holds the Legendre coefficients of P_j'
+        expected = np.zeros((n, n))
+        for j in range(1, n):
+            e = np.zeros(j + 1)
+            e[j] = 1.0
+            dc = legendre.legder(e)
+            expected[: len(dc), j] = dc
+        assert np.array_equal(make_grid(n)._dcoef_ld, expected.astype(np.longdouble))
+
     def test_integrate_moments(self, grid128):
         # int x^k dx/2 = 1/(k+1) for even k, 0 for odd k
         for k in range(9):
@@ -231,3 +242,11 @@ class TestSpectrum:
         res = spectrum(base128, k=6)
         assert res.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
         assert np.all(np.diff(res.eigenvalues) < 0)
+
+    def test_deformed_spectrum_matches_general_eigvals(self, base128):
+        # Lap f = lambda r f, solved as the nonsymmetric problem of Lap / r
+        grid = base128.grid
+        res = spectrum(base128, k=6)
+        dense = np.linalg.eigvals(grid.lap / base128.ratio[:, None])
+        expected = np.sort(dense.real)[::-1][:7]
+        assert np.all(np.abs(res.eigenvalues - expected) <= 1e-9 * (1 + np.abs(expected)))
