@@ -156,12 +156,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, _Parser] = {}
 
-    def add(name: str, help_text: str, n_default: int) -> _Parser:
+    def add(name: str, help_text: str, n_default: Optional[int] = None) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=Path, default=Path("artifacts") / name,
                        help="output directory")
-        p.add_argument("--n", type=int, default=n_default, help="grid size")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if n_default is not None:
+            p.add_argument("--n", type=int, default=n_default, help="grid size")
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with defaults for this command")
         registry[name] = p
@@ -201,11 +201,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--phi", default="0", help="deformation potential")
     p.add_argument("--k", type=int, default=12, help="eigenvalue count")
 
-    p = add("curvature", "round-model tensor contractions", 128)
+    p = add("curvature", "round-model tensor contractions")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--c", type=float, default=4.0)
 
-    p = add("verify-all", "run every invariant suite with artifacts", 128)
+    p = add("verify-all", "run every invariant suite with artifacts")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the randomized suites")
     p.add_argument("--quick", action="store_true",
                    help="fewer randomized samples; identical artifact layout")
 
@@ -250,7 +252,9 @@ def _apply_config_file(
 
 
 def _finish(args, config: dict, artifacts: list[Path], t0: float, extra=None) -> Path:
-    config = {"command": args.command, "n": args.n, "seed": args.seed, **config}
+    config = {"command": args.command, **config}
+    if "n" in vars(args):
+        config["n"] = args.n
     return io.write_manifest(
         Path(args.out) / "manifest.json", config, artifacts, time.perf_counter() - t0, extra
     )
@@ -338,10 +342,9 @@ def _cmd_scan(args) -> int:
             for eps in args.epsilons
         ]
         params = args.epsilons
-    scans = mt_scan({args.family: members}, ref)
+    scan = mt_scan(args.family, members, ref)
     out = Path(args.out)
-    artifacts = [io.write_scan_csv(out / "scan.csv", scans)]
-    scan = scans[0]
+    artifacts = [io.write_scan_csv(out / "scan.csv", scan)]
     _finish(args, {"family": args.family, "params": list(map(float, params))},
             artifacts, t0, extra={"c1": scan.c1, "c2": scan.c2})
     print(f"scan: {args.family} over {len(params)} members, "

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, InvariantViolation, SolverError
-from .functionals import FunctionalLedger, _gauss01, eval_F, eval_J, relative_state
+from .functionals import FunctionalLedger, _gauss01, _Ray, eval_F, relative_state
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
@@ -209,7 +209,6 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class ContinuityPath:
-    base_tag: str
     records: tuple[PathRecord, ...]
     policy: PathPolicy
     completed: bool
@@ -267,8 +266,7 @@ def run_continuity_path(
     t_start: float = 0.1,
     t_end: float = 1.0,
     policy: PathPolicy = PathPolicy(),
-    records: Optional[int | Sequence[float]] = None,
-    base_tag: str = "base",
+    records: Optional[int] = None,
 ) -> ContinuityPath:
     """March the family in t with warm starts and adaptive steps.
 
@@ -282,10 +280,9 @@ def run_continuity_path(
     With ``records=n`` the records sit at the n Gauss nodes of (0, 1)
     plus the t = 1 endpoint, and the returned path carries the matching
     quadrature weights; intermediate continuation solves are inserted
-    adaptively but not recorded.  A sequence of explicit t values behaves
-    the same way without weights.  t_start governs only ``records=None``;
-    a count below 1, or a record t outside (0, t_end] (a Gauss node
-    above t_end < 1, say), raises ConfigurationError.
+    adaptively but not recorded.  t_start governs only ``records=None``;
+    a count below 1, or a Gauss node above t_end < 1, raises
+    ConfigurationError.
 
     The (I - J) monotonicity of records is asserted; a violation raises
     InvariantViolation.
@@ -297,7 +294,7 @@ def run_continuity_path(
     weights: Optional[NDArray[np.float64]] = None
     if records is None:
         targets = [t_start, t_end]
-    elif isinstance(records, int):
+    else:
         if records < 1:
             raise ConfigurationError(f"need at least 1 Gauss record, got {records}")
         ts, ws = _gauss01(records)
@@ -307,17 +304,15 @@ def run_continuity_path(
             targets.append(1.0)
             weights.append(0.0)
         weights = np.array(weights)
-    else:
-        targets = sorted(float(t) for t in records)
-    if any(not (0.0 < t <= t_end) for t in targets):
-        raise ConfigurationError(f"record ts must lie in (0, t_end] = (0, {t_end}]")
+        if targets[-1] > t_end:
+            raise ConfigurationError(f"record ts must lie in (0, t_end] = (0, {t_end}]")
 
     recs: list[PathRecord] = []
     completed = True
     failure = None
 
     def record(t: float, phi: BasicPotential) -> None:
-        ledger = FunctionalLedger.evaluate(f"t={t:.8f}", phi, base, base_name=base_tag)
+        ledger = FunctionalLedger.evaluate(f"t={t:.8f}", phi, base)
         if recs:
             prev = recs[-1].ledger.I - recs[-1].ledger.J
             cur = ledger.I - ledger.J
@@ -335,7 +330,7 @@ def run_continuity_path(
     try:
         phi = solve_ma_at_t(t_cur, base, BasicPotential.zero(base.grid), policy)
     except SolverError as err:
-        return ContinuityPath(base_tag, (), policy, False, str(err), None)
+        return ContinuityPath((), policy, False, str(err), None)
     record(t_cur, phi)
     try:
         for t_rec in targets[1:]:
@@ -351,7 +346,6 @@ def run_continuity_path(
         weights = weights[: len(recs)]
 
     return ContinuityPath(
-        base_tag=base_tag,
         records=tuple(recs),
         policy=policy,
         completed=completed,
@@ -369,8 +363,6 @@ class PathDiagnostics:
     monotone_margin: float            # min consecutive increment of (I-J)
     f_upper_constant: float           # smallest C1 with F <= (1-t)/t * C1
     energy_identity_residual: Optional[float]
-    decay_profile: tuple[float, ...]  # f_t per record
-    endpoint_growth_constant: Optional[float]
     pair_bound_slack_j: float
     pair_bound_slack_ij: float
     curvature_identity_residual: float
@@ -382,9 +374,10 @@ def path_diagnostics(
     reference: Optional[MetricState] = None,
 ) -> PathDiagnostics:
     """Along-path report: monotonicity, the (1-t)/t bound on F, the
-    t = 1 energy identity against F at the Einstein base, the decay
-    profile f_t, the endpoint growth fit, the oscillation pair bounds,
-    and the curvature identity S_t = 4 - (1-t) Lap_t(phi_t)."""
+    t = 1 energy identity against F at the Einstein base, the oscillation
+    pair bounds, and the curvature identity S_t = 4 - (1-t) Lap_t(phi_t).
+    The energy residual is None unless the path completed to t = 1 with
+    Gauss weights and the Einstein base is given as ``reference``."""
     recs = path.records
     if len(recs) < 3:
         raise ConfigurationError("diagnostics need at least 3 path records")
@@ -398,26 +391,10 @@ def path_diagnostics(
             c1 = max(c1, rec.ledger.F * rec.t / (1.0 - rec.t))
 
     energy_residual = None
-    if path.completed and np.isclose(recs[-1].t, 1.0) and reference is not None:
-        if path.record_weights is not None:
-            integral = float(path.record_weights @ imj)
-        else:
-            integral = float(np.trapezoid(imj, path.ts()))
+    at_one = path.completed and np.isclose(recs[-1].t, 1.0)
+    if at_one and reference is not None and path.record_weights is not None:
         _, f_se = eval_F(base.potential, reference)
-        energy_residual = f_se - integral
-
-    decay = tuple(r.f_t for r in recs)
-
-    growth = None
-    if np.isclose(recs[-1].t, 1.0):
-        end = recs[-1]
-        a_fit = 0.0
-        for rec in recs[:-1]:
-            gap = float(np.abs(end.phi.values - rec.phi.values).max()) - 1.0
-            denom = (1.0 - rec.t) * rec.c0_norm
-            if gap > 0 and denom > 0:
-                a_fit = max(a_fit, gap / denom)
-        growth = a_fit
+        energy_residual = f_se - float(path.record_weights @ imj)
 
     slack_j = np.inf
     slack_ij = np.inf
@@ -441,8 +418,6 @@ def path_diagnostics(
         monotone_margin=monotone,
         f_upper_constant=float(c1),
         energy_identity_residual=energy_residual,
-        decay_profile=decay,
-        endpoint_growth_constant=growth,
         pair_bound_slack_j=float(slack_j),
         pair_bound_slack_ij=float(slack_ij),
         curvature_identity_residual=worst_420,
@@ -477,32 +452,29 @@ class FamilyScan:
 
 
 def mt_scan(
-    families: Mapping[str, Sequence[tuple[float, BasicPotential]]],
+    name: str,
+    members: Sequence[tuple[float, BasicPotential]],
     base: MetricState,
-) -> list[FamilyScan]:
-    """(J, F) scan over potential families with a least-squares fit of
-    the properness profile F ~ c1 J - c2 for each family."""
-    out = []
-    for name, members in families.items():
-        params, js, fs = [], [], []
-        for param, phi in members:
-            _, f_val = eval_F(phi, base)
-            js.append(eval_J(phi, base))
-            fs.append(f_val)
-            params.append(float(param))
-        if len(js) >= 2:
-            a = np.column_stack([js, -np.ones(len(js))])
-            (c1, c2), *_ = np.linalg.lstsq(a, np.array(fs), rcond=None)
-        else:
-            c1 = c2 = float("nan")
-        out.append(
-            FamilyScan(
-                name=name,
-                params=tuple(params),
-                j_values=tuple(js),
-                f_values=tuple(fs),
-                c1=float(c1),
-                c2=float(c2),
-            )
-        )
-    return out
+) -> FamilyScan:
+    """(J, F) scan over one potential family with a least-squares fit of
+    the properness profile F ~ c1 J - c2.  The fit needs at least two
+    members; fewer raise ConfigurationError before any evaluation."""
+    if len(members) < 2:
+        raise ConfigurationError(f"a scan needs at least 2 members, got {len(members)}")
+    params, js, fs = [], [], []
+    for param, phi in members:
+        ray = _Ray(phi, base)
+        j_val = ray.j_value()
+        js.append(j_val)
+        fs.append(ray.f_values(j_val)[1])
+        params.append(float(param))
+    a = np.column_stack([js, -np.ones(len(js))])
+    (c1, c2), *_ = np.linalg.lstsq(a, np.array(fs), rcond=None)
+    return FamilyScan(
+        name=name,
+        params=tuple(params),
+        j_values=tuple(js),
+        f_values=tuple(fs),
+        c1=float(c1),
+        c2=float(c2),
+    )

@@ -381,7 +381,6 @@ class SmoothingReport:
     worst_c_min: float
     worst_d_slack: float
     max_constancy_dev: float
-    holder_track: tuple[float, ...]
     u_bound_slack: Optional[float]     # (1/(m+1)) e^{m+1} sup|h_0| - sup|v_1|
     sandwich_lo_margin: Optional[float]  # min(r_total at s=1) - 1/2
     sandwich_hi_margin: Optional[float]  # 1 - max(r_total at s=1)
@@ -438,7 +437,6 @@ def smoothing_monitors(
         worst_c_min=min(m.bound_c_min for m in mons),
         worst_d_slack=min(m.bound_d_slack for m in mons),
         max_constancy_dev=max(m.constancy_dev for m in mons),
-        holder_track=tuple(m.holder_h for m in mons),
         u_bound_slack=u_slack,
         sandwich_lo_margin=lo,
         sandwich_hi_margin=hi,

@@ -17,9 +17,9 @@ shares the one Laplacian across I, J, F0, F and K.
 
 Quadrature choices: J integrates I(s phi)/s with a 32-node Gauss rule in
 s (the integrand is smooth, here in fact linear in s); the K-energy
-integrates over the path parameter with 48 Gauss nodes by default and
-accepts a quadratic reparametrization of the same ray, which serves as
-the path-independence cross-check.
+integrates over the path parameter with 48 Gauss nodes and accepts a
+quadratic reparametrization of the same ray, which serves as the
+path-independence cross-check.
 
 The K-energy integrand is evaluated after moving the Laplacian off the
 log-ratio field by self-adjointness: int f Lap(log r) dmu equals
@@ -104,8 +104,8 @@ class _Ray:
         scaled = s * self.phi.values
         return float(self.phi.grid.w @ (scaled * (self.base.ratio - self.ratio(s))))
 
-    def j_value(self, s_nodes: int = 32) -> float:
-        s, w = _gauss01(s_nodes)
+    def j_value(self) -> float:
+        s, w = _gauss01(32)
         total = 0.0
         for sj, wj in zip(s, w):
             total += wj * self.i_value(sj) / sj
@@ -118,7 +118,7 @@ class _Ray:
         f = f0 - log_mean_exp(grid.w * base.ratio, z) / (M_DIM + 1)
         return float(f0), float(f)
 
-    def k_energy(self, path_nodes: int = 48, path: str = "linear") -> float:
+    def k_energy(self, path: str = "linear") -> float:
         if path == "linear":
             a = lambda t: t
             adot = lambda t: 1.0
@@ -128,7 +128,7 @@ class _Ray:
         else:
             raise ConfigurationError(f"unknown path {path!r}")
         w, phi = self.phi.grid.w, self.phi.values
-        t_nodes, t_weights = _gauss01(path_nodes)
+        t_nodes, t_weights = _gauss01(48)
         total = 0.0
         for tj, wj in zip(t_nodes, t_weights):
             ratio = self.ratio(a(tj))
@@ -149,19 +149,19 @@ def eval_I(phi: BasicPotential, base: MetricState) -> float:
     return _Ray(phi, base).i_value()
 
 
-def eval_J(phi: BasicPotential, base: MetricState, s_nodes: int = 32) -> float:
+def eval_J(phi: BasicPotential, base: MetricState) -> float:
     """J = int_0^1 I(s phi)/s ds by Gauss quadrature in s.
 
     I vanishes quadratically at s = 0, so the integrand extends smoothly.
     Each node's I(s phi) reads the ratio of psi + s phi off the affine
     ray, from the one Laplacian of phi; the quadrature stays a real
-    s_nodes-point rule, so J = I/2 at m = 1 is a computed identity, not
+    32-point rule, so J = I/2 at m = 1 is a computed identity, not
     a definition.  Admissibility along the ray follows from admissibility
     of phi (ratios are affine in s, so positive at both ends means
     positive between), and each node's ratio is checked: an inadmissible
     node raises InadmissibleError.
     """
-    return _Ray(phi, base).j_value(s_nodes)
+    return _Ray(phi, base).j_value()
 
 
 def eval_F(phi: BasicPotential, base: MetricState) -> tuple[float, float]:
@@ -177,10 +177,7 @@ def eval_F(phi: BasicPotential, base: MetricState) -> tuple[float, float]:
 
 
 def eval_K_energy(
-    phi: BasicPotential,
-    base: MetricState,
-    path_nodes: int = 48,
-    path: str = "linear",
+    phi: BasicPotential, base: MetricState, path: str = "linear"
 ) -> float:
     """K-energy by quadrature of -int phidot (S_t - 2m(m+1)) dmu_t dt.
 
@@ -188,13 +185,13 @@ def eval_K_energy(
     (phi_t = t phi) or "quadratic" (phi_t = t^2 phi).  The value is
     path-independent; the second parametrization exists to verify that.
     Any other ``path`` raises ConfigurationError.
-    The ratio r_t at each of the path_nodes Gauss nodes is read off the
+    The ratio r_t at each of the 48 Gauss nodes is read off the
     affine ray r(psi) + a(t) Lap(phi)/4, and Lap(phi) is the same one
     field that carries the moved Laplacian of log r_t, so the whole
     quadrature applies the Laplacian once.  A nonpositive r_t raises
     InadmissibleError.
     """
-    return _Ray(phi, base).k_energy(path_nodes, path)
+    return _Ray(phi, base).k_energy(path)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +208,6 @@ class CocycleReport:
     cocycle_f: float
     antisym_f0: float
     antisym_f: float
-
-    def max_residual(self) -> float:
-        return max(
-            abs(self.cocycle_f0),
-            abs(self.cocycle_f),
-            abs(self.antisym_f0),
-            abs(self.antisym_f),
-        )
 
 
 def verify_cocycle(
@@ -251,9 +240,7 @@ class MabuchiReport:
     holds: bool
 
 
-def verify_mabuchi_f_relation(
-    phi: BasicPotential, base: MetricState, path_nodes: int = 48
-) -> MabuchiReport:
+def verify_mabuchi_f_relation(phi: BasicPotential, base: MetricState) -> MabuchiReport:
     """K = 2(m+1) F + 2 (int h dmu_base - int h_phi dmu_phi), and the
     lower bound K >= 2(m+1) F + 2 int h dmu_base.
 
@@ -264,7 +251,7 @@ def verify_mabuchi_f_relation(
     """
     grid = phi.grid
     ray = _Ray(phi, base)
-    k_val = ray.k_energy(path_nodes)
+    k_val = ray.k_energy()
     _, f_val = ray.f_values(ray.j_value())
     ratio = ray.ratio(1.0)
     h_phi, _ = _ricci_potential(grid, ratio, base.potential.values + phi.values)
@@ -294,11 +281,10 @@ def random_potential(
     degree: int = 12,
     amplitude: float = 0.2,
     min_margin: float = 0.1,
-    max_tries: int = 200,
 ) -> BasicPotential:
     """Seeded random potential: truncated Legendre series with decaying
     coefficients, rejection-sampled to admissibility margin >= min_margin."""
-    for _ in range(max_tries):
+    for _ in range(200):
         coeffs = np.zeros(degree + 1)
         decay = 0.6 ** np.arange(degree + 1)
         coeffs[1:] = rng.normal(0.0, amplitude, degree) * decay[1:]
@@ -306,7 +292,7 @@ def random_potential(
         if admissibility(phi)[1] >= min_margin:
             return phi
     raise SolverError(
-        f"no admissible sample with margin >= {min_margin} in {max_tries} tries",
+        f"no admissible sample with margin >= {min_margin} in 200 tries",
         trace=[],
     )
 
@@ -317,7 +303,6 @@ class FunctionalLedger:
     shape the CSV report uses."""
 
     tag: str
-    base: str
     potential: BasicPotential
     I: float
     J: float
@@ -329,12 +314,7 @@ class FunctionalLedger:
 
     @classmethod
     def evaluate(
-        cls,
-        tag: str,
-        phi: BasicPotential,
-        base: MetricState,
-        base_name: str = "reference",
-        path_nodes: int = 48,
+        cls, tag: str, phi: BasicPotential, base: MetricState
     ) -> "FunctionalLedger":
         # one Laplacian of phi serves every functional; J is computed once
         # and feeds F
@@ -344,13 +324,12 @@ class FunctionalLedger:
         f0, f = ray.f_values(j_val)
         return cls(
             tag=tag,
-            base=base_name,
             potential=phi,
             I=ray.i_value(),
             J=j_val,
             F0=f0,
             F=f,
-            K=ray.k_energy(path_nodes),
+            K=ray.k_energy(),
             osc=phi.osc(),
             margin=margin,
         )

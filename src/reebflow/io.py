@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .continuity import ContinuityPath
+from .continuity import ContinuityPath, FamilyScan
 from .curvature import CharacteristicIntegrandReport
 from .flow import FlowTrajectory
 from .functionals import FunctionalLedger
@@ -67,6 +67,12 @@ def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> 
     return path
 
 
+def _write_json(path: Path, payload: Mapping) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def write_field_csv(path: Path, x: np.ndarray, values: np.ndarray) -> Path:
     return _write_rows(path, ["x", "value"], zip(map(float, x), map(float, values)))
 
@@ -80,9 +86,7 @@ def write_state_json(path: Path, state: MetricState) -> Path:
         "ricci_potential": [float(v) for v in state.ricci_potential],
         "norm_constant": float(state.norm_constant),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(path, payload)
 
 
 def write_ledger_csv(path: Path, ledgers: Iterable[FunctionalLedger]) -> Path:
@@ -127,13 +131,9 @@ def write_flow_csv(path: Path, traj: FlowTrajectory) -> Path:
     )
 
 
-def write_scan_csv(path: Path, scans: Iterable) -> Path:
-    def rows():
-        for scan in scans:
-            for p, j, f in zip(scan.params, scan.j_values, scan.f_values):
-                yield (scan.name, p, j, f)
-
-    return _write_rows(path, ["family", "param", "J", "F"], rows())
+def write_scan_csv(path: Path, scan: FamilyScan) -> Path:
+    rows = zip(scan.params, scan.j_values, scan.f_values)
+    return _write_rows(path, ["family", "param", "J", "F"], ((scan.name, *r) for r in rows))
 
 
 def write_spectrum_csv(path: Path, result) -> Path:
@@ -170,9 +170,7 @@ def write_pinch_json(path: Path, result) -> Path:
             "c7_fit": sm.c7_fit,
         },
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(path, payload)
 
 
 def write_curvature_json(path: Path, report: CharacteristicIntegrandReport) -> Path:
@@ -186,9 +184,7 @@ def write_curvature_json(path: Path, report: CharacteristicIntegrandReport) -> P
         "characteristic_integrand": report.integrand,
         "convention": report.model.convention,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(path, payload)
 
 
 def write_checks_csv(path: Path, checks: Iterable) -> Path:
@@ -231,6 +227,4 @@ def write_manifest(
     }
     if extra:
         payload["extra"] = dict(extra)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(path, payload)

@@ -224,9 +224,6 @@ class BasicPotential:
     def shifted(self, c: float) -> "BasicPotential":
         return BasicPotential(values=self.values + float(c), grid=self.grid)
 
-    def mean(self) -> float:
-        return self.grid.integrate(self.values)
-
     def osc(self) -> float:
         return float(self.values.max() - self.values.min())
 
@@ -309,13 +306,12 @@ M_DIM = 1            # transverse complex dimension of the PDE model
 SCALAR_TARGET = 4.0  # 2 m (m+1) at m = 1; also the quotient Gauss curvature
 
 
-def log_mean_exp(grid_or_weights, z: NDArray) -> float:
+def log_mean_exp(w: NDArray, z: NDArray) -> float:
     """log of int e^z against the given (nonnegative, mass ~1) weights.
 
     Guarded against overflow; mandatory for Ricci-potential normalization
     because flow trajectories develop large additive constants.
     """
-    w = grid_or_weights.w if isinstance(grid_or_weights, Grid) else np.asarray(grid_or_weights)
     z = np.asarray(z, dtype=np.float64)
     zmax = float(z.max())
     return zmax + float(np.log(w @ np.exp(z - zmax)))
@@ -331,7 +327,7 @@ def _ricci_potential(
     # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
     # so c is the explicit log-integral below (no root-find needed: e^c
     # multiplies a fixed positive integral).
-    c = -log_mean_exp(grid, -(M_DIM + 1) * values)
+    c = -log_mean_exp(grid.w, -(M_DIM + 1) * values)
     return -log_ratio - (M_DIM + 1) * values + c, c
 
 
@@ -372,9 +368,10 @@ class SpectrumResult:
 
     eigenvalues       sorted descending from 0 toward -inf
     clusters          (eigenvalue, multiplicity) after tolerance grouping
-    has_obstruction   True when -4(m+1) lies in the computed spectrum;
-                      on the round model this flags the Hamiltonian
-                      holomorphic fields that obstruct uniqueness
+    has_obstruction   True when -4(m+1) lies in the computed spectrum
+                      (to 1e-6 relative); on the round model this flags
+                      the Hamiltonian holomorphic fields that obstruct
+                      uniqueness
     obstruction_gap   min distance of the spectrum to -4(m+1)
     """
 
@@ -384,7 +381,7 @@ class SpectrumResult:
     obstruction_gap: float
 
 
-def spectrum(state: MetricState, k: int, obstruction_tol: float = 1e-6) -> SpectrumResult:
+def spectrum(state: MetricState, k: int) -> SpectrumResult:
     """First k+1 eigenvalues (including 0) of the deformed basic Laplacian.
 
     Solves the generalized symmetric problem  Lap_ref f = lambda r f  in
@@ -417,6 +414,6 @@ def spectrum(state: MetricState, k: int, obstruction_tol: float = 1e-6) -> Spect
     return SpectrumResult(
         eigenvalues=_lock(vals),
         clusters=tuple(clusters),
-        has_obstruction=bool(gap <= abs(target) * obstruction_tol),
+        has_obstruction=bool(gap <= abs(target) * 1e-6),
         obstruction_gap=gap,
     )

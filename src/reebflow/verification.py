@@ -40,6 +40,7 @@ from .curvature import (
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
+from .errors import ConfigurationError
 from .flow import (
     FlowTrajectory,
     PinchResult,
@@ -153,7 +154,7 @@ def functional_identity_suite(
     prev: Optional[BasicPotential] = None
     for i in range(samples):
         phi = random_potential(grid, rng)
-        led = FunctionalLedger.evaluate(f"sample-{i:03d}", phi, ref, "round")
+        led = FunctionalLedger.evaluate(f"sample-{i:03d}", phi, ref)
         ledgers.append(led)
 
         worst_collapse = max(worst_collapse, abs(led.J - led.I / 2.0))
@@ -276,12 +277,12 @@ def mobius_scan_suite(
     """F vanishes identically along the automorphism family while J
     grows without bound, and the round spectrum contains the
     obstruction eigenvalue -4(m+1): properness fails exactly in the
-    presence of the holomorphic symmetries."""
+    presence of the holomorphic symmetries.  The one scan comes back as
+    a one-element list, the shape its callers index."""
     grid = make_grid(n)
     ref = reference_state(grid)
     members = [(lam, mobius_potential(lam, grid)) for lam in lambdas]
-    scans = mt_scan({"mobius": members}, ref)
-    scan = scans[0]
+    scan = mt_scan("mobius", members, ref)
 
     f_flat = max(abs(f) for f in scan.f_values)
     j_arr = np.asarray(scan.j_values)
@@ -318,7 +319,7 @@ def mobius_scan_suite(
             detail=f"-4(m+1) = {-4 * (M_DIM + 1)}",
         ),
     ]
-    return checks, scans, spec
+    return checks, [scan], spec
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +556,11 @@ def verify_all(
 
     ``quick`` reduces the randomized identity sample count (the
     deterministic suites are identical); artifact layout and schemas do
-    not change.
+    not change.  A negative seed raises ConfigurationError before the
+    output directory is made.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -583,7 +587,7 @@ def verify_all(
 
     mob_checks, scans, spec = mobius_scan_suite()
     suites.append(("mobius_scan", mob_checks))
-    artifacts.append(io.write_scan_csv(out / "scan.csv", scans))
+    artifacts.append(io.write_scan_csv(out / "scan.csv", scans[0]))
     artifacts.append(io.write_spectrum_csv(out / "spectrum.csv", spec))
 
     fl_checks, traj2 = flow_suite(path_endpoint=bundle.adaptive.endpoint().phi)

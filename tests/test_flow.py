@@ -337,7 +337,6 @@ class TestSmoothing:
         assert rep.worst_c_min >= -1e-10
         assert rep.worst_d_slack >= -1e-10
         assert rep.max_constancy_dev < 1e-12
-        assert len(rep.holder_track) == len(traj.records)
         assert rep.u_bound_slack is not None and rep.u_bound_slack > 0
         assert rep.sandwich_held is not None
         assert rep.c1_fit is not None and rep.c1_fit > 0

@@ -61,7 +61,7 @@ class TestWriters:
         assert rows[0][:4] == ["s", "sup_vdot", "sup_h", "sup_dh2"]
         assert len(rows) == 1 + len(traj.records)
 
-        path = run_continuity_path(base96, records=[0.1, 0.5, 1.0])
+        path = run_continuity_path(base96, records=2)
         ppath = io.write_path_csv(tmp_path / "path.csv", path)
         rows = list(csv.reader(open(ppath, newline="")))
         assert rows[0][0] == "t" and "IminusJ" in rows[0]
@@ -188,6 +188,21 @@ class TestCliCommands:
         data = json.loads((out / "curvature.json").read_text())
         assert data["m"] == 3
         assert abs(data["characteristic_integrand"]) < 1e-12
+        # the command builds no grid and draws nothing
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert "n" not in config and "seed" not in config
+
+    def test_flags_belong_to_the_commands_that_read_them(self):
+        _, registry = cli.build_parser()
+
+        def having(flag):
+            return {
+                name for name, p in registry.items()
+                if any(flag in a.option_strings for a in p._actions)
+            }
+
+        assert having("--seed") == {"verify-all"}
+        assert having("--n") == {"solve", "path", "flow", "scan", "pinch", "spectrum"}
 
     def test_config_file_merge(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -254,6 +269,35 @@ class TestCliExitCodes:
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "path.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--seed", "1"], ["curvature", "--n", "8"], ["verify-all", "--n", "64"]],
+    )
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lambdas", "2"], ["--lambdas", ","], ["--family", "bump", "--epsilons", "0.05"]],
+    )
+    def test_scan_needs_two_members(self, tmp_path, capsys, flags):
+        # one member cannot fix the two constants of the fit
+        out = tmp_path / "o"
+        rc = cli.main(["scan", "--n", "16", *flags, "--out", str(out)])
+        assert rc == 1
+        assert "at least 2 members" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["verify-all", "--quick", "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--ds", "0"), ("--stride", "0")])
     def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):

@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, removed ones stay gone."""
 
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -47,6 +49,29 @@ REMOVED = {
     "reebflow.errors": ("PreconditionError",),
 }
 
+# members of classes that no caller set and nothing read
+REMOVED_MEMBERS = {
+    ("reebflow.functionals", "CocycleReport"): ("max_residual",),
+    ("reebflow.functionals", "FunctionalLedger"): ("base",),
+    ("reebflow.continuity", "ContinuityPath"): ("base_tag",),
+    ("reebflow.continuity", "PathDiagnostics"): ("decay_profile", "endpoint_growth_constant"),
+    ("reebflow.transverse", "BasicPotential"): ("mean",),
+    ("reebflow.flow", "SmoothingReport"): ("holder_track",),
+}
+
+# parameters that no caller set, by the function that took them
+REMOVED_PARAMETERS = {
+    ("reebflow.functionals", "eval_J"): ("s_nodes",),
+    ("reebflow.functionals", "eval_K_energy"): ("path_nodes",),
+    ("reebflow.functionals", "verify_mabuchi_f_relation"): ("path_nodes",),
+    ("reebflow.functionals", "random_potential"): ("max_tries",),
+    ("reebflow.functionals", "FunctionalLedger.evaluate"): ("base_name", "path_nodes"),
+    ("reebflow.continuity", "run_continuity_path"): ("base_tag",),
+    ("reebflow.continuity", "mt_scan"): ("families",),
+    ("reebflow.transverse", "spectrum"): ("obstruction_tol",),
+    ("reebflow.transverse", "log_mean_exp"): ("grid_or_weights",),
+}
+
 
 @pytest.mark.parametrize("module", ["reebflow", *MODULES])
 def test_exported_names_resolve(module):
@@ -70,6 +95,21 @@ def test_removed_grid_members_are_gone(grid96):
     # interpolation helpers built on them
     for name in ("interpolate", "to_coeffs", "fwd", "dcoef", "lap_eigs"):
         assert not hasattr(grid96, name), name
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED_MEMBERS), ids="/".join)
+def test_removed_members_are_gone(owner):
+    cls = getattr(importlib.import_module(owner[0]), owner[1])
+    members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
+    assert not members & set(REMOVED_MEMBERS[owner])
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED_PARAMETERS), ids="/".join)
+def test_removed_parameters_are_gone(owner):
+    fn = importlib.import_module(owner[0])
+    for attr in owner[1].split("."):
+        fn = getattr(fn, attr)
+    assert not set(inspect.signature(fn).parameters) & set(REMOVED_PARAMETERS[owner])
 
 
 def test_import_loads_no_scipy():
