@@ -425,6 +425,10 @@ _COMMANDS = {
 }
 
 
+# residuals of a SolverError's trace shown on the exit-2 line
+_TRACE_TAIL = 3
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, registry = build_parser()
     try:
@@ -443,6 +447,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     except (InvariantViolation, SolverError) as exc:
+        trace = getattr(exc, "trace", None)
+        if trace:
+            last = ", ".join(f"{r:.3e}" for r in trace[-_TRACE_TAIL:])
+            exc = f"{exc} (trace of {len(trace)} residuals, last {last})"
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
 

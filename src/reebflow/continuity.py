@@ -458,7 +458,9 @@ def mt_scan(
 ) -> FamilyScan:
     """(J, F) scan over one potential family with a least-squares fit of
     the properness profile F ~ c1 J - c2.  The fit needs at least two
-    members; fewer raise ConfigurationError before any evaluation."""
+    members; fewer raise ConfigurationError before any evaluation.  Members
+    whose J values are not distinct leave the fit rank-deficient and raise
+    ConfigurationError in place of a fit."""
     if len(members) < 2:
         raise ConfigurationError(f"a scan needs at least 2 members, got {len(members)}")
     params, js, fs = [], [], []
@@ -469,7 +471,11 @@ def mt_scan(
         fs.append(ray.f_values(j_val)[1])
         params.append(float(param))
     a = np.column_stack([js, -np.ones(len(js))])
-    (c1, c2), *_ = np.linalg.lstsq(a, np.array(fs), rcond=None)
+    (c1, c2), _, rank, _ = np.linalg.lstsq(a, np.array(fs), rcond=None)
+    if rank < 2:
+        raise ConfigurationError(
+            f"a scan needs at least 2 distinct J values, got {sorted(set(js))}"
+        )
     return FamilyScan(
         name=name,
         params=tuple(params),

@@ -24,12 +24,17 @@ below a relative tolerance.  When the sweeps do not get there (the first
 step, a halving or doubling of the step, a fast transient) the inverse is
 refreshed from this step's matrix and the step is redone from it.
 
-Between records the march carries only the volume ratio r_base(v): each
-attempted step applies one Laplacian, to the candidate, forming its ratio
-exactly as metric_state does (summed in extended precision, then cast).
+Between records the march carries only the volume ratio r_base(v), in
+extended precision.  The ratio is affine in the potential, r(v + delta) =
+r(v) + Lap(delta)/4, so each attempted step forms its candidate's ratio
+from the carried one and a float64 matvec of the dense Laplacian with the
+step's mean-free increment, and casts and checks it as metric_state does.
 That ratio is the admissibility test of the candidate and, once the step
-is accepted, the ratio the next step linearizes about.  No metric state
-is built between records.
+is accepted, the ratio the next step linearizes about.  No step applies
+an extended-precision Laplacian or builds a metric state; each record
+re-anchors the carried ratio to the exact one (one Laplacian), so the
+drift of the carry (about 1e-12 relative at n = 128) never spans more than
+record_stride steps.
 
 Monitor quantities are recomputed from scratch at every record through
 metric_state, never evolved, so the maximum-principle checks are
@@ -276,17 +281,19 @@ def run_flow(
     """Semi-implicit march of the flow from v = 0 to s_end.
 
     The march carries the volume ratio of base + v from step to step,
-    starting from base.ratio.  Each attempted step solves its linear
+    in extended precision.  Each attempted step solves its linear
     system by defect correction from a kept inverse of an earlier step
     matrix (``_ChordSolver``), refreshed by one dense factorization at
     the first step and whenever a few sweeps do not converge, as after a
-    halving or doubling of the step or in the fast early transient.  It
-    then applies one Laplacian, to the candidate, whose ratio is the
-    admissibility test.  A candidate whose ratio is not positive
-    everywhere (NaN included) halves the step; reaching the step floor
-    returns a partial trajectory with the failure marker set.
-    Records, each built from a full metric_state, are taken every
-    policy.record_stride accepted steps and at the final time.
+    halving or doubling of the step or in the fast early transient.  The
+    candidate's ratio is the carried one plus Lap(delta)/4 of the step's
+    increment delta, a float64 matvec; it is the admissibility test.  A
+    candidate whose ratio is not positive everywhere (NaN included)
+    halves the step; reaching the step floor returns a partial trajectory
+    with the failure marker set.  Records, each built from a full
+    metric_state, are taken at s = 0, every policy.record_stride accepted
+    steps and at the final time; each re-anchors the carried ratio to the
+    exact ratio of base + v.
 
     s_end must be positive and below S_END_MAX (about 177 at m = 1),
     where the records' bound e^{2(m+1)s} still fits in float64.
@@ -299,10 +306,17 @@ def run_flow(
     h0_norm = float(np.abs(base.ricci_potential).max())
     lap0_h0 = base.laplacian(base.ricci_potential)
 
+    def record(s: float, v: NDArray) -> tuple[NDArray[np.longdouble], NDArray[np.float64]]:
+        # every record re-anchors the carried ratio to the exact one, so
+        # its drift never spans more than record_stride steps
+        records.append(_make_flow_record(s, v, base, h0_norm, lap0_h0))
+        ratio_ld = _ratio_ld(grid, base.potential.values + v)
+        return ratio_ld, _admissible(ratio_ld)
+
     v = np.zeros(grid.n)
-    ratio = base.ratio
     s = 0.0
-    records = [_make_flow_record(0.0, v, base, h0_norm, lap0_h0)]
+    records: list[FlowRecord] = []
+    ratio_ld, ratio = record(0.0, v)
     completed = True
     failure = None
     ds = policy.ds
@@ -311,9 +325,11 @@ def run_flow(
     while s < s_end - _S_TOL:
         step = min(ds, s_end - s)
         delta = solve_step(step / (4.0 * ratio), step * _rhs(ratio, v, base))
-        cand = v + delta
+        # the ratio is affine in the potential: r(v + delta) = r(v) +
+        # Lap(delta)/4, with delta's mean removed first as _laplacian_ld does
+        cand_ratio_ld = ratio_ld + (grid.lap @ (delta - grid.w @ delta)) / 4.0
         try:
-            cand_ratio = _admissible(_ratio_ld(grid, base.potential.values + cand))
+            cand_ratio = _admissible(cand_ratio_ld)
         except InadmissibleError:
             ds *= 0.5
             if ds < policy.ds_floor:
@@ -321,13 +337,13 @@ def run_flow(
                 failure = f"step floor {policy.ds_floor} reached at s = {s:.6g}"
                 break
             continue
-        v = cand
-        ratio = cand_ratio
+        v = v + delta
+        ratio_ld, ratio = cand_ratio_ld, cand_ratio
         s += step
         ds = min(ds * 2.0, policy.ds)
         accepted += 1
         if accepted % policy.record_stride == 0 or s >= s_end - _S_TOL:
-            records.append(_make_flow_record(s, v, base, h0_norm, lap0_h0))
+            ratio_ld, ratio = record(s, v)
     return FlowTrajectory(
         initial=base,
         records=tuple(records),

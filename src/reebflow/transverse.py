@@ -12,7 +12,9 @@ reference objects take fully explicit form:
 * basic Laplacian:   Lap f = 4 d/dx[(1 - x^2) f'(x)], with Legendre
   eigenfunctions P_k and eigenvalues -4k(k+1);
 * volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4, formed
-  (``_ratio_ld``) and checked (``_admissible``) here for the whole package;
+  (``_ratio_ld``) and checked (``_admissible``) here; the flow march alone
+  carries a ratio between records, adding Lap(delta)/4 of each step's
+  increment to it, and checks it with ``_admissible``;
 * normalized Ricci potential: h = -log r - (m+1) phi + c, read off the
   ratio with no further Laplacian (``_ricci_potential``);
 * transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2,
@@ -40,10 +42,16 @@ from .errors import (
     ConfigurationError,
     GridMismatchError,
     InadmissibleError,
+    InvariantViolation,
     ResolutionError,
 )
 
 MIN_GRID = 8
+# the grid data and pointwise derivatives assume an 80-bit (or wider)
+# longdouble: the check margins were measured with one, and roundoff
+# floors that grow like n^4 eps would near their tolerances in float64
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_LONGDOUBLE_EPS_MAX = 1e-18
 
 
 def _lock(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -159,7 +167,13 @@ class Grid:
 @lru_cache(maxsize=8)
 def make_grid(n: int = 256) -> Grid:
     """Build the collocation grid; n must be at least 8.  Grids are cached
-    per size (they are immutable)."""
+    per size (they are immutable).  InvariantViolation when np.longdouble
+    is not an extended type (epsilon above 1e-18)."""
+    if _LONGDOUBLE_EPS > _LONGDOUBLE_EPS_MAX:
+        raise InvariantViolation(
+            f"np.longdouble has epsilon {_LONGDOUBLE_EPS:.3e}; the grid needs an "
+            f"extended type with epsilon <= {_LONGDOUBLE_EPS_MAX:g}"
+        )
     if int(n) != n or n < MIN_GRID:
         raise ConfigurationError(f"grid size must be an integer >= {MIN_GRID}, got {n}")
     n = int(n)

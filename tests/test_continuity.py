@@ -367,6 +367,12 @@ class TestScan:
             mt_scan("mobius", members, ref96)
         assert counts == {}
 
+    def test_equal_j_values_rejected(self, grid96, ref96):
+        # equal members fix only one of the fit's two constants
+        members = [(2.0, mobius_potential(2.0, grid96))] * 2
+        with pytest.raises(ConfigurationError, match="2 distinct J values"):
+            mt_scan("mobius", members, ref96)
+
     def test_one_laplacian_per_member(self, grid96, ref96, counts):
         # J and F of a member come off one ray, so J is computed once; one
         # lstsq fits the profile

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebflow import cli, io
+from reebflow import cli, io, transverse
 from reebflow import (
     BasicPotential,
     FunctionalLedger,
     metric_state,
     run_continuity_path,
+    SolverError,
     run_flow,
 )
 from reebflow.cli import UsageError, parse_expression
@@ -342,6 +343,35 @@ class TestCliExitCodes:
                            "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "residual inf" in capsys.readouterr().err
+
+    def test_scan_with_equal_members_is_invalid_input(self, tmp_path, capsys):
+        # two equal members give one J value: the fit has rank 1
+        out = tmp_path / "o"
+        rc = cli.main(["scan", "--n", "32", "--lambdas", "2,2", "--out", str(out)])
+        assert rc == 1
+        assert "2 distinct J values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_error_prints_its_trace(self, tmp_path, capsys, monkeypatch):
+        def failing_flow(base, s_end, policy):
+            raise SolverError("stub stall", trace=[1.0, 0.5, 0.25, 0.125, 0.0625])
+
+        monkeypatch.setattr(cli, "run_flow", failing_flow)
+        rc = cli.main(["flow", "--n", "16", "--s-end", "0.05", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "invariant violated: stub stall (trace of 5 residuals, "
+            "last 2.500e-01, 1.250e-01, 6.250e-02)\n"
+        )
+
+    def test_longdouble_without_extended_precision(self, tmp_path, capsys, monkeypatch):
+        # a float64 longdouble (MSVC, macOS arm64) is refused with exit 2
+        monkeypatch.setattr(transverse, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+        monkeypatch.setattr(cli, "make_grid", transverse.make_grid.__wrapped__)
+        rc = cli.main(["spectrum", "--n", "16", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "epsilon 2.220e-16" in capsys.readouterr().err
 
     def test_invariant_violation(self, tmp_path, capsys, monkeypatch):
         def broken_flow(base, s_end, policy):

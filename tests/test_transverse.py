@@ -10,6 +10,7 @@ from reebflow import (
     ConfigurationError,
     GridMismatchError,
     InadmissibleError,
+    InvariantViolation,
     admissibility,
     make_grid,
     metric_state,
@@ -32,6 +33,14 @@ class TestGrid:
             make_grid(4)
         with pytest.raises(ConfigurationError):
             make_grid(96.5)
+
+    def test_longdouble_precision_is_checked(self, monkeypatch):
+        # the check reads the epsilon of np.longdouble; an 80-bit type
+        # (2^-63) passes, float64 (2^-52) is refused
+        assert transverse._LONGDOUBLE_EPS <= transverse._LONGDOUBLE_EPS_MAX
+        monkeypatch.setattr(transverse, "_LONGDOUBLE_EPS", 2.0**-52)
+        with pytest.raises(InvariantViolation, match="epsilon 2.220e-16"):
+            make_grid.__wrapped__(16)
 
     def test_nodes_inside_interval(self, grid96):
         assert grid96.x.min() > -1.0
