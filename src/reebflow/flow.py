@@ -24,21 +24,22 @@ below a relative tolerance.  When the sweeps do not get there (the first
 step, a halving or doubling of the step, a fast transient) the inverse is
 refreshed from this step's matrix and the step is redone from it.
 
-Between records the march carries only the volume ratio r_base(v), in
+Between anchors the march carries only the volume ratio r_base(v), in
 extended precision.  The ratio is affine in the potential, r(v + delta) =
 r(v) + Lap(delta)/4, so each attempted step forms its candidate's ratio
 from the carried one and a float64 matvec of the dense Laplacian with the
 step's mean-free increment, and casts and checks it as metric_state does.
 That ratio is the admissibility test of the candidate and, once the step
 is accepted, the ratio the next step linearizes about.  No step applies
-an extended-precision Laplacian or builds a metric state; each record
-re-anchors the carried ratio to the exact one (one Laplacian), so the
+an extended-precision Laplacian or builds a metric state.  The march
+(``_steps``) re-anchors the carried ratio to the exact one (one Laplacian)
+at s = 0, every record_stride accepted steps and its last step, so the
 drift of the carry (about 1e-12 relative at n = 128) never spans more than
-record_stride steps.
+record_stride steps; run_flow takes its records at exactly those steps.
 
-Monitor quantities are recomputed from scratch at every record through
-metric_state, never evolved, so the maximum-principle checks are
-independent of stepper error:
+Monitor quantities are recomputed from scratch at every record, from a
+state built on the anchored ratio, never evolved, so the
+maximum-principle checks are independent of stepper error:
 
     (a)  sup|dv/ds|  <=  e^{(m+1)s} sup|h_0|
     (b)  sup(h_s^2 + (s/2)|dh_s|_s^2)  <=  4 e^{2(m+1)s} sup|h_0|^2
@@ -50,10 +51,10 @@ supersolution of the flow's heat operator, so its spatial minimum is
 nondecreasing in s; comparing values at a fixed grid point would be
 strictly stronger than what holds.
 
-plus the achieved scalar-curvature pinching and a discrete C^{1/2}
-seminorm of h_s (geodesic distance of the round quotient), which feeds
-the fitted smoothing constants when the flow starts from a continuity-
-path state.
+plus the achieved scalar-curvature pinching.  smoothing_monitors adds a
+discrete C^{1/2} seminorm of h_1 (geodesic distance of the round
+quotient), which feeds the fitted smoothing constants when the flow
+starts from a continuity-path state.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -84,6 +85,7 @@ from .transverse import (
     _admissible,
     _ratio_ld,
     _ricci_potential,
+    _state,
 )
 
 __all__ = [
@@ -175,7 +177,6 @@ class FlowMonitors:
     bound_c_min: float
     bound_d_slack: float
     s_pinch: float         # max |S^T - 2m(m+1)|
-    holder_h: float
     lap_h_min: float       # min Lap_s h_s
 
 
@@ -206,11 +207,18 @@ class FlowTrajectory:
 
 
 def _make_flow_record(
-    s: float, v_values: NDArray, base: MetricState, h0_norm: float, lap0_h0: NDArray
+    s: float,
+    v_values: NDArray,
+    ratio_ld: NDArray[np.longdouble],
+    base: MetricState,
+    h0_norm: float,
+    lap0_h0: NDArray,
 ) -> FlowRecord:
+    """The record of base + v at flow time s, whose exact volume ratio
+    ratio_ld the march has formed already."""
     grid = base.potential.grid
     v = BasicPotential(values=np.array(v_values), grid=grid)
-    state = relative_state(base, v)
+    state = _state(BasicPotential(values=base.potential.values + v.values, grid=grid), ratio_ld)
     h = state.ricci_potential
     vdot = _rhs(state.ratio, v.values, base)
     dh2 = state.grad_norm_sq(h)
@@ -232,7 +240,6 @@ def _make_flow_record(
         bound_c_min=float((lap_h / growth).min() - lap0_h0.min()),
         bound_d_slack=growth * h0_norm - abs(float(c_s)),
         s_pinch=float(np.abs(state.scalar_curvature - SCALAR_TARGET).max()),
-        holder_h=holder_seminorm(grid, h),
         lap_h_min=float(lap_h.min()),
     )
     return FlowRecord(s=float(s), v=v, h=h, vdot=vdot, monitors=mon)
@@ -273,52 +280,35 @@ class _ChordSolver:
         return self._sweeps(q, b)[0]
 
 
-def run_flow(
-    base: MetricState,
-    s_end: float = 5.0,
-    policy: FlowPolicy = FlowPolicy(),
-) -> FlowTrajectory:
-    """Semi-implicit march of the flow from v = 0 to s_end.
+def _steps(
+    base: MetricState, s_end: float, policy: FlowPolicy
+) -> Iterator[tuple[float, NDArray[np.float64], NDArray[np.longdouble], bool]]:
+    """Semi-implicit march of the flow from v = 0 to s_end.  Yields
+    (s, v, ratio_ld, anchored) at s = 0 and after each accepted step,
+    where ratio_ld is the volume ratio of base + v in extended precision.
 
-    The march carries the volume ratio of base + v from step to step,
-    in extended precision.  Each attempted step solves its linear
-    system by defect correction from a kept inverse of an earlier step
-    matrix (``_ChordSolver``), refreshed by one dense factorization at
-    the first step and whenever a few sweeps do not converge, as after a
-    halving or doubling of the step or in the fast early transient.  The
-    candidate's ratio is the carried one plus Lap(delta)/4 of the step's
-    increment delta, a float64 matvec; it is the admissibility test.  A
-    candidate whose ratio is not positive everywhere (NaN included)
-    halves the step; reaching the step floor returns a partial trajectory
-    with the failure marker set.  Records, each built from a full
-    metric_state, are taken at s = 0, every policy.record_stride accepted
-    steps and at the final time; each re-anchors the carried ratio to the
-    exact ratio of base + v.
-
-    s_end must be positive and below S_END_MAX (about 177 at m = 1),
-    where the records' bound e^{2(m+1)s} still fits in float64.
+    Each attempted step solves its linear system by defect correction
+    from a kept inverse of an earlier step matrix (``_ChordSolver``),
+    refreshed by one dense factorization at the first step and whenever a
+    few sweeps do not converge, as after a halving or doubling of the
+    step or in the fast early transient.  The candidate's ratio is the
+    carried one plus Lap(delta)/4 of the step's increment delta, a float64
+    matvec; it is the admissibility test.  A candidate whose ratio is not
+    positive everywhere (NaN included) halves the step; reaching the step
+    floor raises SolverError.  At s = 0, every policy.record_stride
+    accepted steps and at the last step, ratio_ld is re-anchored to the
+    exact ratio of base + v and the step is yielded as anchored.
     """
-    if not (0.0 < s_end < S_END_MAX):
-        raise ConfigurationError(
-            f"s_end must lie in (0, {S_END_MAX:.6g}), got {s_end}"
-        )
     grid = base.potential.grid
-    h0_norm = float(np.abs(base.ricci_potential).max())
-    lap0_h0 = base.laplacian(base.ricci_potential)
 
-    def record(s: float, v: NDArray) -> tuple[NDArray[np.longdouble], NDArray[np.float64]]:
-        # every record re-anchors the carried ratio to the exact one, so
-        # its drift never spans more than record_stride steps
-        records.append(_make_flow_record(s, v, base, h0_norm, lap0_h0))
+    def anchor(v: NDArray) -> tuple[NDArray[np.longdouble], NDArray[np.float64]]:
         ratio_ld = _ratio_ld(grid, base.potential.values + v)
         return ratio_ld, _admissible(ratio_ld)
 
     v = np.zeros(grid.n)
     s = 0.0
-    records: list[FlowRecord] = []
-    ratio_ld, ratio = record(0.0, v)
-    completed = True
-    failure = None
+    ratio_ld, ratio = anchor(v)
+    yield s, v, ratio_ld, True
     ds = policy.ds
     accepted = 0
     solve_step = _ChordSolver(grid.lap)
@@ -333,55 +323,50 @@ def run_flow(
         except InadmissibleError:
             ds *= 0.5
             if ds < policy.ds_floor:
-                completed = False
-                failure = f"step floor {policy.ds_floor} reached at s = {s:.6g}"
-                break
+                raise SolverError(f"step floor {policy.ds_floor} reached at s = {s:.6g}")
             continue
         v = v + delta
-        ratio_ld, ratio = cand_ratio_ld, cand_ratio
         s += step
         ds = min(ds * 2.0, policy.ds)
         accepted += 1
-        if accepted % policy.record_stride == 0 or s >= s_end - _S_TOL:
-            ratio_ld, ratio = record(s, v)
+        anchored = accepted % policy.record_stride == 0 or s >= s_end - _S_TOL
+        ratio_ld, ratio = anchor(v) if anchored else (cand_ratio_ld, cand_ratio)
+        yield s, v, ratio_ld, anchored
+
+
+def run_flow(
+    base: MetricState,
+    s_end: float = 5.0,
+    policy: FlowPolicy = FlowPolicy(),
+) -> FlowTrajectory:
+    """The flow from v = 0 to s_end (``_steps``), with a record at each
+    anchored step: s = 0, every policy.record_stride accepted steps and
+    the final time.  Reaching the step floor returns the records so far,
+    with completed False and the failure marker set.
+
+    s_end must be positive and below S_END_MAX (about 177 at m = 1),
+    where the records' bound e^{2(m+1)s} still fits in float64.
+    """
+    if not (0.0 < s_end < S_END_MAX):
+        raise ConfigurationError(
+            f"s_end must lie in (0, {S_END_MAX:.6g}), got {s_end}"
+        )
+    h0_norm = float(np.abs(base.ricci_potential).max())
+    lap0_h0 = base.laplacian(base.ricci_potential)
+    records: list[FlowRecord] = []
+    failure = None
+    try:
+        for s, v, ratio_ld, anchored in _steps(base, s_end, policy):
+            if anchored:
+                records.append(_make_flow_record(s, v, ratio_ld, base, h0_norm, lap0_h0))
+    except SolverError as err:
+        failure = str(err)
     return FlowTrajectory(
         initial=base,
         records=tuple(records),
         policy=policy,
-        completed=completed,
+        completed=failure is None,
         failure=failure,
-    )
-
-
-def _prefix(trajectory: FlowTrajectory, s_end: float) -> FlowTrajectory:
-    """The trajectory ``run_flow(trajectory.initial, s_end,
-    trajectory.policy)`` returns, read off a longer march instead of
-    marched again.
-
-    The shorter march takes the same steps and records as the longer one
-    when s_end falls on a record after whole steps of ds; that is checked
-    (InvariantViolation otherwise, also when the longer march stopped
-    before s_end).
-    """
-    recs = trajectory.records
-    last = next(
-        (k for k, rec in enumerate(recs) if rec.s >= s_end - _S_TOL), len(recs) - 1
-    )
-    policy = trajectory.policy
-    if not (
-        last * policy.record_stride == round(s_end / policy.ds)
-        and abs(recs[last].s - s_end) <= _S_TOL
-    ):
-        raise InvariantViolation(
-            f"s = {s_end} is not a record after whole steps of {policy.ds} "
-            f"in a march that ended at s = {recs[-1].s:.6g}"
-        )
-    return FlowTrajectory(
-        initial=trajectory.initial,
-        records=recs[: last + 1],
-        policy=policy,
-        completed=True,
-        failure=None,
     )
 
 
@@ -408,9 +393,10 @@ class SmoothingReport:
 def smoothing_monitors(
     trajectory: FlowTrajectory, one_minus_t: Optional[float] = None
 ) -> SmoothingReport:
-    """Aggregate the per-record monitor bounds and, at s = 1, the
-    time-one potential bound, the one-sided metric sandwich (reported,
-    never assumed), and the fitted smoothing constants.
+    """Aggregate the per-record monitor bounds and, from the record at
+    s = 1, the time-one potential bound, the one-sided metric sandwich
+    (reported, never assumed), and the fitted smoothing constants.  The
+    time-one section is None when no record lies within _S_TOL of s = 1.
 
     The two fitted constants follow the shapes the smoothing estimates
     take for a flow started from a continuity-path state at parameter t
@@ -429,8 +415,8 @@ def smoothing_monitors(
     lo = hi = None
     held = None
     c1 = c7 = None
-    if recs[-1].s >= 1.0:
-        rec1 = trajectory.record_at(1.0)
+    rec1 = trajectory.record_at(1.0)
+    if abs(rec1.s - 1.0) <= _S_TOL:
         u_slack = (math.exp(MP1) / MP1) * h0_norm - rec1.v.sup()
         grid = base.potential.grid
         # the sandwich and the centring of h_1 read only the volume ratio
@@ -443,7 +429,7 @@ def smoothing_monitors(
             h1_centered = h1 - float((grid.w * r_tot) @ h1)
             denom = one_minus_t ** (1.0 / 3.0) * h0_norm ** (2.0 / 3.0)
             c1 = float(np.abs(h1_centered).max() / denom) if denom > 0 else None
-            holder_norm = float(np.abs(h1).max()) + rec1.monitors.holder_h
+            holder_norm = float(np.abs(h1).max()) + holder_seminorm(grid, h1)
             denom7 = one_minus_t ** (1.0 / 6.0) * (1.0 + h0_norm) ** (5.0 / 6.0)
             c7 = holder_norm / denom7 if denom7 > 0 else None
 

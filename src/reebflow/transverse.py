@@ -350,8 +350,13 @@ def metric_state(phi: BasicPotential) -> MetricState:
 
     Raises InadmissibleError when the deformed structure is not positive.
     """
+    return _state(phi, _ratio_ld(phi.grid, phi.values))
+
+
+def _state(phi: BasicPotential, ratio_ld: NDArray[np.longdouble]) -> MetricState:
+    """``metric_state(phi)`` from the ratio ``_ratio_ld(grid, phi.values)``
+    formed already: one Laplacian, for the scalar curvature."""
     grid = phi.grid
-    ratio_ld = _ratio_ld(grid, phi.values)
     ratio = _admissible(ratio_ld)
     h, c = _ricci_potential(grid, ratio, phi.values)
     scalar = (

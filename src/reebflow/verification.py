@@ -42,11 +42,13 @@ from .curvature import (
 )
 from .errors import ConfigurationError
 from .flow import (
+    _S_TOL,
+    FlowPolicy,
     FlowTrajectory,
     PinchResult,
-    _prefix,
+    _make_flow_record,
+    _steps,
     epsilon_pinching,
-    run_flow,
 )
 from .functionals import (
     FunctionalLedger,
@@ -335,42 +337,43 @@ def flow_suite(
     psi-deformed base (relative tolerance 1e-6 against their proof
     bounds), exact stationarity of the Einstein structure, and
     agreement of the s = 5 flow limit with the continuity endpoint up
-    to a constant.  One march from the base serves both: the s in
-    [0, 2] trajectory is its first records, as a march to s = 2 would
-    produce them bit for bit."""
+    to a constant.  One march from the base to s = 5 serves both: it
+    builds records at its anchored steps up to s = 2, the records
+    ``run_flow(base, 2.0)`` returns, bit for bit, and its last v is the
+    flow limit.  The round reference march builds no record."""
     grid = make_grid(n)
     psi = _manufactured_psi(grid)
     base = metric_state(psi)
     h0 = base.ricci_potential
     h0n = float(np.abs(h0).max())
-    lap0_min = float(base.laplacian(h0).min())
+    lap0_h0 = base.laplacian(h0)
+    lap0_min = float(lap0_h0.min())
     c_scale = abs(lap0_min) if abs(lap0_min) > 1e-12 else 1.0
     mp1 = M_DIM + 1
 
-    traj5 = run_flow(base, s_end=5.0)
-    traj2 = _prefix(traj5, 2.0)
-    min_rel_a = np.inf
-    min_rel_b = np.inf
-    min_rel_c = np.inf
-    min_rel_d = np.inf
-    worst_constancy = 0.0
-    for rec in traj2.records:
-        mon = rec.monitors
-        scale_a = np.exp(mp1 * rec.s) * h0n
-        scale_b = 4.0 * np.exp(2.0 * mp1 * rec.s) * h0n**2
-        min_rel_a = min(min_rel_a, mon.bound_a_slack / scale_a)
-        min_rel_b = min(min_rel_b, mon.bound_b_slack / scale_b)
-        min_rel_c = min(min_rel_c, mon.bound_c_min / c_scale)
-        min_rel_d = min(min_rel_d, mon.bound_d_slack / scale_a)
-        worst_constancy = max(worst_constancy, mon.constancy_dev)
+    policy = FlowPolicy()
+    records = []
+    for s, v5, ratio_ld, anchored in _steps(base, 5.0, policy):
+        if anchored and s <= 2.0 + _S_TOL:
+            records.append(_make_flow_record(s, v5, ratio_ld, base, h0n, lap0_h0))
+    traj2 = FlowTrajectory(
+        initial=base, records=tuple(records), policy=policy, completed=True, failure=None
+    )
+    mons = [rec.monitors for rec in records]
+    scale_a = [np.exp(mp1 * rec.s) * h0n for rec in records]
+    scale_b = [4.0 * np.exp(2.0 * mp1 * rec.s) * h0n**2 for rec in records]
+    min_rel_a = min(m.bound_a_slack / sc for m, sc in zip(mons, scale_a))
+    min_rel_b = min(m.bound_b_slack / sc for m, sc in zip(mons, scale_b))
+    min_rel_c = min(m.bound_c_min / c_scale for m in mons)
+    min_rel_d = min(m.bound_d_slack / sc for m, sc in zip(mons, scale_a))
+    worst_constancy = max(m.constancy_dev for m in mons)
 
-    round_traj = run_flow(reference_state(grid), s_end=5.0)
+    # v over every step of the round march, not only at records
     stationary = max(
-        float(np.abs(rec.v.values).max()) for rec in round_traj.records
+        float(np.abs(v).max()) for _, v, _, _ in _steps(reference_state(grid), 5.0, policy)
     )
 
-    v5 = traj5.endpoint().v
-    v5_centered = v5.values - grid.integrate(v5.values)
+    v5_centered = v5 - grid.integrate(v5)
     if path_endpoint is None:
         path_endpoint = run_continuity_path(base).endpoint().phi
     phi_centered = path_endpoint.values - grid.integrate(path_endpoint.values)

@@ -6,13 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reebflow import continuity, flow, functionals, transverse
+from reebflow import continuity, flow, functionals, transverse, verification
 from reebflow import (
     BasicPotential,
     ConfigurationError,
     FlowPolicy,
     InadmissibleError,
-    InvariantViolation,
     epsilon_pinching,
     flow_rhs,
     holder_seminorm,
@@ -162,36 +161,36 @@ class TestRunFlow:
     def test_laplacians_per_record_not_per_step(self, base96, monkeypatch, stride):
         # between records the march carries the ratio by a float64 matvec
         # of each step's increment: no Laplacian per attempted step; each
-        # record builds one metric state (two Laplacians), applies one
-        # more to h_s and one to re-anchor the carried ratio; the set-up
-        # applies one to h_0
-        laps_per_record, setup_laps = 4, 1
+        # record re-anchors the carried ratio (one Laplacian), builds its
+        # state on that ratio (one more, for the scalar curvature) and
+        # applies one to h_s; the set-up applies one to h_0
+        laps_per_record, setup_laps = 3, 1
         calls = Counter()
         real_lap = Grid._laplacian_ld
-        real_state = transverse.metric_state
+        real_state = transverse._state
         real_step = flow._ChordSolver.__call__
 
         def lap(self, f):
             calls["laplacian"] += 1
             return real_lap(self, f)
 
-        def state(phi):
-            calls["metric_state"] += 1
-            return real_state(phi)
+        def state(phi, ratio_ld):
+            calls["state"] += 1
+            return real_state(phi, ratio_ld)
 
         def step(self, q, b):
             calls["step"] += 1
             return real_step(self, q, b)
 
         monkeypatch.setattr(Grid, "_laplacian_ld", lap)
-        monkeypatch.setattr(transverse, "metric_state", state)
-        monkeypatch.setattr(functionals, "metric_state", state)
+        monkeypatch.setattr(transverse, "_state", state)
+        monkeypatch.setattr(flow, "_state", state)
         monkeypatch.setattr(flow._ChordSolver, "__call__", step)
         traj = run_flow(base96, s_end=0.04, policy=FlowPolicy(record_stride=stride))
         assert traj.completed
         assert calls["step"] == 40
         assert len(traj.records) == (2 if stride > 40 else 5)
-        assert calls["metric_state"] == len(traj.records)
+        assert calls["state"] == len(traj.records)
         assert calls["laplacian"] == laps_per_record * len(traj.records) + setup_laps
 
     def test_records_carry_lap_h_min(self, base96, traj96):
@@ -263,8 +262,8 @@ class TestCarriedRatio:
     def test_round_reference_applies_no_step_laplacian(self, ref128, counts):
         traj = run_flow(ref128, s_end=1.0, policy=FlowPolicy(record_stride=100))
         assert traj.completed and len(traj.records) == 11
-        # one Laplacian for h_0, four per record, none per step
-        assert counts["laplacian"] == 1 + 4 * len(traj.records)
+        # one Laplacian for h_0, three per record, none per step
+        assert counts["laplacian"] == 1 + 3 * len(traj.records)
         assert all(not r.v.values.any() for r in traj.records)
         assert all(not r.vdot.any() for r in traj.records)
 
@@ -339,29 +338,42 @@ class TestChordStep:
         assert all(not r.v.values.any() for r in traj.records)
 
 
-class TestPrefix:
-    @pytest.fixture(scope="class")
-    def long96(self, base96):
-        return run_flow(base96, s_end=2.5)
-
-    def test_equals_the_shorter_march(self, base96, long96):
-        # the flow suite reads its s in [0, 2] trajectory off the march to s = 5
+class TestFlowSuiteMarch:
+    def test_records_equal_the_shorter_march(self, grid96, base96):
+        # the flow suite builds its s in [0, 2] records off the march to s = 5
         short = run_flow(base96, s_end=2.0)
-        prefix = flow._prefix(long96, 2.0)
-        assert (prefix.completed, prefix.failure, prefix.policy) == (
+        _, traj = verification.flow_suite(n=96, path_endpoint=BasicPotential.zero(grid96))
+        assert (traj.completed, traj.failure, traj.policy) == (
             short.completed, short.failure, short.policy)
-        assert len(prefix.records) == len(short.records) == 201
-        for a, b in zip(prefix.records, short.records):
+        assert len(traj.records) == len(short.records) == 201
+        for a, b in zip(traj.records, short.records):
             assert a.s == b.s and a.monitors == b.monitors
             for field in ("h", "vdot"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
             assert np.array_equal(a.v.values, b.v.values)
 
-    @pytest.mark.parametrize("s_end", [1.995, 3.0])
-    def test_end_off_a_record_is_refused(self, long96, s_end):
-        # 1.995 falls between records, 3.0 past the end of the march
-        with pytest.raises(InvariantViolation):
-            flow._prefix(long96, s_end)
+    def test_stationarity_reads_every_step(self, monkeypatch):
+        # +eps and then -eps on two round-reference steps between its last
+        # records: v is far below the tolerance at every record, not at
+        # every step
+        eps = 1e-9
+        real_step = flow._ChordSolver.__call__
+        round_steps = []
+
+        def step(self, q, b):
+            x = real_step(self, q, b)
+            # the round march's right-hand side starts out exactly zero
+            if round_steps or not b.any():
+                round_steps.append(1)
+                x = x + {4995: eps, 4996: -eps}.get(len(round_steps), 0.0)
+            return x
+
+        monkeypatch.setattr(flow._ChordSolver, "__call__", step)
+        grid = transverse.make_grid(64)
+        checks, _ = verification.flow_suite(n=64, path_endpoint=BasicPotential.zero(grid))
+        assert len(round_steps) == 5000
+        stationary = next(c for c in checks if c.name == "flow-stationary-round")
+        assert not stationary.passed and stationary.value >= eps
 
 
 class TestHolderSeminorm:
@@ -433,6 +445,17 @@ class TestSmoothing:
         )
         with pytest.raises(ConfigurationError):
             smoothing_monitors(short)
+
+    @pytest.mark.parametrize("stride", [300, 10**6])
+    def test_no_time_one_section_without_a_record_at_one(self, base96, stride):
+        # records at s = 0.9 and 1.2 (stride 300) or at 0 and 2 only: none
+        # is the time-one section
+        traj = run_flow(base96, s_end=2.0, policy=FlowPolicy(record_stride=stride))
+        assert all(abs(r.s - 1.0) > 0.05 for r in traj.records)
+        rep = smoothing_monitors(traj, one_minus_t=0.4)
+        assert rep.u_bound_slack is None
+        assert rep.sandwich_held is None
+        assert rep.c1_fit is None and rep.c7_fit is None
 
     def test_no_time_one_section_when_flow_is_short(self, base96):
         traj = run_flow(base96, s_end=0.5, policy=FlowPolicy(record_stride=100))

@@ -47,6 +47,7 @@ REMOVED = {
         "PreconditionError",
     ),
     "reebflow.errors": ("PreconditionError",),
+    "reebflow.flow": ("_prefix",),
 }
 
 # members of classes that no caller set and nothing read
@@ -57,6 +58,7 @@ REMOVED_MEMBERS = {
     ("reebflow.continuity", "PathDiagnostics"): ("decay_profile", "endpoint_growth_constant"),
     ("reebflow.transverse", "BasicPotential"): ("mean",),
     ("reebflow.flow", "SmoothingReport"): ("holder_track",),
+    ("reebflow.flow", "FlowMonitors"): ("holder_h",),
 }
 
 # parameters that no caller set, by the function that took them
