@@ -10,10 +10,11 @@ against the base (potentials compose additively, so it is the elementwise
 quotient of reference ratios) and h_base is the base Ricci potential.
 
 The solver is a damped Newton iteration with the exact Jacobian of the
-reduced equation; the linear solves go through a least-squares solve
-because at t = 1 over the round structure the linearization has the
-one-dimensional automorphism kernel (the Moebius direction), and the
-minimum-norm step simply never moves along it.
+reduced equation.  Below t = 1 the linearization is invertible and each
+step is an LU solve.  At t = 1 it has the one-dimensional automorphism
+kernel (the Moebius direction, Laplacian eigenvalue -4(m+1)), so
+there the step is the minimum-norm least-squares solution, which never
+moves along that kernel.
 
 Paths in t are marched adaptively with warm starts by one stepper,
 ``_march``: it tries t + dt, halves dt when Newton fails, doubles it back
@@ -127,7 +128,8 @@ def solve_ma_at_t(
     evaluated once, from one Laplacian; its margin and defect stay in
     float64, the rounding that fixes the iterates.  A guess whose margin
     is not positive raises ConfigurationError; a residual that is not
-    finite or a failed least-squares solve raises SolverError.
+    finite, or a failed linear solve (LU below t = 1, minimum-norm least
+    squares at the t = 1 kernel), raises SolverError.
     """
     if not (0.0 < t <= 1.0):
         raise ConfigurationError(f"t must lie in (0, 1], got {t}")
@@ -151,7 +153,10 @@ def solve_ma_at_t(
         trace.append(res)
         jac = ma_jacobian(BasicPotential(values=phi, grid=grid), t, base)
         try:
-            step = np.linalg.lstsq(jac, -defect, rcond=1e-10)[0]
+            if t < 1.0:
+                step = np.linalg.solve(jac, -defect)
+            else:
+                step = np.linalg.lstsq(jac, -defect, rcond=1e-10)[0]
         except np.linalg.LinAlgError as err:
             raise SolverError(f"Newton step failed at t = {t:.6g}: {err}", trace=trace) from err
         if res < policy.newton_tol:

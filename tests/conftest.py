@@ -71,13 +71,19 @@ def rng():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts Laplacian applications, lstsq calls and metric states."""
+    """Counts Laplacian applications, dense solves and lstsq calls, and
+    metric states."""
     calls = Counter()
-    real_lap, real_lstsq, real_state = Grid._laplacian_ld, np.linalg.lstsq, transverse.metric_state
+    real_lap, real_state = Grid._laplacian_ld, transverse.metric_state
+    real_solve, real_lstsq = np.linalg.solve, np.linalg.lstsq
 
     def lap(self, f):
         calls["laplacian"] += 1
         return real_lap(self, f)
+
+    def solve(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
 
     def lstsq(*args, **kwargs):
         calls["lstsq"] += 1
@@ -88,6 +94,7 @@ def counts(monkeypatch):
         return real_state(phi)
 
     monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+    monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     monkeypatch.setattr(transverse, "metric_state", state)
     monkeypatch.setattr(functionals, "metric_state", state)

@@ -113,12 +113,31 @@ class TestNewtonSolve:
         assert info.value.trace == [np.inf]
 
     def test_linalg_error_is_a_solver_error(self, base96, monkeypatch):
-        def lstsq(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+        # below t = 1 the step is an LU solve, and lstsq is never reached
+        def solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
 
+        def lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called below t = 1")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         with pytest.raises(SolverError, match="Newton step failed at t = 0.5") as info:
             solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+        assert len(info.value.trace) == 1
+
+    def test_linalg_error_at_the_kernel_is_a_solver_error(self, base96, monkeypatch):
+        # at t = 1 the step is the minimum-norm least-squares solution
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        def solve(*args, **kwargs):
+            raise AssertionError("LU solve called at t = 1")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(SolverError, match="Newton step failed at t = 1:") as info:
+            solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
         assert len(info.value.trace) == 1
 
     @pytest.mark.parametrize(
@@ -227,13 +246,42 @@ class TestContinuityPath:
 class TestOperatorCounts:
     def test_newton_applies_one_laplacian_per_candidate(self, base96, counts):
         # a solve that never backtracks: one Laplacian for the guess, one
-        # per Newton candidate and one for the polished iterate
+        # per Newton candidate and one for the polished iterate; each step
+        # is an LU solve below t = 1
         counts.clear()
         phi = solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+        solves = counts["solve"]
+        assert solves >= 3
+        assert counts == {"laplacian": solves + 1, "solve": solves}
+        assert np.abs(ma_defect(phi, 0.5, base96)).max() < 1e-10
+
+    def test_newton_at_the_kernel_steps_by_lstsq(self, base96, counts):
+        counts.clear()
+        phi = solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
         solves = counts["lstsq"]
         assert solves >= 3
         assert counts == {"laplacian": solves + 1, "lstsq": solves}
-        assert np.abs(ma_defect(phi, 0.5, base96)).max() < 1e-10
+        assert np.abs(ma_defect(phi, 1.0, base96)).max() < 1e-10
+
+    def test_path_newton_iterations_pinned(self, base128, counts, monkeypatch):
+        # the n = 128 path suite's two paths take 205 Newton iterations
+        # (one Jacobian each), a count the choice of linear solver must not
+        # raise; the steps at t = 1, and only those, are least squares
+        ts = []
+        real_jacobian = continuity.ma_jacobian
+
+        def jacobian(phi, t, base):
+            ts.append(t)
+            return real_jacobian(phi, t, base)
+
+        monkeypatch.setattr(continuity, "ma_jacobian", jacobian)
+        for records in (None, 48):
+            assert run_continuity_path(base128, records=records).completed
+        at_one = sum(t == 1.0 for t in ts)
+        assert len(ts) <= 205
+        assert at_one >= 2
+        assert counts["lstsq"] == at_one
+        assert counts["solve"] == len(ts) - at_one
 
     def test_defect_reads_one_ratio(self, base96, counts):
         phi = BasicPotential.from_callable(base96.grid, lambda x: 0.05 * np.sin(2 * x))
