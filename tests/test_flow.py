@@ -293,12 +293,12 @@ def step_log(monkeypatch):
 
 class TestChordStep:
     def test_matches_a_dense_solve(self, base96, step_log):
-        # the early transient refreshes the inverse at each step; the
-        # later steps reuse it
+        # the transient refreshes the inverse ever more rarely (at steps
+        # 1, 2, 4, 6, 8, ..., 90 and 141); every other step reuses it
         run_flow(base96, s_end=0.2, policy=FlowPolicy(record_stride=10**6))
         steps = step_log["steps"]
         assert len(steps) == 200
-        assert len(step_log["factorizations"]) < 150
+        assert len(step_log["factorizations"]) <= 14
         lap = base96.potential.grid.lap
         for q, b, x in steps:
             exact = step_log["exact"](np.eye(len(b)) - q[:, None] * lap, b)

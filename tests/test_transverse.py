@@ -21,6 +21,9 @@ from reebflow import transverse
 from reebflow.transverse import SCALAR_TARGET, log_mean_exp
 
 
+PARITY_SIZES = [8, 9, 63, 64, 128, 256]
+
+
 def legendre_values(k, x):
     c = np.zeros(k + 1)
     c[k] = 1.0
@@ -60,16 +63,68 @@ class TestGrid:
         back = (2 * k + 1) * (grid96.vander.T @ (grid96.w * f))
         np.testing.assert_allclose(back, c, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [8, 64, 128, 256])
-    def test_dcoef_matches_legder(self, n):
-        # column j holds the Legendre coefficients of P_j'
-        expected = np.zeros((n, n))
-        for j in range(1, n):
-            e = np.zeros(j + 1)
-            e[j] = 1.0
-            dc = legendre.legder(e)
-            expected[: len(dc), j] = dc
-        assert np.array_equal(make_grid(n)._dcoef_ld, expected.astype(np.longdouble))
+    @pytest.mark.parametrize("n", [8, 9, 64, 128, 256])
+    def test_legder_matches_numpy(self, n):
+        # the coefficients of P_j' for each j, split by parity and joined
+        for j in range(n):
+            c = np.zeros(n, dtype=np.longdouble)
+            c[j] = 1.0
+            d_even, d_odd = transverse._legder_ld(c[0::2], c[1::2])
+            d = np.empty(n, dtype=np.longdouble)
+            d[0::2], d[1::2] = d_even, d_odd
+            expected = np.zeros(n)
+            dc = legendre.legder(np.eye(j + 1)[j])
+            expected[: len(dc)] = dc
+            assert np.array_equal(d, expected.astype(np.longdouble))
+
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_grid_is_parity_symmetric(self, n):
+        # the parity split of the transforms relies on all three, exactly
+        grid = make_grid(n)
+        assert np.array_equal(grid.x[::-1], -grid.x)
+        assert np.array_equal(grid.w[::-1], grid.w)
+        assert np.array_equal(grid._w_ld[::-1], grid._w_ld)
+        x, _ = transverse._nodes_weights_ld(n)
+        v = transverse._vander_ld(n, x)
+        assert np.array_equal(v[::-1], v * (-1.0) ** np.arange(n))
+        # so the float64 table mirrored from half the nodes is the direct one
+        assert np.array_equal(grid.vander, v.astype(np.float64))
+
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_transforms_match_full_products(self, n):
+        grid = make_grid(n)
+        x, w = transverse._nodes_weights_ld(n)
+        v = transverse._vander_ld(n, x)
+        k = np.arange(n)
+        fwd = (2 * k + 1)[:, None] * (v.T * (w / 2)[None, :])
+        gap = k[None, :] - k[:, None]
+        dcoef = np.where((gap > 0) & (gap % 2 == 1), 2 * k[:, None] + 1, 0).astype(np.longdouble)
+        lam = (-4 * k * (k + 1)).astype(np.longdouble)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            f = grid.from_coeffs(rng.standard_normal(n)).astype(np.longdouble)
+            lap = v @ (lam * (fwd @ (f - (w / 2) @ f)))
+            df = v @ (dcoef @ (fwd @ f))
+            assert np.abs(grid._laplacian_ld(f) - lap).max() <= 1e-17 * np.abs(lap).max()
+            assert np.abs(grid._deriv_ld(f) - df).max() <= 1e-17 * np.abs(df).max()
+
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_no_full_longdouble_table(self, n):
+        grid = make_grid(n)
+        tables = [
+            value
+            for value in vars(grid).values()
+            if isinstance(value, np.ndarray) and value.dtype == np.longdouble
+        ]
+        assert all(t.shape != (n, n) for t in tables)
+        # a Laplacian makes one multiply-add per entry of the 2-D tables:
+        # 2 n ceil(n/2), which is n^2 for even n
+        assert sum(t.size for t in tables if t.ndim == 2) == 2 * n * ((n + 1) // 2)
+
+    @pytest.mark.parametrize("shape", [(95,), (97,), (96, 2)])
+    def test_deriv_refuses_a_field_of_another_shape(self, grid96, shape):
+        with pytest.raises(GridMismatchError):
+            grid96.deriv(np.zeros(shape))
 
     def test_integrate_moments(self, grid128):
         # int x^k dx/2 = 1/(k+1) for even k, 0 for odd k
