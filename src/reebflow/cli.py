@@ -184,8 +184,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = add("flow", "potential-level flow march in s", 128)
     p.add_argument("--psi", default="0.3*(1-x^2)")
     p.add_argument("--s-end", type=float, default=5.0)
-    p.add_argument("--ds", type=float, default=1e-3)
-    p.add_argument("--stride", type=int, default=10, help="record stride")
+    p.add_argument("--ds", type=float, default=5e-3)
+    p.add_argument("--stride", type=int, default=2, help="record every stride * ds of flow time")
 
     p = add("scan", "(J, F) scan over a potential family", 256)
     p.add_argument("--family", choices=("mobius", "bump"), default="mobius")

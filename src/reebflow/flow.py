@@ -10,23 +10,34 @@ grows like e^{(m+1)s} (v and v + c e^{(m+1)s} trace the same geometry),
 so all convergence statements are up to a constant, and the monitors
 work with the per-state Ricci potential h_s, which renormalizes itself.
 
-Stepping is semi-implicit: log r_base(v) is linearized about the current
-state and its Laplacian part advanced implicitly, while the zeroth-order
-(m+1)v term stays explicit.  The Laplacian is what makes the problem
-stiff; the zeroth-order term is harmless at Delta s = 1e-3.
+Stepping is second-order semi-implicit BDF2 with variable steps (the
+implicit-explicit splitting of Ascher, Ruuth and Wetton, SIAM J. Numer.
+Anal. 32, 1995): each step linearizes log r_base(v) about a point
+extrapolated from the last two states and advances its Laplacian part
+implicitly by the two-step backward difference, while the zeroth-order
+(m+1)v term stays explicit at the extrapolated point.  The first step has
+no history and is linearly implicit Euler.  The Laplacian is what makes
+the problem stiff; the zeroth-order term is harmless at Delta s = 5e-3.
+The start is graded: the fast early modes decay within s ~ 0.05, so the
+first step is Delta s/16 and each accepted step lets the next grow by a
+tenth, up to Delta s after about 30 steps.  Steps are shortened to land
+on every record time, the gap to it split evenly.  At the default Delta s = 5e-3 the march to s = 2 takes 422 steps,
+and its records are off by at most 5e-4 of a column's sup, against 9.5e-3
+for the first-order step at 1e-3 in 2,000 steps and 3.0e-2 for uniform
+BDF2 steps of 5e-3, whose first records under-resolve the transient
+(benchmarks/FLOW_ACCURACY.md).
 
-The step matrix I - Delta s Lap/(4r) moves only by O(Delta s) from one
-step to the next, so the march keeps one inverse of it and reuses it by
-defect correction (the chord method): each step starts from the kept
-inverse applied to the right-hand side and makes at most five sweeps
-x += P (b - A x), two float64 matvecs each, until the correction is
-below a relative tolerance.  When the sweeps do not get there (the first
-step, a halving or doubling of the step, the fast early transient) the
+The step matrix I - Delta s Lap/(4 a r), with a = 3/2 at a constant step
+(1 on the first), moves only by O(Delta s) from one step to the next, so
+the march keeps one inverse of it and reuses it by defect correction (the
+chord method): each step starts from the kept inverse applied to the
+right-hand side and makes at most five sweeps x += P (b - A x), two
+float64 matvecs each, until the correction is below a relative
+tolerance.  When the sweeps do not get there (the growing steps of the
+graded start, a halving of the step, the fast early transient) the
 inverse is refreshed from this step's matrix and the step is redone from
-it.  Five sweeps let a kept inverse outlive the transient: the march of
-the psi = 0.3(1-x^2) base to s = 2 at n = 128 makes 18 factorizations,
-all before s = 0.62, where three sweeps made 239, about one every third
-step up to s = 1.1.
+it.  The march of the psi = 0.3(1-x^2) base to s = 2 at n = 128 makes
+39 factorizations in its 422 steps, the last at s = 0.87.
 
 Between anchors the march carries only the volume ratio r_base(v), in
 extended precision.  The ratio is affine in the potential, r(v + delta) =
@@ -34,12 +45,14 @@ r(v) + Lap(delta)/4, so each attempted step forms its candidate's ratio
 from the carried one and a float64 matvec of the dense Laplacian with the
 step's mean-free increment, and casts and checks it as metric_state does.
 That ratio is the admissibility test of the candidate and, once the step
-is accepted, the ratio the next step linearizes about.  No step applies
-an extended-precision Laplacian or builds a metric state.  The march
+is accepted, the carried ratio; the next step reuses the same matvec for
+the ratio at its extrapolated point.  No step applies an
+extended-precision Laplacian or builds a metric state.  The march
 (``_steps``) re-anchors the carried ratio to the exact one (one Laplacian)
-at s = 0, every record_stride accepted steps and its last step, so the
-drift of the carry (about 1e-12 relative at n = 128) never spans more than
-record_stride steps; run_flow takes its records at exactly those steps.
+at s = 0, at every record time (the multiples of record_stride * Delta s)
+and at its last step, so the drift of the carry (about 1e-12 relative at
+n = 128) never spans more than one record interval; run_flow takes its
+records at exactly those steps.
 
 Monitor quantities are recomputed from scratch at every record, from a
 state built on the anchored ratio, never evolved, so the
@@ -115,6 +128,10 @@ _S_TOL = 1e-12
 # the sup of the last correction relative to the sup of the solution
 _CHORD_SWEEPS = 5
 _CHORD_TOL = 1e-13
+# the graded start: the first step is this fraction of FlowPolicy.ds, and
+# each accepted step lets the next grow by _GROWTH, up to FlowPolicy.ds
+_START_FRACTION = 1.0 / 16.0
+_GROWTH = 1.1
 
 
 def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
@@ -153,8 +170,13 @@ def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class FlowPolicy:
-    ds: float = 1e-3
-    record_stride: int = 10
+    """The step ds (reached after the graded start, halved on an
+    inadmissible candidate, never below ds_floor) and a record at every
+    multiple of record_stride * ds in flow time.  The defaults take 422
+    BDF2 steps to s = 2 and record at multiples of 0.01."""
+
+    ds: float = 5e-3
+    record_stride: int = 2
     ds_floor: float = 1e-6
 
     def __post_init__(self):
@@ -250,7 +272,7 @@ def _make_flow_record(
 
 
 class _ChordSolver:
-    """Solves the step system (I - diag(q) Lap) x = b, q = step/(4r), by
+    """Solves the step system (I - diag(q) Lap) x = b, q = step/(4 a r), by
     defect correction from one kept inverse P of an earlier step matrix.
 
     A call starts from x = P b and makes at most _CHORD_SWEEPS sweeps
@@ -287,54 +309,89 @@ class _ChordSolver:
 def _steps(
     base: MetricState, s_end: float, policy: FlowPolicy
 ) -> Iterator[tuple[float, NDArray[np.float64], NDArray[np.longdouble], bool]]:
-    """Semi-implicit march of the flow from v = 0 to s_end.  Yields
+    """Semi-implicit BDF2 march of the flow from v = 0 to s_end.  Yields
     (s, v, ratio_ld, anchored) at s = 0 and after each accepted step,
     where ratio_ld is the volume ratio of base + v in extended precision.
 
-    Each attempted step solves its linear system by defect correction
-    from a kept inverse of an earlier step matrix (``_ChordSolver``),
-    refreshed by one dense factorization at the first step and whenever a
-    few sweeps do not converge, as after a halving or doubling of the
-    step or in the fast early transient.  The candidate's ratio is the
-    carried one plus Lap(delta)/4 of the step's increment delta, a float64
-    matvec; it is the admissibility test.  A candidate whose ratio is not
-    positive everywhere (NaN included) halves the step; reaching the step
-    floor raises SolverError.  At s = 0, every policy.record_stride
-    accepted steps and at the last step, ratio_ld is re-anchored to the
-    exact ratio of base + v and the step is yielded as anchored.
+    The step length h is capped: policy.ds * _START_FRACTION on the first
+    step, then grown by _GROWTH per accepted step up to policy.ds.  The
+    gap to the next record time (a multiple of policy.record_stride *
+    policy.ds) or to s_end is split into the fewest equal steps no longer
+    than the cap, so the march lands on each record time.  A step of length h after an accepted step h' with increment d
+    takes omega = h/h' (0 on the first step, which is linearly implicit
+    Euler) and solves the variable-step BDF2 relation
+
+        a delta - c d = h rhs(v + delta),
+        a = (1 + 2 omega)/(1 + omega),  c = omega^2/(1 + omega),
+
+    with rhs linearized about the extrapolated point v* = v + omega d:
+    its Laplacian part, Lap(delta - omega d)/(4 r*), implicitly, the rest
+    at v*.  r* = r + omega Lap(d)/4 reuses d's Laplacian from the carried
+    ratio and is checked like a candidate.  The system (I - q Lap) delta
+    = b, q = h/(4 a r*), is solved by defect correction from a kept
+    inverse of an earlier step matrix (``_ChordSolver``), refreshed by one
+    dense factorization at the first step and whenever a few sweeps do
+    not converge, as when omega or the step changes or in the fast early
+    transient.  The candidate's ratio is the carried one plus Lap(delta)/4,
+    a float64 matvec; it is the admissibility test.  A candidate or
+    extrapolated ratio that is not positive everywhere (NaN included)
+    halves the step (the cap becomes half the rejected step); reaching the
+    step floor raises SolverError.  At s = 0, at each record time and at
+    the last step, ratio_ld is re-anchored to the exact ratio of base + v
+    and the step is yielded as anchored.
     """
     grid = base.potential.grid
 
-    def anchor(v: NDArray) -> tuple[NDArray[np.longdouble], NDArray[np.float64]]:
+    def anchor(v: NDArray) -> NDArray[np.longdouble]:
         ratio_ld = _ratio_ld(grid, base.potential.values + v)
-        return ratio_ld, _admissible(ratio_ld)
+        _admissible(ratio_ld)
+        return ratio_ld
 
     v = np.zeros(grid.n)
     s = 0.0
-    ratio_ld, ratio = anchor(v)
+    ratio_ld = anchor(v)
     yield s, v, ratio_ld, True
-    ds = policy.ds
-    accepted = 0
+    # the step cap: a fraction of policy.ds at the start, grown on each
+    # accepted step and halved with a rejected one
+    ds = policy.ds * _START_FRACTION
+    record_ds = policy.record_stride * policy.ds
+    next_record = 1
+    # the last accepted step, its increment d and Lap(d) of d's mean-free part
+    last_step, d, lap_d = None, np.zeros(grid.n), np.zeros(grid.n)
     solve_step = _ChordSolver(grid.lap)
     while s < s_end - _S_TOL:
-        step = min(ds, s_end - s)
-        delta = solve_step(step / (4.0 * ratio), step * _rhs(ratio, v, base))
-        # the ratio is affine in the potential: r(v + delta) = r(v) +
-        # Lap(delta)/4, with delta's mean removed first as _laplacian_ld does
-        cand_ratio_ld = ratio_ld + (grid.lap @ (delta - grid.w @ delta)) / 4.0
+        # the gap to the next record time in equal steps no longer than the
+        # cap; a gap a rounding error above a whole number of steps is not
+        # split once more
+        target = min(next_record * record_ds, s_end)
+        parts = max(1, math.ceil((target - s) / ds - 1e-9))
+        step = (target - s) / parts
+        omega = 0.0 if last_step is None else step / last_step
+        a, c = (1.0 + 2.0 * omega) / (1.0 + omega), omega**2 / (1.0 + omega)
         try:
-            cand_ratio = _admissible(cand_ratio_ld)
+            # the ratio is affine in the potential: r(v + e) = r(v) + Lap(e)/4,
+            # with e's mean removed first as _laplacian_ld does
+            ratio_x = _admissible(ratio_ld + omega * lap_d / 4.0)
+            q = step / (4.0 * a * ratio_x)
+            b = (c * d + step * _rhs(ratio_x, v + omega * d, base) - a * omega * q * lap_d) / a
+            delta = solve_step(q, b)
+            lap_delta = grid.lap @ (delta - grid.w @ delta)
+            cand_ratio_ld = ratio_ld + lap_delta / 4.0
+            _admissible(cand_ratio_ld)
         except InadmissibleError:
-            ds *= 0.5
+            ds = 0.5 * step
             if ds < policy.ds_floor:
                 raise SolverError(f"step floor {policy.ds_floor} reached at s = {s:.6g}")
             continue
         v = v + delta
-        s += step
-        ds = min(ds * 2.0, policy.ds)
-        accepted += 1
-        anchored = accepted % policy.record_stride == 0 or s >= s_end - _S_TOL
-        ratio_ld, ratio = anchor(v) if anchored else (cand_ratio_ld, cand_ratio)
+        anchored = parts == 1
+        if anchored:
+            s, next_record = target, next_record + 1
+        else:
+            s += step
+        last_step, d, lap_d = step, delta, lap_delta
+        ds = min(ds * _GROWTH, policy.ds)
+        ratio_ld = anchor(v) if anchored else cand_ratio_ld
         yield s, v, ratio_ld, anchored
 
 
@@ -344,8 +401,8 @@ def run_flow(
     policy: FlowPolicy = FlowPolicy(),
 ) -> FlowTrajectory:
     """The flow from v = 0 to s_end (``_steps``), with a record at each
-    anchored step: s = 0, every policy.record_stride accepted steps and
-    the final time.  Reaching the step floor returns the records so far,
+    anchored step: s = 0, every multiple of policy.record_stride *
+    policy.ds and the final time.  Reaching the step floor returns the records so far,
     with completed False and the failure marker set.
 
     s_end must be positive and below S_END_MAX (about 177 at m = 1),
