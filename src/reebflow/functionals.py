@@ -10,10 +10,15 @@ The functionals read only volume ratios along the ray s -> psi + s phi,
 and those are affine in s: r(psi + s phi) = r(psi) + s Lap(phi)/4
 exactly.  Each evaluation therefore applies the Laplacian once, to phi,
 and forms every ratio on the ray from the base ratio and that one field
-in extended precision; ``transverse`` casts and checks each one as it
-does the ratio of ``metric_state``, so a nonpositive one raises
-InadmissibleError with its margin.  ``FunctionalLedger``
-shares the one Laplacian across I, J, F0, F and K.
+in extended precision.  A quadrature forms the ratios at all its nodes
+in one pass, as the rows of one (nodes, n) array; ``transverse`` casts
+it once and checks it row by row as it checks the ratio of
+``metric_state``, so a nonpositive row raises InadmissibleError with the
+margin of the first such node.  Each row's integral is its own dot
+product and the rule's sum runs node by node, as a node-at-a-time loop
+sums them; one matrix-vector product over the rows would round
+differently in the last bits.  ``FunctionalLedger`` shares
+the one Laplacian, and the one ratio at s = 1, across I, J, F0, F and K.
 
 Quadrature choices: J integrates I(s phi)/s with a 32-node Gauss rule in
 s (the integrand is smooth, here in fact linear in s); the K-energy
@@ -30,8 +35,8 @@ amplifies its rounding noise by the top Laplacian eigenvalue).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -84,7 +89,9 @@ class _Ray:
 
     psi is the base potential.  r(psi + s phi) = r(psi) + s Lap(phi)/4,
     summed in extended precision and cast, so no metric state is built
-    along the ray.
+    along the ray.  A quadrature forms the ratios at all its nodes as the
+    rows of one array; each row's integral is its own 1-D dot and the
+    rule's sum runs over the nodes in order (see the module docstring).
     """
 
     def __init__(self, phi: BasicPotential, base: MetricState):
@@ -95,20 +102,32 @@ class _Ray:
         self._quarter_lap_ld = lap_ld / 4.0
         self._base_ratio_ld = base.ratio.astype(np.longdouble)
 
-    def ratio(self, s: float) -> NDArray[np.float64]:
-        """Volume ratio of psi + s phi; InadmissibleError if not positive."""
-        return _admissible(self._base_ratio_ld + np.longdouble(s) * self._quarter_lap_ld)
+    @cached_property
+    def ratio(self) -> NDArray[np.float64]:
+        """Volume ratio of psi + phi; InadmissibleError if not positive."""
+        return _admissible(self._base_ratio_ld + self._quarter_lap_ld)
 
-    def i_value(self, s: float = 1.0) -> float:
-        """I(s phi) = int s phi (dmu_base - dmu_{s phi})."""
-        scaled = s * self.phi.values
-        return float(self.phi.grid.w @ (scaled * (self.base.ratio - self.ratio(s))))
+    def _ratios(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Volume ratio of psi + s_j phi in row j; InadmissibleError with
+        the margin of the first nonpositive row."""
+        rows = s.astype(np.longdouble)[:, None] * self._quarter_lap_ld
+        rows += self._base_ratio_ld
+        return _admissible(rows)
+
+    def i_value(self) -> float:
+        """I(phi) = int phi (dmu_base - dmu_phi)."""
+        return float(self.phi.grid.w @ (self.phi.values * (self.base.ratio - self.ratio)))
 
     def j_value(self) -> float:
         s, w = _gauss01(32)
+        # row j becomes the integrand s_j phi (r_base - r_j) of I(s_j phi),
+        # in place to keep the (nodes, n) temporaries few
+        rows = self._ratios(s)
+        np.subtract(self.base.ratio, rows, out=rows)
+        rows *= s[:, None] * self.phi.values
         total = 0.0
-        for sj, wj in zip(s, w):
-            total += wj * self.i_value(sj) / sj
+        for sj, wj, row in zip(s, w, rows):
+            total += wj * float(self.phi.grid.w @ row) / sj
         return float(total)
 
     def f_values(self, j_val: float) -> tuple[float, float]:
@@ -119,28 +138,25 @@ class _Ray:
         return float(f0), float(f)
 
     def k_energy(self, path: str = "linear") -> float:
+        t, t_weights = _gauss01(48)
         if path == "linear":
-            a = lambda t: t
-            adot = lambda t: 1.0
+            a, adot = t, np.ones_like(t)
         elif path == "quadratic":
-            a = lambda t: t * t
-            adot = lambda t: 2.0 * t
+            a, adot = t * t, 2.0 * t
         else:
             raise ConfigurationError(f"unknown path {path!r}")
         w, phi = self.phi.grid.w, self.phi.values
-        t_nodes, t_weights = _gauss01(48)
+        ratios = self._ratios(a)
+        # int phidot (S_t - 4) dmu_t with phidot = adot * phi; the
+        # Lap(log r_t) part of S_t r_t is moved onto phidot by
+        # self-adjointness before quadrature.
+        moved = np.log(ratios)
+        moved *= self.lap
+        excess = np.subtract(1.0, ratios, out=ratios)
+        excess *= phi
         total = 0.0
-        for tj, wj in zip(t_nodes, t_weights):
-            ratio = self.ratio(a(tj))
-            log_ratio = np.log(ratio)
-            # int phidot (S_t - 4) dmu_t with phidot = adot * phi; the
-            # Lap(log r_t) part of S_t r_t is moved onto phidot by
-            # self-adjointness before quadrature.
-            inner = adot(tj) * (
-                SCALAR_TARGET * float(w @ (phi * (1.0 - ratio)))
-                - 0.5 * float(w @ (self.lap * log_ratio))
-            )
-            total -= wj * inner
+        for dj, wj, ex, mv in zip(adot, t_weights, excess, moved):
+            total -= wj * (dj * (SCALAR_TARGET * float(w @ ex) - 0.5 * float(w @ mv)))
         return float(total)
 
 
@@ -154,12 +170,13 @@ def eval_J(phi: BasicPotential, base: MetricState) -> float:
 
     I vanishes quadratically at s = 0, so the integrand extends smoothly.
     Each node's I(s phi) reads the ratio of psi + s phi off the affine
-    ray, from the one Laplacian of phi; the quadrature stays a real
+    ray, from the one Laplacian of phi; the 32 nodes' ratios are formed
+    as one array and checked row by row.  The quadrature stays a real
     32-point rule, so J = I/2 at m = 1 is a computed identity, not
     a definition.  Admissibility along the ray follows from admissibility
     of phi (ratios are affine in s, so positive at both ends means
-    positive between), and each node's ratio is checked: an inadmissible
-    node raises InadmissibleError.
+    positive between), and each node's ratio is checked: the first
+    inadmissible node in s raises InadmissibleError with its margin.
     """
     return _Ray(phi, base).j_value()
 
@@ -186,10 +203,11 @@ def eval_K_energy(
     path-independent; the second parametrization exists to verify that.
     Any other ``path`` raises ConfigurationError.
     The ratio r_t at each of the 48 Gauss nodes is read off the
-    affine ray r(psi) + a(t) Lap(phi)/4, and Lap(phi) is the same one
-    field that carries the moved Laplacian of log r_t, so the whole
-    quadrature applies the Laplacian once.  A nonpositive r_t raises
-    InadmissibleError.
+    affine ray r(psi) + a(t) Lap(phi)/4, all 48 as one array checked row
+    by row, and Lap(phi) is the same one field that carries the moved
+    Laplacian of log r_t, so the whole quadrature applies the Laplacian
+    once.  The first nonpositive r_t in t raises InadmissibleError with
+    its margin.
     """
     return _Ray(phi, base).k_energy(path)
 
@@ -213,10 +231,21 @@ class CocycleReport:
 def verify_cocycle(
     psi: BasicPotential, phi: BasicPotential, base: MetricState
 ) -> CocycleReport:
-    grid = psi.grid
     mid = relative_state(base, psi)
-    f0_psi, f_psi = eval_F(psi, base)
-    f0_phi, f_phi = eval_F(phi, base)
+    return _cocycle_report(psi, phi, mid, eval_F(psi, base), eval_F(phi, base))
+
+
+def _cocycle_report(
+    psi: BasicPotential,
+    phi: BasicPotential,
+    mid: MetricState,
+    psi_f: tuple[float, float],
+    phi_f: tuple[float, float],
+) -> CocycleReport:
+    """The cocycle report from F0, F of psi and phi against the base and
+    the base deformed by psi."""
+    grid = psi.grid
+    (f0_psi, f_psi), (f0_phi, f_phi) = psi_f, phi_f
     rel = BasicPotential(values=phi.values - psi.values, grid=grid)
     f0_rel, f_rel = eval_F(rel, mid)
     back = BasicPotential(values=-psi.values, grid=grid)
@@ -249,11 +278,22 @@ def verify_mabuchi_f_relation(phi: BasicPotential, base: MetricState) -> Mabuchi
     to be nonpositive (Jensen).  h_phi is read off the ray's ratio at
     s = 1, so the report applies one Laplacian and builds no state.
     """
-    grid = phi.grid
     ray = _Ray(phi, base)
     k_val = ray.k_energy()
     _, f_val = ray.f_values(ray.j_value())
-    ratio = ray.ratio(1.0)
+    return _mabuchi_report(phi, base, ray.ratio, k_val, f_val)
+
+
+def _mabuchi_report(
+    phi: BasicPotential,
+    base: MetricState,
+    ratio: NDArray[np.float64],
+    k_val: float,
+    f_val: float,
+) -> MabuchiReport:
+    """The Mabuchi report from K and F of phi and the ratio of the base
+    deformed by phi; applies no Laplacian."""
+    grid = phi.grid
     h_phi, _ = _ricci_potential(grid, ratio, base.potential.values + phi.values)
     h_base = float(grid.w @ (base.ratio * base.ricci_potential))
     h_state = float(grid.w @ (ratio * h_phi))
@@ -311,15 +351,19 @@ class FunctionalLedger:
     K: float
     osc: float
     margin: float
+    # ratio of the base deformed by the potential, which the identity
+    # suite's Mabuchi report reads
+    _ratio: NDArray[np.float64] = field(repr=False, compare=False)
 
     @classmethod
     def evaluate(
         cls, tag: str, phi: BasicPotential, base: MetricState
     ) -> "FunctionalLedger":
-        # one Laplacian of phi serves every functional; J is computed once
-        # and feeds F
+        # one Laplacian of phi serves every functional, the ratio at s = 1
+        # is formed once for the margin and I, and J is computed once and
+        # feeds F
         ray = _Ray(phi, base)
-        margin = float(ray.ratio(1.0).min())
+        margin = float(ray.ratio.min())
         j_val = ray.j_value()
         f0, f = ray.f_values(j_val)
         return cls(
@@ -332,6 +376,7 @@ class FunctionalLedger:
             K=ray.k_energy(),
             osc=phi.osc(),
             margin=margin,
+            _ratio=ray.ratio,
         )
 
     def row(self) -> tuple:

@@ -311,17 +311,20 @@ class BasicPotential:
 
 def _ratio_ld(grid: Grid, values: NDArray) -> NDArray[np.longdouble]:
     """Volume ratio 1 + Lap(values)/4 of a total potential, in extended
-    precision (a ray's r(psi) + s Lap(phi)/4 is summed the same way)."""
+    precision (a ray's r(psi) + s Lap(phi)/4 is summed the same way, at
+    all of a rule's nodes s at once)."""
     return 1.0 + grid._laplacian_ld(values) / 4.0
 
 
 def _admissible(ratio_ld: NDArray[np.longdouble]) -> NDArray[np.float64]:
-    """Cast a volume ratio to float64, as every ratio in the package is;
-    InadmissibleError(margin) unless its minimum is positive (NaN is not)."""
+    """Cast a volume ratio, or a stack of them as rows, to float64, as every
+    ratio in the package is; InadmissibleError(margin) unless each row's
+    minimum is positive (NaN is not), with the margin of the first row that
+    is not."""
     ratio = ratio_ld.astype(np.float64)
-    margin = float(ratio.min())
-    if not (margin > 0.0):
-        raise InadmissibleError(margin)
+    if not (ratio.min() > 0.0):
+        margins = np.atleast_1d(ratio.min(axis=-1))
+        raise InadmissibleError(float(margins[np.argmin(margins > 0.0)]))
     return ratio
 
 

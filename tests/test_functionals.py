@@ -25,7 +25,7 @@ from reebflow import (
     verify_mabuchi_f_relation,
 )
 from reebflow.functionals import MabuchiReport
-from reebflow.transverse import M_DIM, log_mean_exp
+from reebflow.transverse import M_DIM, SCALAR_TARGET, log_mean_exp
 
 # Frozen reference values for phi = 0.1 x on the round base.  I and J
 # have closed forms (I = 2 eps^2 / 3, J = I / 2 for eps x); F and K were
@@ -236,8 +236,86 @@ def _functionals_from_full_states(phi, base):
     return i_val, j_val, f0, f, k_val
 
 
+def _node_ratio(phi, base):
+    """The ratio of psi + s phi at one node s, formed and cast on its own,
+    the way the ray first formed each Gauss node's ratio."""
+    quarter_ld = phi.grid._laplacian_ld(phi.values) / 4.0
+    base_ld = base.ratio.astype(np.longdouble)
+    return lambda s: (base_ld + np.longdouble(s) * quarter_ld).astype(np.float64)
+
+
+def _per_node_ray(phi, base):
+    """J, linear K and quadratic K summed node by node from those ratios,
+    as the ray first summed them."""
+    w, values = phi.grid.w, phi.values
+    lap = phi.grid._laplacian_ld(values).astype(np.float64)
+    ratio = _node_ratio(phi, base)
+
+    j_val = 0.0
+    for sj, wj in zip(*_gauss01(32)):
+        r = ratio(sj)
+        assert r.min() > 0.0
+        j_val += wj * float(w @ (sj * values * (base.ratio - r))) / sj
+
+    def k_energy(a, adot):
+        total = 0.0
+        for tj, wj in zip(*_gauss01(48)):
+            r = ratio(a(tj))
+            assert r.min() > 0.0
+            inner = adot(tj) * (
+                SCALAR_TARGET * float(w @ (values * (1.0 - r)))
+                - 0.5 * float(w @ (lap * np.log(r)))
+            )
+            total -= wj * inner
+        return float(total)
+
+    return (
+        float(j_val),
+        k_energy(lambda t: t, lambda t: 1.0),
+        k_energy(lambda t: t * t, lambda t: 2.0 * t),
+    )
+
+
 class TestAffineRay:
     """The functionals read ray ratios off r(psi) + s Lap(phi)/4."""
+
+    @pytest.mark.parametrize(
+        "n, deformed", [(64, False), (128, False), (256, False), (128, True)],
+        ids=["ref64", "ref128", "ref256", "base128"],
+    )
+    def test_node_rows_match_the_per_node_loop(self, n, deformed, base128):
+        # all of a rule's ratios formed as one array give the same bits as
+        # forming and checking them one node at a time
+        grid = make_grid(n)
+        base = base128 if deformed else reference_state(grid)
+        rng = np.random.default_rng(n + deformed)
+        for _ in range(3):
+            phi = random_potential(grid, rng, amplitude=0.05)
+            j_ref, k_lin_ref, k_quad_ref = _per_node_ray(phi, base)
+            assert eval_J(phi, base) == j_ref
+            assert eval_K_energy(phi, base, path="linear") == k_lin_ref
+            assert eval_K_energy(phi, base, path="quadratic") == k_quad_ref
+
+    def test_first_nonpositive_node_sets_the_margin(self, ref128, grid128):
+        # the ray of 0.8 (1 - x^2) turns nonpositive partway, at s > 0.625:
+        # the error carries the margin of the first such Gauss node
+        phi = BasicPotential.from_callable(grid128, lambda x: 0.8 * (1 - x * x))
+        ratio = _node_ratio(phi, ref128)
+        t48 = _gauss01(48)[0]
+        rules = [
+            (eval_J, _gauss01(32)[0]),
+            (lambda p, b: eval_K_energy(p, b, path="linear"), t48),
+            (lambda p, b: eval_K_energy(p, b, path="quadratic"), t48 * t48),
+        ]
+        for fn, nodes in rules:
+            node_margins = [float(ratio(sj).min()) for sj in nodes]
+            first = next(j for j, m in enumerate(node_margins) if not m > 0.0)
+            # partway, and not where the ray's minimum is
+            assert 0 < first < len(nodes) - 1
+            assert min(node_margins[first + 1:]) < node_margins[first]
+            with pytest.raises(InadmissibleError) as exc:
+                fn(phi, ref128)
+            assert exc.value.margin == node_margins[first]
 
     def test_matches_full_states_on_deformed_base(self, base128, grid128):
         phi = random_potential(grid128, np.random.default_rng(31), amplitude=0.05)

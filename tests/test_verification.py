@@ -7,6 +7,13 @@ reporting semantics and that the cheap suites pass standalone.
 
 import pytest
 
+from reebflow import (
+    make_grid,
+    reference_state,
+    verification,
+    verify_cocycle,
+    verify_mabuchi_f_relation,
+)
 from reebflow.verification import (
     CheckResult,
     DEFAULT_SEED,
@@ -16,6 +23,18 @@ from reebflow.verification import (
     mobius_scan_suite,
     oracle_suite,
 )
+
+
+def _recording(monkeypatch, name):
+    """Replace verification's ``name`` by a wrapper that keeps each result."""
+    real, results = getattr(verification, name), []
+
+    def record(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(verification, name, record)
+    return results
 
 
 class TestCheckResult:
@@ -48,6 +67,21 @@ class TestIdentitySuite:
         assert "identity-translation" in names
         assert "identity-cocycle" in names
         assert "identity-j-collapse" in names
+
+    def test_reports_are_read_off_the_ledgers(self, counts, monkeypatch):
+        # one Laplacian per sample serves its ledger and Mabuchi report, and
+        # the cocycle reuses both samples' F: the reference state (2), two
+        # draws, two ledgers, two translations (1 each), and the cocycle's
+        # middle state (2) with its two relative F values (1 each).  Without
+        # the reuse the same suite applied 16.
+        mabuchi = _recording(monkeypatch, "_mabuchi_report")
+        cocycle = _recording(monkeypatch, "_cocycle_report")
+        _, ledgers = functional_identity_suite(n=64, samples=2, seed=1)
+        assert counts["laplacian"] == 12
+        # the same reports, bit for bit, as the public functions compute
+        ref = reference_state(make_grid(64))
+        assert mabuchi == [verify_mabuchi_f_relation(led.potential, ref) for led in ledgers]
+        assert cocycle == [verify_cocycle(ledgers[0].potential, ledgers[1].potential, ref)]
 
     def test_seed_determinism(self):
         a = functional_identity_suite(n=96, samples=4, seed=5)[1]
