@@ -228,21 +228,28 @@ def _apply_config_file(
         raise UsageError("config file must hold a JSON object")
 
     command_parser = registry[args.command]
-    valid = {a.dest for a in command_parser._actions}
-    defaults = {}
+    actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
+    tokens, given = [], []
     for key, value in loaded.items():
         dest = key.replace("-", "_")
         if dest == "command":
             continue
-        if dest not in valid:
+        if dest not in actions:
             raise UsageError(f"config key {key!r} unknown for command {args.command!r}")
-        if dest in ("out", "config"):
-            value = Path(value)
-        if dest in ("lambdas", "epsilons") and isinstance(value, str):
-            value = _float_list(value)
-        defaults[dest] = value
-    command_parser.set_defaults(**defaults)
-    # reparse so explicit flags still take precedence over the file
+        flag = actions[dest].option_strings[0]
+        if actions[dest].nargs == 0:  # a switch such as --quick
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+        else:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append(f"{flag}={value}")
+        given.append(dest)
+    # the command's parser converts and checks each value as it would the
+    # flag; the results become defaults, so explicit flags still win
+    parsed = vars(command_parser.parse_args(tokens))
+    command_parser.set_defaults(**{dest: parsed[dest] for dest in given})
     return parser.parse_args(argv)
 
 
@@ -292,6 +299,8 @@ def _cmd_path(args) -> int:
         policy=policy,
         records=args.records,
     )
+    if not path.records:
+        raise InvariantViolation(f"path failed at its start: {path.failure}")
     end = path.endpoint()
     out = Path(args.out)
     artifacts = [

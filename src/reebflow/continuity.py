@@ -16,11 +16,14 @@ kernel (the Moebius direction, Laplacian eigenvalue -4(m+1)), so
 there the step is the minimum-norm least-squares solution, which never
 moves along that kernel.
 
-Paths in t are marched adaptively with warm starts by one stepper,
-``_march``: it tries t + dt, halves dt when Newton fails, doubles it back
-up to dt_init after each accepted step, and raises SolverError once dt
-would drop below dt_floor.  Both record modes of ``run_continuity_path``
-and the continuity stage of ``flow.epsilon_pinching`` run on it.  A path
+Paths in t are marched adaptively by one stepper, ``_march``, the only
+place where a path solves: it solves at its first target from the zero
+potential, then marches with warm starts through the later targets,
+landing on each.  It tries t + dt, halves dt when Newton fails, doubles
+it back up to dt_init after each accepted step, and raises SolverError
+once dt would drop below dt_floor.  Both record modes of
+``run_continuity_path`` and the continuity stage of
+``flow.epsilon_pinching`` are one loop over it.  A path
 can also be asked to place its records at Gauss nodes of (0, 1), which
 turns the recorded (I - J) values into a spectral quadrature rule; that
 is what makes the t-integral identity relating F at the Einstein base to
@@ -234,36 +237,41 @@ class ContinuityPath:
 
 def _march(
     base: MetricState,
-    phi: BasicPotential,
-    t_from: float,
-    t_to: float,
+    targets: Sequence[float],
     policy: PathPolicy,
-) -> Iterator[tuple[float, BasicPotential]]:
-    """Warm-started adaptive march from the solution phi at t_from to t_to.
+) -> Iterator[tuple[float, BasicPotential, bool]]:
+    """Adaptive march through the increasing targets in t.
 
-    Yields (t, phi_t) after each accepted step; the last one is at t_to
-    exactly.  The first step is min(dt_init, t_to - t_from); a Newton
-    failure halves dt, an accepted step doubles it up to dt_init, and a dt
-    below dt_floor raises SolverError naming the last accepted t, with the
-    failed solve's trace.
+    Solves at targets[0] from the zero potential (small t is the easy
+    regime: the zeroth-order term dominates the Jacobian), then marches
+    with warm starts to each later target and lands on it exactly.
+    Yields (t, phi_t, on_target) for the start and after each accepted
+    step.  Toward each target the first step is min(dt_init, gap); a
+    Newton failure halves dt, an accepted step doubles it up to dt_init,
+    and a dt below dt_floor raises SolverError naming the last accepted
+    t, with the failed solve's trace.  A failed start solve raises its
+    own SolverError.
     """
-    t = t_from
-    dt = min(policy.dt_init, t_to - t_from)
-    while t < t_to:
-        t_next = min(t + dt, t_to)
-        try:
-            phi = solve_ma_at_t(t_next, base, phi, policy)
-        except SolverError as err:
-            dt *= 0.5
-            if dt < policy.dt_floor:
-                raise SolverError(
-                    f"step floor {policy.dt_floor} reached at t = {t:.6g}",
-                    trace=err.trace,
-                ) from err
-            continue
-        t = t_next
-        dt = min(dt * 2.0, policy.dt_init)
-        yield t, phi
+    t = targets[0]
+    phi = solve_ma_at_t(t, base, BasicPotential.zero(base.grid), policy)
+    yield t, phi, True
+    for target in targets[1:]:
+        dt = min(policy.dt_init, target - t)
+        while t < target:
+            t_next = min(t + dt, target)
+            try:
+                phi = solve_ma_at_t(t_next, base, phi, policy)
+            except SolverError as err:
+                dt *= 0.5
+                if dt < policy.dt_floor:
+                    raise SolverError(
+                        f"step floor {policy.dt_floor} reached at t = {t:.6g}",
+                        trace=err.trace,
+                    ) from err
+                continue
+            t = t_next
+            dt = min(dt * 2.0, policy.dt_init)
+            yield t, phi, t == target
 
 
 def run_continuity_path(
@@ -278,9 +286,9 @@ def run_continuity_path(
     With ``records=None`` the path records every accepted step of the
     march from t_start to t_end (``_march``: initial step policy.dt_init,
     halved on Newton failure down to policy.dt_floor).  In either record
-    mode, reaching the floor returns a partial path with the failure
-    marker set, which is meaningful properness diagnostics, not an
-    exception.
+    mode, a failed start solve or reaching the floor returns a partial
+    path with the failure marker set, which is meaningful properness
+    diagnostics, not an exception.
 
     With ``records=n`` the records sit at the n Gauss nodes of (0, 1)
     plus the t = 1 endpoint, and the returned path carries the matching
@@ -313,39 +321,23 @@ def run_continuity_path(
             raise ConfigurationError(f"record ts must lie in (0, t_end] = (0, {t_end}]")
 
     recs: list[PathRecord] = []
-    completed = True
     failure = None
-
-    def record(t: float, phi: BasicPotential) -> None:
-        ledger = FunctionalLedger.evaluate(f"t={t:.8f}", phi, base)
-        if recs:
-            prev = recs[-1].ledger.I - recs[-1].ledger.J
-            cur = ledger.I - ledger.J
-            if cur < prev - policy.monotone_tol:
-                raise InvariantViolation(
-                    f"(I-J) decreased along the path: {prev:.12g} -> {cur:.12g} "
-                    f"at t = {t:.6g}"
-                )
-        residual = float(np.abs(ma_defect(phi, t, base)).max())
-        recs.append(PathRecord(float(t), phi, ledger, residual, phi.sup()))
-
-    # head directly for the first target; small t is the easy regime (the
-    # zeroth-order term dominates the Jacobian)
-    t_cur = targets[0]
     try:
-        phi = solve_ma_at_t(t_cur, base, BasicPotential.zero(base.grid), policy)
+        for t, phi, on_target in _march(base, targets, policy):
+            if records is not None and not on_target:
+                continue
+            ledger = FunctionalLedger.evaluate(f"t={t:.8f}", phi, base)
+            if recs:
+                prev = recs[-1].ledger.I - recs[-1].ledger.J
+                cur = ledger.I - ledger.J
+                if cur < prev - policy.monotone_tol:
+                    raise InvariantViolation(
+                        f"(I-J) decreased along the path: {prev:.12g} -> {cur:.12g} "
+                        f"at t = {t:.6g}"
+                    )
+            residual = float(np.abs(ma_defect(phi, t, base)).max())
+            recs.append(PathRecord(float(t), phi, ledger, residual, phi.sup()))
     except SolverError as err:
-        return ContinuityPath((), policy, False, str(err), None)
-    record(t_cur, phi)
-    try:
-        for t_rec in targets[1:]:
-            for t_cur, phi in _march(base, phi, t_cur, t_rec, policy):
-                if records is None:
-                    record(t_cur, phi)
-            if records is not None:
-                record(t_rec, phi)
-    except SolverError as err:
-        completed = False
         failure = str(err)
     if weights is not None:
         weights = weights[: len(recs)]
@@ -353,7 +345,7 @@ def run_continuity_path(
     return ContinuityPath(
         records=tuple(recs),
         policy=policy,
-        completed=completed,
+        completed=failure is None,
         failure=failure,
         record_weights=weights,
     )

@@ -85,7 +85,7 @@ from typing import Iterator, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .continuity import PathPolicy, _march, solve_ma_at_t
+from .continuity import PathPolicy, _march
 from .curvature import calabi_bound, calabi_functional
 from .errors import (
     ConfigurationError,
@@ -180,9 +180,9 @@ class FlowPolicy:
     ds_floor: float = 1e-6
 
     def __post_init__(self):
-        if not (self.ds > 0 and self.ds_floor > 0):
+        if not (self.ds >= self.ds_floor > 0):
             raise ConfigurationError(
-                f"ds and ds_floor must be positive, got {self.ds}, {self.ds_floor}"
+                f"need ds >= ds_floor > 0, got ds {self.ds}, ds_floor {self.ds_floor}"
             )
         stride = self.record_stride
         if not (isinstance(stride, (int, np.integer)) and stride >= 1):
@@ -536,15 +536,16 @@ def epsilon_pinching(
     the state's Ricci potential drops below eps/2, then run the flow for
     s in [0, 2] from that structure and measure max|S^T - 2m(m+1)|.
 
-    The first stage solves at t_start and then runs the continuity
-    stepper (``continuity._march``, with path_policy's dt_init and
-    dt_floor) toward t = 1, stopping at the first accepted t whose
-    structure has sup|h| <= eps/2.  h is read off the volume ratio (one
-    Laplacian per t); the full state is built once, at the stop, as the
-    flow's base.  Asserts achieved <= eps (the flow contracts far
-    below the worst-case constants).  A solver failure before the target
-    is raised as the properness diagnostic it is: a SolverError "pinching
-    path failed at its start" or "pinching path stalled at t = ...",
+    The first stage is one loop over the continuity stepper
+    (``continuity._march`` from t_start to t = 1, with path_policy), which
+    solves at t_start from the zero potential and then marches; it stops
+    at the first accepted t whose structure has sup|h| <= eps/2.  h is
+    read off the volume ratio (one Laplacian per t); the full state is
+    built once, at the stop, as the flow's base.  Asserts achieved <= eps
+    (the flow contracts far below the worst-case constants).  A solver
+    failure before the target is raised as the properness diagnostic it
+    is: a SolverError "pinching path failed at its start t = ..." when no
+    t was accepted, or "pinching path stalled at t = ..." after one was,
     carrying the trace of the last failed Newton solve.
     """
     if not (eps > 0):
@@ -558,27 +559,19 @@ def epsilon_pinching(
         h, _ = _ricci_potential(grid, _admissible(_ratio_ld(grid, values)), values)
         return float(np.abs(h).max())
 
-    t = t_start
+    h_norm = None
     try:
-        phi = solve_ma_at_t(t, base, BasicPotential.zero(grid), path_policy)
+        for t, phi, _ in _march(base, [t_start, 1.0], path_policy):
+            h_norm = sup_h(phi)
+            if h_norm <= target:
+                break
     except SolverError as err:
-        raise SolverError(
-            f"pinching path failed at its start t = {t_start:.4g}: {err}",
-            trace=err.trace,
-        ) from err
-    h_norm = sup_h(phi)
-    if h_norm > target:
-        try:
-            for t, phi in _march(base, phi, t, 1.0, path_policy):
-                h_norm = sup_h(phi)
-                if h_norm <= target:
-                    break
-        except SolverError as err:
-            raise SolverError(
-                f"pinching path stalled at t = {t:.6g} with sup|h| = {h_norm:.3e} "
-                f"(target {target:.3e})",
-                trace=err.trace,
-            ) from err
+        if h_norm is None:
+            where = f"failed at its start t = {t_start:.4g}: {err}"
+        else:
+            where = (f"stalled at t = {t:.6g} with sup|h| = {h_norm:.3e} "
+                     f"(target {target:.3e})")
+        raise SolverError(f"pinching path {where}", trace=err.trace) from err
 
     state = relative_state(base, phi)
     trajectory = run_flow(state, s_end=2.0, policy=flow_policy)

@@ -229,32 +229,25 @@ class CocycleReport:
 
 
 def verify_cocycle(
-    psi: BasicPotential, phi: BasicPotential, base: MetricState
+    psi_ledger: FunctionalLedger, phi_ledger: FunctionalLedger, base: MetricState
 ) -> CocycleReport:
-    mid = relative_state(base, psi)
-    return _cocycle_report(psi, phi, mid, eval_F(psi, base), eval_F(phi, base))
+    """The cocycle report of the ledgers' potentials psi and phi.
 
-
-def _cocycle_report(
-    psi: BasicPotential,
-    phi: BasicPotential,
-    mid: MetricState,
-    psi_f: tuple[float, float],
-    phi_f: tuple[float, float],
-) -> CocycleReport:
-    """The cocycle report from F0, F of psi and phi against the base and
-    the base deformed by psi."""
+    Both ledgers must have been evaluated against ``base``: F0 and F of
+    psi and phi are read off them, and only the two values against the
+    base deformed by psi are evaluated here."""
+    psi, phi = psi_ledger.potential, phi_ledger.potential
     grid = psi.grid
-    (f0_psi, f_psi), (f0_phi, f_phi) = psi_f, phi_f
+    mid = relative_state(base, psi)
     rel = BasicPotential(values=phi.values - psi.values, grid=grid)
     f0_rel, f_rel = eval_F(rel, mid)
     back = BasicPotential(values=-psi.values, grid=grid)
     f0_back, f_back = eval_F(back, mid)
     return CocycleReport(
-        cocycle_f0=f0_psi + f0_rel - f0_phi,
-        cocycle_f=f_psi + f_rel - f_phi,
-        antisym_f0=f0_psi + f0_back,
-        antisym_f=f_psi + f_back,
+        cocycle_f0=psi_ledger.F0 + f0_rel - phi_ledger.F0,
+        cocycle_f=psi_ledger.F + f_rel - phi_ledger.F,
+        antisym_f0=psi_ledger.F0 + f0_back,
+        antisym_f=psi_ledger.F + f_back,
     )
 
 
@@ -269,39 +262,28 @@ class MabuchiReport:
     holds: bool
 
 
-def verify_mabuchi_f_relation(phi: BasicPotential, base: MetricState) -> MabuchiReport:
+def verify_mabuchi_f_relation(ledger: FunctionalLedger, base: MetricState) -> MabuchiReport:
     """K = 2(m+1) F + 2 (int h dmu_base - int h_phi dmu_phi), and the
-    lower bound K >= 2(m+1) F + 2 int h dmu_base.
+    lower bound K >= 2(m+1) F + 2 int h dmu_base, for the ledger's
+    potential phi.
 
-    The inequality slack is -2 int h_phi dmu_phi, nonnegative because
-    the normalization int e^{h_phi} dmu_phi = 1 forces the mean of h_phi
-    to be nonpositive (Jensen).  h_phi is read off the ray's ratio at
-    s = 1, so the report applies one Laplacian and builds no state.
+    The ledger must have been evaluated against ``base``: K, F and the
+    ratio of base + phi are read off it, so the report applies no
+    Laplacian and builds no state.  The inequality slack is
+    -2 int h_phi dmu_phi, nonnegative because the normalization
+    int e^{h_phi} dmu_phi = 1 forces the mean of h_phi to be nonpositive
+    (Jensen).
     """
-    ray = _Ray(phi, base)
-    k_val = ray.k_energy()
-    _, f_val = ray.f_values(ray.j_value())
-    return _mabuchi_report(phi, base, ray.ratio, k_val, f_val)
-
-
-def _mabuchi_report(
-    phi: BasicPotential,
-    base: MetricState,
-    ratio: NDArray[np.float64],
-    k_val: float,
-    f_val: float,
-) -> MabuchiReport:
-    """The Mabuchi report from K and F of phi and the ratio of the base
-    deformed by phi; applies no Laplacian."""
+    phi, ratio = ledger.potential, ledger._ratio
     grid = phi.grid
     h_phi, _ = _ricci_potential(grid, ratio, base.potential.values + phi.values)
     h_base = float(grid.w @ (base.ratio * base.ricci_potential))
     h_state = float(grid.w @ (ratio * h_phi))
-    residual = k_val - 2 * (M_DIM + 1) * f_val - 2 * (h_base - h_state)
+    residual = ledger.K - 2 * (M_DIM + 1) * ledger.F - 2 * (h_base - h_state)
     slack = -2.0 * h_state
     return MabuchiReport(
-        k_energy=k_val,
-        f_value=f_val,
+        k_energy=ledger.K,
+        f_value=ledger.F,
         h_base_mean=h_base,
         h_state_mean=h_state,
         residual=residual,
@@ -351,8 +333,8 @@ class FunctionalLedger:
     K: float
     osc: float
     margin: float
-    # ratio of the base deformed by the potential, which the identity
-    # suite's Mabuchi report reads
+    # ratio of the base deformed by the potential, which
+    # verify_mabuchi_f_relation reads
     _ratio: NDArray[np.float64] = field(repr=False, compare=False)
 
     @classmethod

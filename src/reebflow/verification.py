@@ -52,11 +52,11 @@ from .flow import (
 )
 from .functionals import (
     FunctionalLedger,
-    _cocycle_report,
-    _mabuchi_report,
     eval_F,
     random_potential,
     relative_state,
+    verify_cocycle,
+    verify_mabuchi_f_relation,
 )
 from .oracle2d import compare_profiles, make_sphere_grid, oracle_fields
 from .transverse import (
@@ -172,15 +172,12 @@ def functional_identity_suite(
         _, f_shift = eval_F(phi.shifted(c), ref)
         worst_translation = max(worst_translation, abs(f_shift - led.F))
 
-        mab = _mabuchi_report(phi, ref, led._ratio, led.K, led.F)
+        mab = verify_mabuchi_f_relation(led, ref)
         worst_mabuchi = max(worst_mabuchi, abs(mab.residual))
         min_mabuchi_slack = min(min_mabuchi_slack, mab.inequality_slack)
 
         if prev is not None and i % 2 == 1:
-            psi = prev.potential
-            rep = _cocycle_report(
-                psi, phi, relative_state(ref, psi), (prev.F0, prev.F), (led.F0, led.F)
-            )
+            rep = verify_cocycle(prev, led, ref)
             worst_cocycle = max(
                 worst_cocycle, abs(rep.cocycle_f0), abs(rep.cocycle_f)
             )

@@ -301,13 +301,12 @@ class TestOperatorCounts:
 STUB_TRACE = [1.0, 0.5, 0.25]
 
 
-@pytest.fixture
-def newton_fails_past_half(monkeypatch):
-    """Every binding of solve_ma_at_t raises SolverError for t > 0.5."""
+def _newton_fails_past(t_fail, monkeypatch):
+    """Every binding of solve_ma_at_t raises SolverError for t > t_fail."""
     real = continuity.solve_ma_at_t
 
     def solve(t, base, initial_guess, policy=PathPolicy()):
-        if t > 0.5:
+        if t > t_fail:
             raise SolverError(f"stub failure at t = {t}", trace=STUB_TRACE)
         return real(t, base, initial_guess, policy)
 
@@ -316,6 +315,16 @@ def newton_fails_past_half(monkeypatch):
             module, "solve_ma_at_t", None
         ) is real:
             monkeypatch.setattr(module, "solve_ma_at_t", solve)
+
+
+@pytest.fixture
+def newton_fails_past_half(monkeypatch):
+    _newton_fails_past(0.5, monkeypatch)
+
+
+@pytest.fixture
+def newton_fails_everywhere(monkeypatch):
+    _newton_fails_past(0.0, monkeypatch)
 
 
 class TestStepperFailures:
@@ -341,6 +350,22 @@ class TestStepperFailures:
 
     def test_pinching_path_stalls(self, base96, newton_fails_past_half):
         with pytest.raises(SolverError, match="pinching path stalled at t = ") as info:
+            epsilon_pinching(base96, eps=1e-3)
+        assert info.value.trace == STUB_TRACE
+
+    @pytest.mark.parametrize("records", [None, 6])
+    def test_path_fails_at_its_start(self, base96, newton_fails_everywhere, records):
+        # the start solve is at t_start, or at the first Gauss node
+        t_first = 0.1 if records is None else (np.polynomial.legendre.leggauss(6)[0][0] + 1) / 2
+        path = run_continuity_path(base96, records=records)
+        assert path.records == ()
+        assert not path.completed
+        assert path.failure == f"stub failure at t = {t_first}"
+
+    def test_pinching_path_fails_at_its_start(self, base96, newton_fails_everywhere):
+        with pytest.raises(
+            SolverError, match=r"pinching path failed at its start t = 0\.1: stub failure"
+        ) as info:
             epsilon_pinching(base96, eps=1e-3)
         assert info.value.trace == STUB_TRACE
 

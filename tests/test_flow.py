@@ -122,7 +122,8 @@ class TestRunFlow:
     @pytest.mark.parametrize(
         "kwargs",
         [{"ds": 0.0}, {"ds": -1e-3}, {"ds_floor": 0.0}, {"ds": float("nan")},
-         {"record_stride": 0}, {"record_stride": -1}, {"record_stride": 2.5}],
+         {"record_stride": 0}, {"record_stride": -1}, {"record_stride": 2.5},
+         {"ds": 1e-9}],
     )
     def test_policy_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -623,7 +624,7 @@ class TestPinching:
         # which gives h); one full state is built, at the stop, as the
         # flow's base
         newton = Counter()
-        real_solve = flow.solve_ma_at_t
+        real_solve = continuity.solve_ma_at_t
 
         def solve(t, base, guess, policy):
             before = counts["laplacian"]
@@ -643,8 +644,7 @@ class TestPinching:
             stage.update(counts, state=state)
             raise Stop
 
-        for module in (flow, continuity):
-            monkeypatch.setattr(module, "solve_ma_at_t", solve)
+        monkeypatch.setattr(continuity, "solve_ma_at_t", solve)
         monkeypatch.setattr(flow, "run_flow", stop)
         counts.clear()
         with pytest.raises(Stop):

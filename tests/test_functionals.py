@@ -86,7 +86,11 @@ class TestIdentities:
     def test_cocycle_and_antisymmetry(self, ref128, grid128, rng):
         psi = random_potential(grid128, rng)
         phi = random_potential(grid128, rng)
-        rep = verify_cocycle(psi, phi, ref128)
+        rep = verify_cocycle(
+            FunctionalLedger.evaluate("psi", psi, ref128),
+            FunctionalLedger.evaluate("phi", phi, ref128),
+            ref128,
+        )
         assert abs(rep.cocycle_f0) < 1e-12
         assert abs(rep.cocycle_f) < 1e-12
         assert abs(rep.antisym_f0) < 1e-12
@@ -103,7 +107,7 @@ class TestIdentities:
 
     def test_mabuchi_relation(self, ref128, grid128, rng):
         phi = random_potential(grid128, rng)
-        rep = verify_mabuchi_f_relation(phi, ref128)
+        rep = verify_mabuchi_f_relation(FunctionalLedger.evaluate("phi", phi, ref128), ref128)
         assert rep.holds
         assert abs(rep.residual) < 1e-10
         assert rep.inequality_slack >= 0.0
@@ -339,14 +343,18 @@ class TestAffineRay:
         assert led.K == eval_K_energy(phi, base128)
 
     def test_mabuchi_report_reads_h_off_the_ray(self, ref128, grid128, counts):
-        # one Laplacian and no state, and on the reference base the same
-        # bits as the report built from the full state of phi
+        # one Laplacian in the ledger, none and no state in the report, and
+        # on the reference base the same bits as the report built from the
+        # full state of phi
         rng = np.random.default_rng(11)
         for _ in range(3):
             phi = random_potential(grid128, rng)
             counts.clear()
-            rep = verify_mabuchi_f_relation(phi, ref128)
+            led = FunctionalLedger.evaluate("phi", phi, ref128)
             assert counts == {"laplacian": 1}
+            counts.clear()
+            rep = verify_mabuchi_f_relation(led, ref128)
+            assert counts == {}
             state = relative_state(ref128, phi)
             k_val = eval_K_energy(phi, ref128)
             _, f_val = eval_F(phi, ref128)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebflow import cli, io, transverse
+from reebflow import cli, continuity, io, transverse
 from reebflow import (
     BasicPotential,
     FunctionalLedger,
@@ -225,6 +225,33 @@ class TestCliCommands:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("solve", '{"n": 1e400}'),
+            ("scan", '{"lambdas": ["a", 2]}'),
+            ("scan", '{"family": "xyz"}'),
+            ("verify-all", '{"quick": "no"}'),
+        ],
+    )
+    def test_config_value_is_checked_as_its_flag(self, tmp_path, capsys, command, config):
+        # 1e400 is inf, no int; a switch takes only true or false
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_list_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 32, "lambdas": [1, 2, 4]}))
+        out = tmp_path / "run"
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config"]["params"] == [1.0, 2.0, 4.0]
+
 
 class TestCliExitCodes:
     def test_usage_error(self, capsys):
@@ -300,7 +327,9 @@ class TestCliExitCodes:
         assert "invalid input" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--ds", "0"), ("--stride", "0")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--ds", "0"), ("--ds", "1e-9"), ("--stride", "0")]
+    )
     def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
         rc = cli.main(["flow", "--n", "16", "--s-end", "0.1", flag, value,
@@ -364,6 +393,18 @@ class TestCliExitCodes:
             "invariant violated: stub stall (trace of 5 residuals, "
             "last 2.500e-01, 1.250e-01, 6.250e-02)\n"
         )
+
+    def test_path_failing_at_its_start(self, tmp_path, capsys, monkeypatch):
+        def failing_solve(t, base, initial_guess, policy):
+            raise SolverError(f"stub failure at t = {t}", trace=[1.0])
+
+        monkeypatch.setattr(continuity, "solve_ma_at_t", failing_solve)
+        out = tmp_path / "o"
+        rc = cli.main(["path", "--n", "16", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "invariant violated: path failed at its start: stub failure at t = 0.1\n"
+        assert not out.exists()
 
     def test_longdouble_without_extended_precision(self, tmp_path, capsys, monkeypatch):
         # a float64 longdouble (MSVC, macOS arm64) is refused with exit 2

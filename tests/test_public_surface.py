@@ -45,6 +45,8 @@ REMOVED = {
         "osc_bound_report",
         "OscBoundReport",
         "PreconditionError",
+        "_cocycle_report",
+        "_mabuchi_report",
     ),
     "reebflow.errors": ("PreconditionError",),
     "reebflow.flow": ("_prefix",),

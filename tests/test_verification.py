@@ -8,6 +8,7 @@ reporting semantics and that the cheap suites pass standalone.
 import pytest
 
 from reebflow import (
+    FunctionalLedger,
     make_grid,
     reference_state,
     verification,
@@ -74,14 +75,15 @@ class TestIdentitySuite:
         # draws, two ledgers, two translations (1 each), and the cocycle's
         # middle state (2) with its two relative F values (1 each).  Without
         # the reuse the same suite applied 16.
-        mabuchi = _recording(monkeypatch, "_mabuchi_report")
-        cocycle = _recording(monkeypatch, "_cocycle_report")
+        mabuchi = _recording(monkeypatch, "verify_mabuchi_f_relation")
+        cocycle = _recording(monkeypatch, "verify_cocycle")
         _, ledgers = functional_identity_suite(n=64, samples=2, seed=1)
         assert counts["laplacian"] == 12
-        # the same reports, bit for bit, as the public functions compute
+        # the same reports, bit for bit, as ledgers evaluated afresh give
         ref = reference_state(make_grid(64))
-        assert mabuchi == [verify_mabuchi_f_relation(led.potential, ref) for led in ledgers]
-        assert cocycle == [verify_cocycle(ledgers[0].potential, ledgers[1].potential, ref)]
+        fresh = [FunctionalLedger.evaluate(led.tag, led.potential, ref) for led in ledgers]
+        assert mabuchi == [verify_mabuchi_f_relation(led, ref) for led in fresh]
+        assert cocycle == [verify_cocycle(fresh[0], fresh[1], ref)]
 
     def test_seed_determinism(self):
         a = functional_identity_suite(n=96, samples=4, seed=5)[1]
