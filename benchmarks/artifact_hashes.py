@@ -1,11 +1,12 @@
-"""Hashes of the artifacts six CLI commands write, for proving a refactor safe.
+"""Hashes of the artifacts the CLI writes, for proving a refactor safe.
 
     PYTHONPATH=src python3 benchmarks/artifact_hashes.py > hashes.txt
 
-Runs each command below through ``reebflow.cli.main`` in a temporary
-directory and prints one sorted ``command/artifact sha256`` line per
-artifact.  Manifests are left out: they hold wall times.  The BLAS threads
-are pinned to one before numpy is imported, since the artifacts' last bits
+Runs each command below (together they cover all eight subcommands)
+through ``reebflow.cli.main`` in a temporary directory and prints one
+sorted ``command/artifact sha256`` line per artifact, 25 in all.
+Manifests are left out: they hold wall times.  The BLAS threads are
+pinned to one before numpy is imported, since the artifacts' last bits
 depend on the thread count.  Run it on two trees and diff the outputs; a
 change that keeps every computation prints the same lines.  Exits 1 if any
 command does not exit 0.  About 5 s on one core.
@@ -32,6 +33,9 @@ COMMANDS = {
     "pinch": ["pinch", "--n", "64"],
     "solve": ["solve", "--n", "64"],
     "flow": ["flow", "--n", "64", "--s-end", "0.5"],
+    "scan-bump": ["scan", "--n", "64", "--family", "bump"],
+    "spectrum": ["spectrum", "--n", "64", "--phi", "0.1*x", "--k", "8"],
+    "curvature": ["curvature", "--m", "3"],
 }
 
 

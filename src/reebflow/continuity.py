@@ -20,8 +20,8 @@ Paths in t are marched adaptively by one stepper, ``_march``, the only
 place where a path solves: it solves at its first target from the zero
 potential, then marches with warm starts through the later targets,
 landing on each.  It tries t + dt, halves dt when Newton fails, doubles
-it back up to dt_init after each accepted step, and raises SolverError
-once dt would drop below dt_floor.  Both record modes of
+it back up to _DT_INIT after each accepted step, and raises SolverError
+once dt would drop below _DT_FLOOR.  Both record modes of
 ``run_continuity_path`` and the continuity stage of
 ``flow.epsilon_pinching`` are one loop over it.  A path
 can also be asked to place its records at Gauss nodes of (0, 1), which
@@ -48,8 +48,6 @@ from .transverse import (
     BasicPotential,
     Grid,
     MetricState,
-    _admissible,
-    _ratio_ld,
 )
 
 __all__ = [
@@ -67,38 +65,38 @@ __all__ = [
 ]
 
 
+# Newton's iterations, Armijo halvings and constant, and the least ratio
+# margin of a step; the march's first and least dt; the dip in I - J that
+# is a violation
+_MAX_ITERATIONS = 50
+_MAX_BACKTRACKS = 30
+_ARMIJO_C = 1e-4
+_MARGIN_FLOOR = 1e-6
+_DT_INIT = 0.05
+_DT_FLOOR = 1e-4
+_MONOTONE_TOL = 1e-8
+# Gauss records per path: leggauss(records) allocates a records^2 matrix
+MAX_RECORDS = 1000
+
+
 @dataclass(frozen=True)
 class PathPolicy:
+    """The Newton residual at which a solve stops; the rest of the march is
+    fixed by the constants _MAX_ITERATIONS, _MAX_BACKTRACKS, _ARMIJO_C,
+    _MARGIN_FLOOR, _DT_INIT, _DT_FLOOR and _MONOTONE_TOL."""
+
     newton_tol: float = 1e-10
-    max_iterations: int = 50
-    dt_init: float = 0.05
-    dt_floor: float = 1e-4
-    margin_floor: float = 1e-6
-    armijo_c: float = 1e-4
-    max_backtracks: int = 30
-    monotone_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.dt_init > 0 and self.dt_floor > 0):
-            raise ConfigurationError(
-                f"dt_init and dt_floor must be positive, got {self.dt_init}, {self.dt_floor}"
-            )
-        for name in ("newton_tol", "margin_floor", "armijo_c", "monotone_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
-        if not self.armijo_c < 1:
-            raise ConfigurationError(f"armijo_c must be below 1, got {self.armijo_c}")
-        for name in ("max_iterations", "max_backtracks"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        tol = self.newton_tol
+        if not (math.isfinite(tol) and tol > 0):
+            raise ConfigurationError(f"newton_tol must be finite and positive, got {tol}")
 
 
 def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
     """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi), from the
-    volume ratio of base + phi alone (InadmissibleError if not positive)."""
-    ratio = _admissible(_ratio_ld(phi.grid, base.potential.values + phi.values))
+    ratio of the state of base + phi alone (InadmissibleError if not positive)."""
+    ratio = relative_state(base, phi).ratio
     rhs = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
     return ratio / base.ratio - rhs
 
@@ -127,7 +125,7 @@ def solve_ma_at_t(
     The Jacobian comes from ``ma_jacobian`` and is exact, so convergence
     is quadratic once inside the basin. Steps are Armijo-damped on the
     sup-norm of the defect and rejected outright if they push the total
-    potential below the admissibility margin floor.  Each candidate is
+    potential's ratio margin below _MARGIN_FLOOR.  Each candidate is
     evaluated once, from one Laplacian; its margin and defect stay in
     float64, the rounding that fixes the iterates.  A guess whose margin
     is not positive raises ConfigurationError; a residual that is not
@@ -152,7 +150,7 @@ def solve_ma_at_t(
     if not np.isfinite(res):
         raise SolverError(f"initial Newton residual {res} at t = {t:.6g}", trace=[res])
     trace: list[float] = []
-    for _ in range(policy.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         trace.append(res)
         jac = ma_jacobian(BasicPotential(values=phi, grid=grid), t, base)
         try:
@@ -167,16 +165,16 @@ def solve_ma_at_t(
             # digits, which the along-path curvature identity benefits from
             polished = phi + step
             margin, defect = evaluate(polished)
-            if margin >= policy.margin_floor and float(np.abs(defect).max()) < res:
+            if margin >= _MARGIN_FLOOR and float(np.abs(defect).max()) < res:
                 phi = polished
             return BasicPotential(values=phi, grid=grid)
         alpha = 1.0
-        for _ in range(policy.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = phi + alpha * step
             margin, cand_defect = evaluate(cand)
-            if margin >= policy.margin_floor:
+            if margin >= _MARGIN_FLOOR:
                 cand_res = float(np.abs(cand_defect).max())
-                if cand_res <= (1.0 - policy.armijo_c * alpha) * res:
+                if cand_res <= (1.0 - _ARMIJO_C * alpha) * res:
                     phi, res, defect = cand, cand_res, cand_defect
                     break
             alpha *= 0.5
@@ -186,7 +184,7 @@ def solve_ma_at_t(
                 trace=trace,
             )
     raise SolverError(
-        f"Newton did not converge at t = {t:.6g} within {policy.max_iterations} iterations",
+        f"Newton did not converge at t = {t:.6g} within {_MAX_ITERATIONS} iterations",
         trace=trace,
     )
 
@@ -246,9 +244,9 @@ def _march(
     regime: the zeroth-order term dominates the Jacobian), then marches
     with warm starts to each later target and lands on it exactly.
     Yields (t, phi_t, on_target) for the start and after each accepted
-    step.  Toward each target the first step is min(dt_init, gap); a
-    Newton failure halves dt, an accepted step doubles it up to dt_init,
-    and a dt below dt_floor raises SolverError naming the last accepted
+    step.  Toward each target the first step is min(_DT_INIT, gap); a
+    Newton failure halves dt, an accepted step doubles it up to _DT_INIT,
+    and a dt below _DT_FLOOR raises SolverError naming the last accepted
     t, with the failed solve's trace.  A failed start solve raises its
     own SolverError.
     """
@@ -256,21 +254,21 @@ def _march(
     phi = solve_ma_at_t(t, base, BasicPotential.zero(base.grid), policy)
     yield t, phi, True
     for target in targets[1:]:
-        dt = min(policy.dt_init, target - t)
+        dt = min(_DT_INIT, target - t)
         while t < target:
             t_next = min(t + dt, target)
             try:
                 phi = solve_ma_at_t(t_next, base, phi, policy)
             except SolverError as err:
                 dt *= 0.5
-                if dt < policy.dt_floor:
+                if dt < _DT_FLOOR:
                     raise SolverError(
-                        f"step floor {policy.dt_floor} reached at t = {t:.6g}",
+                        f"step floor {_DT_FLOOR} reached at t = {t:.6g}",
                         trace=err.trace,
                     ) from err
                 continue
             t = t_next
-            dt = min(dt * 2.0, policy.dt_init)
+            dt = min(dt * 2.0, _DT_INIT)
             yield t, phi, t == target
 
 
@@ -284,8 +282,8 @@ def run_continuity_path(
     """March the family in t with warm starts and adaptive steps.
 
     With ``records=None`` the path records every accepted step of the
-    march from t_start to t_end (``_march``: initial step policy.dt_init,
-    halved on Newton failure down to policy.dt_floor).  In either record
+    march from t_start to t_end (``_march``: initial step _DT_INIT,
+    halved on Newton failure down to _DT_FLOOR).  In either record
     mode, a failed start solve or reaching the floor returns a partial
     path with the failure marker set, which is meaningful properness
     diagnostics, not an exception.
@@ -294,8 +292,8 @@ def run_continuity_path(
     plus the t = 1 endpoint, and the returned path carries the matching
     quadrature weights; intermediate continuation solves are inserted
     adaptively but not recorded.  t_start governs only ``records=None``;
-    a count below 1, or a Gauss node above t_end < 1, raises
-    ConfigurationError.
+    a count below 1 or above MAX_RECORDS, or a Gauss node above
+    t_end < 1, raises ConfigurationError.
 
     The (I - J) monotonicity of records is asserted; a violation raises
     InvariantViolation.
@@ -308,8 +306,10 @@ def run_continuity_path(
     if records is None:
         targets = [t_start, t_end]
     else:
-        if records < 1:
-            raise ConfigurationError(f"need at least 1 Gauss record, got {records}")
+        if not 1 <= records <= MAX_RECORDS:
+            raise ConfigurationError(
+                f"need at least 1 Gauss record and at most {MAX_RECORDS}, got {records}"
+            )
         ts, ws = _gauss01(records)
         targets = list(ts)
         weights = list(ws)
@@ -330,7 +330,7 @@ def run_continuity_path(
             if recs:
                 prev = recs[-1].ledger.I - recs[-1].ledger.J
                 cur = ledger.I - ledger.J
-                if cur < prev - policy.monotone_tol:
+                if cur < prev - _MONOTONE_TOL:
                     raise InvariantViolation(
                         f"(I-J) decreased along the path: {prev:.12g} -> {cur:.12g} "
                         f"at t = {t:.6g}"

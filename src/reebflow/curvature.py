@@ -41,6 +41,8 @@ __all__ = [
     "calabi_bound",
 ]
 
+MAX_DIMENSION = 16  # the brute-force loops visit m^4 components
+
 NORM_CONVENTION = (
     "orthonormal-frame sum of squared components; fixed by requiring the "
     "round-model trace chain S^2 - |rho|^2 = 4 m (m-1) (m+1)^2"
@@ -70,10 +72,11 @@ def round_tensor_contractions(m: int, c: float) -> RoundCurvatureModel:
     """Brute-force contractions of the constant-curvature tensor.
 
     Explicit quadruple loops on purpose: this is the oracle the closed
-    forms are checked against, so it must not share their algebra.
+    forms are checked against, so it must not share their algebra.  An m
+    outside [1, MAX_DIMENSION] raises ConfigurationError.
     """
-    if m < 1:
-        raise ConfigurationError(f"transverse dimension must be >= 1, got {m}")
+    if not 1 <= m <= MAX_DIMENSION:
+        raise ConfigurationError(f"transverse dimension must lie in [1, {MAX_DIMENSION}], got {m}")
     if not (c > 0):
         raise ConfigurationError(f"sectional curvature constant must be positive, got {c}")
     g = np.eye(m)

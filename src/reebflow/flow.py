@@ -101,7 +101,6 @@ from .transverse import (
     MetricState,
     _admissible,
     _ratio_ld,
-    _ricci_potential,
     _state,
 )
 
@@ -132,6 +131,11 @@ _CHORD_TOL = 1e-13
 # each accepted step lets the next grow by _GROWTH, up to FlowPolicy.ds
 _START_FRACTION = 1.0 / 16.0
 _GROWTH = 1.1
+# the floor of the step's halvings and of FlowPolicy.ds; the most steps
+# s_end / ds of a march (S_END_MAX at the default ds takes 35,400)
+_DS_FLOOR = 1e-6
+MAX_FLOW_STEPS = 100_000
+_PINCH_T_START = 0.1  # the pinching path's first t
 
 
 def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
@@ -140,11 +144,12 @@ def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.flo
 
 
 def flow_rhs(v: BasicPotential, base: MetricState) -> NDArray[np.float64]:
-    """Right-hand side log r_base(v) + (m+1) v - h_base, pointwise.
+    """Right-hand side log r_base(v) + (m+1) v - h_base, pointwise, from
+    the ratio of the state of base + v alone.
 
     Raises InadmissibleError when base + v is not positive.
     """
-    return _rhs(_admissible(_ratio_ld(v.grid, base.potential.values + v.values)), v.values, base)
+    return _rhs(relative_state(base, v).ratio, v.values, base)
 
 
 @lru_cache(maxsize=8)
@@ -171,19 +176,16 @@ def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
 @dataclass(frozen=True)
 class FlowPolicy:
     """The step ds (reached after the graded start, halved on an
-    inadmissible candidate, never below ds_floor) and a record at every
-    multiple of record_stride * ds in flow time.  The defaults take 422
-    BDF2 steps to s = 2 and record at multiples of 0.01."""
+    inadmissible candidate, never below the constant _DS_FLOOR) and a
+    record at every multiple of record_stride * ds in flow time.  The
+    defaults take 422 BDF2 steps to s = 2 and record at multiples of 0.01."""
 
     ds: float = 5e-3
     record_stride: int = 2
-    ds_floor: float = 1e-6
 
     def __post_init__(self):
-        if not (self.ds >= self.ds_floor > 0):
-            raise ConfigurationError(
-                f"need ds >= ds_floor > 0, got ds {self.ds}, ds_floor {self.ds_floor}"
-            )
+        if not (self.ds >= _DS_FLOOR):
+            raise ConfigurationError(f"ds must be at least {_DS_FLOOR}, got {self.ds}")
         stride = self.record_stride
         if not (isinstance(stride, (int, np.integer)) and stride >= 1):
             raise ConfigurationError(
@@ -338,8 +340,11 @@ def _steps(
     halves the step (the cap becomes half the rejected step); reaching the
     step floor raises SolverError.  At s = 0, at each record time and at
     the last step, ratio_ld is re-anchored to the exact ratio of base + v
-    and the step is yielded as anchored.
+    and the step is yielded as anchored.  More than MAX_FLOW_STEPS steps
+    s_end / policy.ds raise ConfigurationError before the first.
     """
+    if s_end / policy.ds > MAX_FLOW_STEPS:
+        raise ConfigurationError(f"s_end / ds = {s_end / policy.ds:.6g} is above {MAX_FLOW_STEPS}")
     grid = base.potential.grid
 
     def anchor(v: NDArray) -> NDArray[np.longdouble]:
@@ -380,8 +385,8 @@ def _steps(
             _admissible(cand_ratio_ld)
         except InadmissibleError:
             ds = 0.5 * step
-            if ds < policy.ds_floor:
-                raise SolverError(f"step floor {policy.ds_floor} reached at s = {s:.6g}")
+            if ds < _DS_FLOOR:
+                raise SolverError(f"step floor {_DS_FLOOR} reached at s = {s:.6g}")
             continue
         v = v + delta
         anchored = parts == 1
@@ -406,7 +411,8 @@ def run_flow(
     with completed False and the failure marker set.
 
     s_end must be positive and below S_END_MAX (about 177 at m = 1),
-    where the records' bound e^{2(m+1)s} still fits in float64.
+    where the records' bound e^{2(m+1)s} still fits in float64, and
+    s_end / policy.ds at most MAX_FLOW_STEPS.
     """
     if not (0.0 < s_end < S_END_MAX):
         raise ConfigurationError(
@@ -457,7 +463,9 @@ def smoothing_monitors(
     """Aggregate the per-record monitor bounds and, from the record at
     s = 1, the time-one potential bound, the one-sided metric sandwich
     (reported, never assumed), and the fitted smoothing constants.  The
-    time-one section is None when no record lies within _S_TOL of s = 1.
+    sandwich and the centring of h_1 read the ratio of the state of
+    base + v_1 alone (one Laplacian).  The time-one section is None when
+    no record lies within _S_TOL of s = 1.
 
     The two fitted constants follow the shapes the smoothing estimates
     take for a flow started from a continuity-path state at parameter t
@@ -479,18 +487,16 @@ def smoothing_monitors(
     rec1 = trajectory.record_at(1.0)
     if abs(rec1.s - 1.0) <= _S_TOL:
         u_slack = (math.exp(MP1) / MP1) * h0_norm - rec1.v.sup()
-        grid = base.potential.grid
-        # the sandwich and the centring of h_1 read only the volume ratio
-        r_tot = _admissible(_ratio_ld(grid, base.potential.values + rec1.v.values))
-        lo = float(r_tot.min()) - 0.5
-        hi = 1.0 - float(r_tot.max())
+        state = relative_state(base, rec1.v)
+        lo = float(state.ratio.min()) - 0.5
+        hi = 1.0 - float(state.ratio.max())
         held = bool(lo >= 0.0 and hi >= 0.0)
         if one_minus_t is not None and h0_norm > 0:
             h1 = rec1.h
-            h1_centered = h1 - float((grid.w * r_tot) @ h1)
+            h1_centered = h1 - state.integrate(h1)
             denom = one_minus_t ** (1.0 / 3.0) * h0_norm ** (2.0 / 3.0)
             c1 = float(np.abs(h1_centered).max() / denom) if denom > 0 else None
-            holder_norm = float(np.abs(h1).max()) + holder_seminorm(grid, h1)
+            holder_norm = float(np.abs(h1).max()) + holder_seminorm(state.grid, h1)
             denom7 = one_minus_t ** (1.0 / 6.0) * (1.0 + h0_norm) ** (5.0 / 6.0)
             c7 = holder_norm / denom7 if denom7 > 0 else None
 
@@ -525,56 +531,45 @@ class PinchResult:
     trajectory: FlowTrajectory
 
 
-def epsilon_pinching(
-    base: MetricState,
-    eps: float,
-    t_start: float = 0.1,
-    path_policy: PathPolicy = PathPolicy(),
-    flow_policy: FlowPolicy = FlowPolicy(),
-) -> PinchResult:
+def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     """Two-stage pinching: march the continuity family upward in t until
     the state's Ricci potential drops below eps/2, then run the flow for
     s in [0, 2] from that structure and measure max|S^T - 2m(m+1)|.
 
     The first stage is one loop over the continuity stepper
-    (``continuity._march`` from t_start to t = 1, with path_policy), which
-    solves at t_start from the zero potential and then marches; it stops
-    at the first accepted t whose structure has sup|h| <= eps/2.  h is
-    read off the volume ratio (one Laplacian per t); the full state is
-    built once, at the stop, as the flow's base.  Asserts achieved <= eps
-    (the flow contracts far below the worst-case constants).  A solver
-    failure before the target is raised as the properness diagnostic it
-    is: a SolverError "pinching path failed at its start t = ..." when no
-    t was accepted, or "pinching path stalled at t = ..." after one was,
-    carrying the trace of the last failed Newton solve.
+    (``continuity._march`` from _PINCH_T_START to t = 1, default
+    PathPolicy), which solves at _PINCH_T_START from the zero potential
+    and then marches; it stops at the first accepted t whose structure has
+    sup|h| <= eps/2.  Each accepted t builds the state of base + phi_t,
+    whose h reads its ratio alone (one Laplacian); the state at the stop
+    is the flow's base, and the flow runs with the default FlowPolicy.
+    Asserts achieved <= eps (the flow contracts far below the worst-case
+    constants).  A solver failure before the target is raised as the
+    properness diagnostic it is: a SolverError "pinching path failed at
+    its start t = ..." when no t was accepted, or "pinching path stalled
+    at t = ..." after one was, carrying the trace of the last failed
+    Newton solve.
     """
     if not (eps > 0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
-    grid = base.potential.grid
     target = eps / 2.0
-
-    def sup_h(phi: BasicPotential) -> float:
-        # the Ricci potential of base + phi, read off its ratio alone
-        values = base.potential.values + phi.values
-        h, _ = _ricci_potential(grid, _admissible(_ratio_ld(grid, values)), values)
-        return float(np.abs(h).max())
 
     h_norm = None
     try:
-        for t, phi, _ in _march(base, [t_start, 1.0], path_policy):
-            h_norm = sup_h(phi)
+        for t, phi, _ in _march(base, [_PINCH_T_START, 1.0], PathPolicy()):
+            state = relative_state(base, phi)
+            h_norm = float(np.abs(state.ricci_potential).max())
             if h_norm <= target:
                 break
     except SolverError as err:
         if h_norm is None:
-            where = f"failed at its start t = {t_start:.4g}: {err}"
+            where = f"failed at its start t = {_PINCH_T_START:.4g}: {err}"
         else:
             where = (f"stalled at t = {t:.6g} with sup|h| = {h_norm:.3e} "
                      f"(target {target:.3e})")
         raise SolverError(f"pinching path {where}", trace=err.trace) from err
 
-    state = relative_state(base, phi)
-    trajectory = run_flow(state, s_end=2.0, policy=flow_policy)
+    trajectory = run_flow(state, s_end=2.0)
     if not trajectory.completed:
         raise SolverError(f"pinching flow stage failed: {trajectory.failure}")
     final = relative_state(state, trajectory.endpoint().v)

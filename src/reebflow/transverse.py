@@ -37,8 +37,8 @@ sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,6 +54,8 @@ from .errors import (
 )
 
 MIN_GRID = 8
+# the dense operators and tables take about 60 n^2 bytes: 64 MB at 1024
+MAX_GRID = 1024
 # the grid data and pointwise derivatives assume an 80-bit (or wider)
 # longdouble: the check margins were measured with one, and roundoff
 # floors that grow like n^4 eps would near their tolerances in float64
@@ -227,7 +229,7 @@ class Grid:
 
 @lru_cache(maxsize=8)
 def make_grid(n: int = 256) -> Grid:
-    """Build the collocation grid; n must be at least 8.  Grids are cached
+    """Build the collocation grid, MIN_GRID <= n <= MAX_GRID.  Grids are cached
     per size (they are immutable).  InvariantViolation when np.longdouble
     is not an extended type (epsilon above 1e-18)."""
     if _LONGDOUBLE_EPS > _LONGDOUBLE_EPS_MAX:
@@ -235,8 +237,8 @@ def make_grid(n: int = 256) -> Grid:
             f"np.longdouble has epsilon {_LONGDOUBLE_EPS:.3e}; the grid needs an "
             f"extended type with epsilon <= {_LONGDOUBLE_EPS_MAX:g}"
         )
-    if int(n) != n or n < MIN_GRID:
-        raise ConfigurationError(f"grid size must be an integer >= {MIN_GRID}, got {n}")
+    if not (MIN_GRID <= n <= MAX_GRID) or int(n) != n:
+        raise ConfigurationError(f"grid size {n} is not an integer in [{MIN_GRID}, {MAX_GRID}]")
     n = int(n)
     h = (n + 1) // 2
     x_ld, w_raw_ld = _nodes_weights_ld(n)
@@ -343,21 +345,35 @@ def admissibility(phi: BasicPotential) -> tuple[bool, float]:
 
 @dataclass(frozen=True)
 class MetricState:
-    """Derived geometric data of an admissible potential.
+    """Derived geometric data of an admissible potential.  Construction
+    casts and checks the ratio; the rest is computed on first read, kept
+    and read-only.
 
     ratio            volume ratio r(phi) against the reference measure
-    scalar_curvature transverse scalar curvature S of the deformed structure
     ricci_potential  normalized Ricci potential h with int e^h dmu_phi = 1
     norm_constant    the constant c in h = -log r - (m+1) phi + c
-    margin           min of ratio (positivity margin)
+    scalar_curvature transverse scalar curvature S of the deformed
+                     structure, the one field that applies a Laplacian
     """
 
     potential: BasicPotential
     ratio: NDArray[np.float64]
-    scalar_curvature: NDArray[np.float64]
-    ricci_potential: NDArray[np.float64]
-    norm_constant: float
-    margin: float
+    # the ratio in extended precision, which the scalar curvature reads
+    _ratio_ext: NDArray[np.longdouble] = field(repr=False, compare=False)
+
+    @cached_property
+    def _ricci(self) -> tuple[NDArray[np.float64], float]:
+        h, c = _ricci_potential(self.grid, self.ratio, self.potential.values)
+        return _lock(h), float(c)
+
+    ricci_potential = property(lambda self: self._ricci[0])
+    norm_constant = property(lambda self: self._ricci[1])
+
+    @cached_property
+    def scalar_curvature(self) -> NDArray[np.float64]:
+        # S r = 4 - Lap(log r)/2, in longdouble between the two Laplacians
+        r = self._ratio_ext
+        return _lock((SCALAR_TARGET - 0.5 * self.grid._laplacian_ld(np.log(r))) / r)
 
     @property
     def grid(self) -> Grid:
@@ -403,7 +419,7 @@ def _ricci_potential(
 ) -> tuple[NDArray[np.float64], float]:
     """Ricci potential h = -log r - (m+1) phi + c of the total potential
     ``values`` and its constant c, read off the checked ratio r alone: no
-    Laplacian, and the same bits as ``metric_state``'s."""
+    Laplacian, and the same bits as ``MetricState.ricci_potential``."""
     log_ratio = np.log(ratio)
     # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
     # so c is the explicit log-integral below (no root-find needed: e^c
@@ -413,7 +429,8 @@ def _ricci_potential(
 
 
 def metric_state(phi: BasicPotential) -> MetricState:
-    """Volume ratio, scalar curvature and Ricci potential of a potential.
+    """The state of a potential: its volume ratio, checked, with the Ricci
+    potential and scalar curvature computed on first read.
 
     Raises InadmissibleError when the deformed structure is not positive.
     """
@@ -422,21 +439,8 @@ def metric_state(phi: BasicPotential) -> MetricState:
 
 def _state(phi: BasicPotential, ratio_ld: NDArray[np.longdouble]) -> MetricState:
     """``metric_state(phi)`` from the ratio ``_ratio_ld(grid, phi.values)``
-    formed already: one Laplacian, for the scalar curvature."""
-    grid = phi.grid
-    ratio = _admissible(ratio_ld)
-    h, c = _ricci_potential(grid, ratio, phi.values)
-    scalar = (
-        (SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(ratio_ld))) / ratio_ld
-    ).astype(np.float64)
-    return MetricState(
-        potential=phi,
-        ratio=_lock(ratio),
-        scalar_curvature=_lock(scalar),
-        ricci_potential=_lock(h),
-        norm_constant=float(c),
-        margin=float(ratio.min()),
-    )
+    formed already: cast and checked here, with no Laplacian."""
+    return MetricState(potential=phi, ratio=_lock(_admissible(ratio_ld)), _ratio_ext=ratio_ld)
 
 
 def reference_state(grid: Grid) -> MetricState:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -274,10 +274,7 @@ def manufactured_path_suite(
 # ---------------------------------------------------------------------------
 
 
-def mobius_scan_suite(
-    n: int = IDENTITY_GRID_N,
-    lambdas: Sequence[float] = MOBIUS_LAMBDAS,
-) -> tuple[list[CheckResult], list, object]:
+def mobius_scan_suite(n: int = IDENTITY_GRID_N) -> tuple[list[CheckResult], list, object]:
     """F vanishes identically along the automorphism family while J
     grows without bound, and the round spectrum contains the
     obstruction eigenvalue -4(m+1): properness fails exactly in the
@@ -285,7 +282,7 @@ def mobius_scan_suite(
     a one-element list, the shape its callers index."""
     grid = make_grid(n)
     ref = reference_state(grid)
-    members = [(lam, mobius_potential(lam, grid)) for lam in lambdas]
+    members = [(lam, mobius_potential(lam, grid)) for lam in MOBIUS_LAMBDAS]
     scan = mt_scan("mobius", members, ref)
 
     f_flat = max(abs(f) for f in scan.f_values)

@@ -141,33 +141,18 @@ class TestNewtonSolve:
         assert len(info.value.trace) == 1
 
     @pytest.mark.parametrize(
-        "field, value", [("dt_init", 0.0), ("dt_init", -0.05), ("dt_floor", 0.0),
-                         ("dt_floor", float("nan"))]
-    )
-    def test_policy_steps_must_be_positive(self, field, value):
-        with pytest.raises(ConfigurationError):
-            PathPolicy(**{field: value})
-
-    @pytest.mark.parametrize(
         "field, value",
-        [(field, value) for field in ("newton_tol", "margin_floor", "armijo_c", "monotone_tol")
-         for value in (0.0, -1e-3, float("nan"), float("inf"))]
-        + [("armijo_c", 1.0), ("max_iterations", 0), ("max_iterations", 2.5),
-           ("max_backtracks", 0), ("max_backtracks", -1), ("max_backtracks", 3.0)],
+        [("newton_tol", value) for value in (0.0, -1e-3, float("nan"), float("inf"))],
     )
     def test_policy_tolerances_and_caps_checked(self, field, value):
         with pytest.raises(ConfigurationError):
             PathPolicy(**{field: value})
 
-    def test_iteration_cap(self, grid96):
+    def test_iteration_cap(self, grid96, monkeypatch):
+        monkeypatch.setattr(continuity, "_MAX_ITERATIONS", 1)
         base = metric_state(psi_bump(grid96))
-        with pytest.raises(SolverError):
-            solve_ma_at_t(
-                1.0,
-                base,
-                BasicPotential.zero(grid96),
-                PathPolicy(newton_tol=1e-10, max_iterations=1),
-            )
+        with pytest.raises(SolverError, match="within 1 iterations"):
+            solve_ma_at_t(1.0, base, BasicPotential.zero(grid96), PathPolicy(newton_tol=1e-10))
 
 
 class TestContinuityPath:
@@ -290,7 +275,8 @@ class TestOperatorCounts:
         )
         counts.clear()
         np.testing.assert_array_equal(ma_defect(phi, 0.4, base96), expected)
-        assert counts == {"laplacian": 1}
+        # the state of base + phi, of which only the ratio is read
+        assert counts == {"laplacian": 1, "metric_state": 1}
 
     def test_defect_of_inadmissible_potential_raises(self, ref96):
         bad = BasicPotential.from_callable(ref96.grid, lambda x: 3.0 * (1 - x * x))

@@ -121,7 +121,7 @@ class TestRunFlow:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"ds": 0.0}, {"ds": -1e-3}, {"ds_floor": 0.0}, {"ds": float("nan")},
+        [{"ds": 0.0}, {"ds": -1e-3}, {"ds": float("nan")},
          {"record_stride": 0}, {"record_stride": -1}, {"record_stride": 2.5},
          {"ds": 1e-9}],
     )
@@ -145,7 +145,7 @@ class TestRunFlow:
         # never accepted, until the floor stops the march
         real_step = flow._ChordSolver.__call__
         solves = []
-        policy = FlowPolicy(ds=1e-3, record_stride=10, ds_floor=1e-6)
+        policy = FlowPolicy(ds=1e-3, record_stride=10)
         # the graded start's accepted steps up to the record at s = 0.02
         accepted = len(list(flow._steps(base96, 0.02, policy))) - 1
         assert accepted == 41
@@ -554,11 +554,11 @@ class TestSmoothing:
         assert rep.c7_fit is not None and rep.c7_fit > 0
 
     def test_time_one_section_reads_one_ratio(self, base96, traj96, counts):
-        # the sandwich and the centring of h_1 read the volume ratio of
-        # base + v_1 alone: one Laplacian, no metric state
+        # the sandwich and the centring of h_1 read the volume ratio of the
+        # state of base + v_1 alone: one Laplacian, for that ratio
         counts.clear()
         rep = smoothing_monitors(traj96, one_minus_t=0.4)
-        assert counts == {"laplacian": 1}
+        assert counts == {"laplacian": 1, "metric_state": 1}
         # the same numbers, bit for bit, as a full state of base + v_1
         rec1 = traj96.record_at(1.0)
         full = relative_state(base96, rec1.v)
@@ -620,9 +620,9 @@ class TestPinching:
             epsilon_pinching(base96, eps=0.0)
 
     def test_continuity_stage_reads_h_off_the_ratio(self, base96, counts, monkeypatch):
-        # Newton aside, each accepted t applies one Laplacian (its ratio,
-        # which gives h); one full state is built, at the stop, as the
-        # flow's base
+        # Newton aside, each accepted t builds one state and applies one
+        # Laplacian (its ratio, which gives h); the state at the stop is
+        # the flow's base, whose scalar curvature is never read
         newton = Counter()
         real_solve = continuity.solve_ma_at_t
 
@@ -640,7 +640,7 @@ class TestPinching:
 
         stage = {}
 
-        def stop(state, s_end, policy):
+        def stop(state, s_end):
             stage.update(counts, state=state)
             raise Stop
 
@@ -650,6 +650,6 @@ class TestPinching:
         with pytest.raises(Stop):
             epsilon_pinching(base96, eps=0.1)
         assert newton["accepted"] > 2
-        assert stage["metric_state"] == 1
-        assert stage["laplacian"] - newton["laplacian"] == newton["accepted"] + 2
+        assert stage["metric_state"] == newton["accepted"]
+        assert stage["laplacian"] - newton["laplacian"] == newton["accepted"]
         assert np.abs(stage["state"].ricci_potential).max() <= 0.05

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,28 @@ class TestCliExitCodes:
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "path.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "100000000"],
+            ["path", "--n", "16", "--records", "100000"],
+            ["curvature", "--m", "100000"],
+            ["flow", "--n", "16", "--s-end", "100", "--ds", "1e-6"],
+        ],
+        ids=["grid", "records", "dimension", "flow-steps"],
+    )
+    def test_oversized_input_rejected_before_allocation(self, tmp_path, capsys, argv):
+        # each size is refused by its documented limit before the arrays
+        # (or the 10^8 flow steps) it would take
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        rc = cli.main([*argv, "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -52,7 +52,8 @@ REMOVED = {
     "reebflow.flow": ("_prefix",),
 }
 
-# members of classes that no caller set and nothing read
+# members of classes that no caller set and nothing read, or that one
+# value alone used and became module constants
 REMOVED_MEMBERS = {
     ("reebflow.functionals", "CocycleReport"): ("max_residual",),
     ("reebflow.functionals", "FunctionalLedger"): ("base",),
@@ -61,6 +62,17 @@ REMOVED_MEMBERS = {
     ("reebflow.transverse", "BasicPotential"): ("mean",),
     ("reebflow.flow", "SmoothingReport"): ("holder_track",),
     ("reebflow.flow", "FlowMonitors"): ("holder_h",),
+    ("reebflow.transverse", "MetricState"): ("margin",),
+    ("reebflow.continuity", "PathPolicy"): (
+        "max_iterations",
+        "max_backtracks",
+        "margin_floor",
+        "armijo_c",
+        "dt_init",
+        "dt_floor",
+        "monotone_tol",
+    ),
+    ("reebflow.flow", "FlowPolicy"): ("ds_floor",),
 }
 
 # parameters that no caller set, by the function that took them
@@ -74,6 +86,8 @@ REMOVED_PARAMETERS = {
     ("reebflow.continuity", "mt_scan"): ("families",),
     ("reebflow.transverse", "spectrum"): ("obstruction_tol",),
     ("reebflow.transverse", "log_mean_exp"): ("grid_or_weights",),
+    ("reebflow.flow", "epsilon_pinching"): ("t_start", "path_policy", "flow_policy"),
+    ("reebflow.verification", "mobius_scan_suite"): ("lambdas",),
 }
 
 

@@ -237,6 +237,34 @@ class TestMetricState:
         np.testing.assert_array_equal(h, state.ricci_potential)
         assert c == state.norm_constant
 
+    def test_fields_are_computed_on_first_read(self, psi128, counts):
+        # construction forms and checks the ratio (one Laplacian); h and c
+        # are read off it, and S applies one more Laplacian, once
+        grid = psi128.grid
+        counts.clear()
+        state = metric_state(psi128)
+        assert counts["laplacian"] == 1
+        h, c = state.ricci_potential, state.norm_constant
+        assert counts["laplacian"] == 1
+        scalar = state.scalar_curvature
+        assert counts["laplacian"] == 2
+        assert state.scalar_curvature is scalar
+        assert counts["laplacian"] == 2
+        # the same bits as the formulas applied directly
+        expected_h, expected_c = transverse._ricci_potential(grid, state.ratio, psi128.values)
+        np.testing.assert_array_equal(h, expected_h)
+        assert c == expected_c
+        ratio_ld = transverse._ratio_ld(grid, psi128.values)
+        expected_s = (
+            (SCALAR_TARGET - grid._laplacian_ld(np.log(ratio_ld)) / 2) / ratio_ld
+        ).astype(np.float64)
+        np.testing.assert_array_equal(scalar, expected_s)
+        for field in (state.ratio, h, scalar):
+            assert not field.flags.writeable
+        # an inadmissible potential still raises where the state is made
+        with pytest.raises(InadmissibleError):
+            metric_state(BasicPotential.from_callable(grid, lambda x: 3.0 * (1.0 - x * x)))
+
     def test_ratio_affine_in_potential(self, grid128):
         phi = BasicPotential.from_callable(grid128, lambda x: 0.1 * x)
         state = metric_state(phi)
