@@ -306,7 +306,7 @@ def _cmd_path(args) -> int:
     artifacts = [
         io.write_path_csv(out / "path.csv", path),
         io.write_field_csv(out / "endpoint.csv", grid.x, end.phi.values),
-        io.write_state_json(out / "endpoint_state.json", relative_state(base, end.phi)),
+        io.write_state_json(out / "endpoint_state.json", end.state),
     ]
     _finish(args, {"psi": args.psi, "t_start": args.t_start, "t_end": args.t_end,
                    "records": args.records, "newton_tol": args.newton_tol},

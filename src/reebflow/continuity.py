@@ -28,7 +28,8 @@ can also be asked to place its records at Gauss nodes of (0, 1), which
 turns the recorded (I - J) values into a spectral quadrature rule; that
 is what makes the t-integral identity relating F at the Einstein base to
 the path integral of I - J checkable to 1e-5 rather than to trapezoid
-accuracy.
+accuracy.  Each record keeps the state of base + phi_t that its residual
+read, and ``path_diagnostics`` reads it again.
 """
 
 from __future__ import annotations
@@ -96,9 +97,15 @@ class PathPolicy:
 def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
     """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi), from the
     ratio of the state of base + phi alone (InadmissibleError if not positive)."""
-    ratio = relative_state(base, phi).ratio
+    return _defect(relative_state(base, phi), phi, t, base)
+
+
+def _defect(
+    state: MetricState, phi: BasicPotential, t: float, base: MetricState
+) -> NDArray[np.float64]:
+    """``ma_defect`` from the state of base + phi, built already."""
     rhs = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
-    return ratio / base.ratio - rhs
+    return state.ratio / base.ratio - rhs
 
 
 def ma_jacobian(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
@@ -197,10 +204,15 @@ def solve_ma_at_t(
 HOLDER_ALPHA = 1.0 - 1.0 / (4 * M_DIM + 2)  # 5/6 at m = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathRecord:
+    """One accepted t of a path: phi_t, the state of base + phi_t (built
+    once, for the residual, and read again by ``path_diagnostics``), its
+    functionals and the sup-norm defect of the family at t."""
+
     t: float
     phi: BasicPotential
+    state: MetricState
     ledger: FunctionalLedger
     residual: float
     c0_norm: float
@@ -213,7 +225,7 @@ class PathRecord:
         ) ** HOLDER_ALPHA
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuityPath:
     records: tuple[PathRecord, ...]
     policy: PathPolicy
@@ -335,8 +347,9 @@ def run_continuity_path(
                         f"(I-J) decreased along the path: {prev:.12g} -> {cur:.12g} "
                         f"at t = {t:.6g}"
                     )
-            residual = float(np.abs(ma_defect(phi, t, base)).max())
-            recs.append(PathRecord(float(t), phi, ledger, residual, phi.sup()))
+            state = relative_state(base, phi)
+            residual = float(np.abs(_defect(state, phi, t, base)).max())
+            recs.append(PathRecord(float(t), phi, state, ledger, residual, phi.sup()))
     except SolverError as err:
         failure = str(err)
     if weights is not None:
@@ -358,10 +371,7 @@ def run_continuity_path(
 @dataclass(frozen=True)
 class PathDiagnostics:
     monotone_margin: float            # min consecutive increment of (I-J)
-    f_upper_constant: float           # smallest C1 with F <= (1-t)/t * C1
     energy_identity_residual: Optional[float]
-    pair_bound_slack_j: float
-    pair_bound_slack_ij: float
     curvature_identity_residual: float
 
 
@@ -370,11 +380,13 @@ def path_diagnostics(
     base: MetricState,
     reference: Optional[MetricState] = None,
 ) -> PathDiagnostics:
-    """Along-path report: monotonicity, the (1-t)/t bound on F, the
-    t = 1 energy identity against F at the Einstein base, the oscillation
-    pair bounds, and the curvature identity S_t = 4 - (1-t) Lap_t(phi_t).
-    The energy residual is None unless the path completed to t = 1 with
-    Gauss weights and the Einstein base is given as ``reference``."""
+    """Along-path report: monotonicity, the t = 1 energy identity against
+    F at the Einstein base, and the curvature identity
+    S_t = 4 - (1-t) Lap_t(phi_t), read off each record's state: two
+    Laplacians per record, for its scalar curvature (kept on the state)
+    and for Lap(phi_t), and no new state.  The energy residual is None unless
+    the path completed to t = 1 with Gauss weights and the Einstein base
+    is given as ``reference``."""
     recs = path.records
     if len(recs) < 3:
         raise ConfigurationError("diagnostics need at least 3 path records")
@@ -382,41 +394,22 @@ def path_diagnostics(
     imj = path.i_minus_j()
     monotone = float(np.diff(imj).min())
 
-    c1 = 0.0
-    for rec in recs:
-        if rec.t < 1.0 and rec.ledger.F > 0:
-            c1 = max(c1, rec.ledger.F * rec.t / (1.0 - rec.t))
-
     energy_residual = None
     at_one = path.completed and np.isclose(recs[-1].t, 1.0)
     if at_one and reference is not None and path.record_weights is not None:
         _, f_se = eval_F(base.potential, reference)
         energy_residual = f_se - float(path.record_weights @ imj)
 
-    slack_j = np.inf
-    slack_ij = np.inf
-    for i in range(len(recs)):
-        for j in range(i + 1, len(recs)):
-            osc = float(
-                (recs[j].phi.values - recs[i].phi.values).max()
-                - (recs[j].phi.values - recs[i].phi.values).min()
-            )
-            slack_j = min(slack_j, osc - abs(recs[j].ledger.J - recs[i].ledger.J))
-            slack_ij = min(slack_ij, M_DIM * osc - abs(imj[j] - imj[i]))
-
     worst_420 = 0.0
     for rec in recs:
-        state = relative_state(base, rec.phi)
+        state = rec.state
         lhs = state.scalar_curvature
         rhs = SCALAR_TARGET - (1.0 - rec.t) * grid.laplacian(rec.phi.values) / state.ratio
         worst_420 = max(worst_420, float(np.abs(lhs - rhs).max()))
 
     return PathDiagnostics(
         monotone_margin=monotone,
-        f_upper_constant=float(c1),
         energy_identity_residual=energy_residual,
-        pair_bound_slack_j=float(slack_j),
-        pair_bound_slack_ij=float(slack_ij),
         curvature_identity_residual=worst_420,
     )
 

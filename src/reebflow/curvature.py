@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 16  # the brute-force loops visit m^4 components
+# the largest sectional curvature constant: at m = MAX_DIMENSION the
+# largest square, S^2 = c^2 m^2 (m+1)^2 / 4, is 1.8e304 at c = 1e150 and
+# overflows from c near 1e152
+MAX_CURVATURE = 1e150
 
 NORM_CONVENTION = (
     "orthonormal-frame sum of squared components; fixed by requiring the "
@@ -73,12 +77,15 @@ def round_tensor_contractions(m: int, c: float) -> RoundCurvatureModel:
 
     Explicit quadruple loops on purpose: this is the oracle the closed
     forms are checked against, so it must not share their algebra.  An m
-    outside [1, MAX_DIMENSION] raises ConfigurationError.
+    outside [1, MAX_DIMENSION] or a c outside (0, MAX_CURVATURE] (NaN
+    and inf included) raises ConfigurationError.
     """
     if not 1 <= m <= MAX_DIMENSION:
         raise ConfigurationError(f"transverse dimension must lie in [1, {MAX_DIMENSION}], got {m}")
-    if not (c > 0):
-        raise ConfigurationError(f"sectional curvature constant must be positive, got {c}")
+    if not (0 < c <= MAX_CURVATURE):
+        raise ConfigurationError(
+            f"sectional curvature constant must lie in (0, {MAX_CURVATURE:g}], got {c}"
+        )
     g = np.eye(m)
     r = np.zeros((m, m, m, m))
     for i in range(m):

@@ -208,7 +208,7 @@ class FlowMonitors:
     lap_h_min: float       # min Lap_s h_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowRecord:
     s: float
     v: BasicPotential
@@ -217,7 +217,7 @@ class FlowRecord:
     monitors: FlowMonitors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     initial: MetricState
     records: tuple[FlowRecord, ...]
@@ -515,7 +515,7 @@ def smoothing_monitors(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PinchResult:
     structure: MetricState
     achieved: float

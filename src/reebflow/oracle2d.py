@@ -40,7 +40,7 @@ from numpy.typing import NDArray
 GAUSS_CURVATURE = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     n_theta: int
     n_az: int
@@ -112,7 +112,7 @@ def lift(grid: SphereGrid, fx: Callable[[NDArray], NDArray]) -> NDArray[np.longd
     return np.repeat(col[:, None], grid.n_az, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleFields:
     grid: SphereGrid
     ratio: NDArray[np.float64]             # axisymmetric profiles on theta

@@ -275,7 +275,7 @@ def make_grid(n: int = 256) -> Grid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasicPotential:
     """Axisymmetric basic potential sampled on the collocation grid; its
     values must be finite (ConfigurationError otherwise)."""
@@ -343,7 +343,7 @@ def admissibility(phi: BasicPotential) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricState:
     """Derived geometric data of an admissible potential.  Construction
     casts and checks the ratio; the rest is computed on first read, kept
@@ -359,7 +359,7 @@ class MetricState:
     potential: BasicPotential
     ratio: NDArray[np.float64]
     # the ratio in extended precision, which the scalar curvature reads
-    _ratio_ext: NDArray[np.longdouble] = field(repr=False, compare=False)
+    _ratio_ext: NDArray[np.longdouble] = field(repr=False)
 
     @cached_property
     def _ricci(self) -> tuple[NDArray[np.float64], float]:
@@ -452,7 +452,7 @@ def reference_state(grid: Grid) -> MetricState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Leading eigenvalues of the deformed Laplacian (axisymmetric sector).
 

@@ -54,7 +54,6 @@ from .functionals import (
     FunctionalLedger,
     eval_F,
     random_potential,
-    relative_state,
     verify_cocycle,
     verify_mabuchi_f_relation,
 )
@@ -62,7 +61,6 @@ from .oracle2d import compare_profiles, make_sphere_grid, oracle_fields
 from .transverse import (
     BasicPotential,
     M_DIM,
-    MetricState,
     make_grid,
     metric_state,
     reference_state,
@@ -203,13 +201,13 @@ def functional_identity_suite(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSuiteBundle:
-    base: MetricState
+    """The suite's two paths; the endpoint, its phi and its state are
+    ``gauss.endpoint()``."""
+
     adaptive: ContinuityPath
     gauss: ContinuityPath
-    endpoint_phi: BasicPotential
-    endpoint_state: MetricState
 
 
 def manufactured_path_suite(
@@ -228,13 +226,12 @@ def manufactured_path_suite(
     adaptive = run_continuity_path(base)
     gauss = run_continuity_path(base, records=48)
 
-    end_phi = gauss.endpoint().phi
-    end_state = relative_state(base, end_phi)
+    end = gauss.endpoint()
     diag_adaptive = path_diagnostics(adaptive, base)
-    diag_gauss = path_diagnostics(gauss, base, reference=end_state)
+    diag_gauss = path_diagnostics(gauss, base, reference=end.state)
 
     rec_adaptive = float(np.abs(adaptive.endpoint().phi.values - expected).max())
-    rec_gauss = float(np.abs(end_phi.values - expected).max())
+    rec_gauss = float(np.abs(end.phi.values - expected).max())
 
     checks = [
         _residual("path-recovery-adaptive", rec_adaptive, 1e-7),
@@ -259,14 +256,7 @@ def manufactured_path_suite(
             detail=f"{len(gauss.records)} records",
         ),
     ]
-    bundle = PathSuiteBundle(
-        base=base,
-        adaptive=adaptive,
-        gauss=gauss,
-        endpoint_phi=end_phi,
-        endpoint_state=end_state,
-    )
-    return checks, bundle
+    return checks, PathSuiteBundle(adaptive=adaptive, gauss=gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +567,11 @@ def verify_all(
 
     path_checks, bundle = manufactured_path_suite()
     suites.append(("manufactured_path", path_checks))
-    grid = bundle.endpoint_phi.grid
+    end = bundle.gauss.endpoint()
     artifacts.append(io.write_path_csv(out / "path.csv", bundle.adaptive))
     artifacts.append(io.write_path_csv(out / "path_energy.csv", bundle.gauss))
-    artifacts.append(
-        io.write_field_csv(out / "endpoint.csv", grid.x, bundle.endpoint_phi.values)
-    )
-    artifacts.append(
-        io.write_state_json(out / "endpoint_state.json", bundle.endpoint_state)
-    )
+    artifacts.append(io.write_field_csv(out / "endpoint.csv", end.phi.grid.x, end.phi.values))
+    artifacts.append(io.write_state_json(out / "endpoint_state.json", end.state))
 
     mob_checks, scans, spec = mobius_scan_suite()
     suites.append(("mobius_scan", mob_checks))

@@ -26,6 +26,7 @@ from reebflow import (
     run_continuity_path,
     solve_ma_at_t,
 )
+from reebflow.transverse import M_DIM
 from tests.conftest import psi_bump
 
 
@@ -194,11 +195,20 @@ class TestContinuityPath:
         assert diag.curvature_identity_residual < 1e-7
         assert diag.energy_identity_residual is None  # no reference given
 
-    def test_pair_bounds(self, adaptive, base128):
-        diag = path_diagnostics(adaptive, base128)
-        assert diag.pair_bound_slack_j > -1e-12
-        assert diag.pair_bound_slack_ij > -1e-12
-        assert diag.f_upper_constant >= 0.0
+    def test_pair_bounds(self, adaptive):
+        # over every pair of records, |J_j - J_i| and |(I-J)_j - (I-J)_i| / m
+        # are at most osc(phi_j - phi_i)
+        recs = adaptive.records
+        imj = adaptive.i_minus_j()
+        slack_j = slack_ij = np.inf
+        for i in range(len(recs)):
+            for j in range(i + 1, len(recs)):
+                diff = recs[j].phi.values - recs[i].phi.values
+                osc = float(diff.max() - diff.min())
+                slack_j = min(slack_j, osc - abs(recs[j].ledger.J - recs[i].ledger.J))
+                slack_ij = min(slack_ij, M_DIM * osc - abs(imj[j] - imj[i]))
+        assert slack_j > -1e-12
+        assert slack_ij > -1e-12
 
     def test_decay_profile_is_the_records_f_t(self, adaptive):
         rec = adaptive.records[0]
@@ -277,6 +287,22 @@ class TestOperatorCounts:
         np.testing.assert_array_equal(ma_defect(phi, 0.4, base96), expected)
         # the state of base + phi, of which only the ratio is read
         assert counts == {"laplacian": 1, "metric_state": 1}
+
+    def test_diagnostics_read_the_records_states(self, base96, counts):
+        # each record keeps the state of base + phi_t its residual read; the
+        # diagnostics build no state and apply two Laplacians per record,
+        # one for its scalar curvature, which the state keeps, and one for
+        # Lap(phi_t)
+        path = run_continuity_path(base96)
+        end = path.endpoint()
+        np.testing.assert_array_equal(end.state.ratio, relative_state(base96, end.phi).ratio)
+        assert len(path.records) == 19
+        counts.clear()
+        path_diagnostics(path, base96)
+        assert counts == {"laplacian": 2 * len(path.records)}
+        counts.clear()
+        path_diagnostics(path, base96)
+        assert counts == {"laplacian": len(path.records)}
 
     def test_defect_of_inadmissible_potential_raises(self, ref96):
         bad = BasicPotential.from_callable(ref96.grid, lambda x: 3.0 * (1 - x * x))

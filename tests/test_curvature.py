@@ -12,6 +12,7 @@ from reebflow import (
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
+from reebflow.curvature import MAX_CURVATURE, MAX_DIMENSION
 from reebflow.transverse import SCALAR_TARGET
 
 # frozen after grid-doubling agreement to 13 digits (n = 128 / 256 / 384)
@@ -58,6 +59,17 @@ class TestRoundContractions:
             round_tensor_contractions(2, 0.0)
         with pytest.raises(ConfigurationError):
             round_tensor_contractions(2, -1.0)
+        for c in (2.0 * MAX_CURVATURE, np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="curvature constant"):
+                round_tensor_contractions(1, c)
+
+    def test_finite_at_the_limits(self):
+        # at the largest m and c every contraction and the integrand are
+        # finite
+        report = verify_round_characteristic_integrand(MAX_DIMENSION, MAX_CURVATURE)
+        model = report.model
+        values = [model.scalar, model.ricci_norm_sq, model.riemann_norm_sq, report.integrand]
+        assert np.isfinite(values).all()
 
 
 class TestCharacteristicIntegrand:

@@ -321,6 +321,16 @@ class TestCliExitCodes:
         assert "invalid input" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", ["inf", "nan", "1e200"])
+    def test_curvature_constant_out_of_range(self, tmp_path, capsys, c):
+        # a c that is not finite, or above curvature.MAX_CURVATURE where the
+        # squared norms overflow, is refused before any artifact is written
+        out = tmp_path / "o"
+        assert cli.main(["curvature", "--c", c, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["solve", "--seed", "1"], ["curvature", "--n", "8"], ["verify-all", "--n", "64"]],

@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves, removed ones stay gone."""
+"""The public surface: every exported name resolves, removed ones stay gone,
+and the value classes that hold arrays compare by identity."""
 
 import dataclasses
 import importlib
@@ -58,7 +59,15 @@ REMOVED_MEMBERS = {
     ("reebflow.functionals", "CocycleReport"): ("max_residual",),
     ("reebflow.functionals", "FunctionalLedger"): ("base",),
     ("reebflow.continuity", "ContinuityPath"): ("base_tag",),
-    ("reebflow.continuity", "PathDiagnostics"): ("decay_profile", "endpoint_growth_constant"),
+    ("reebflow.continuity", "PathDiagnostics"): (
+        "decay_profile",
+        "endpoint_growth_constant",
+        "f_upper_constant",
+        "pair_bound_slack_j",
+        "pair_bound_slack_ij",
+    ),
+    ("reebflow.verification", "PathSuiteBundle"): ("base", "endpoint_phi", "endpoint_state"),
+    ("reebflow.functionals", "MabuchiReport"): ("k_energy", "f_value", "holds"),
     ("reebflow.transverse", "BasicPotential"): ("mean",),
     ("reebflow.flow", "SmoothingReport"): ("holder_track",),
     ("reebflow.flow", "FlowMonitors"): ("holder_h",),
@@ -142,3 +151,55 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": os.path.dirname(reebflow.__path__[0])},
     )
     assert out.stdout.strip() == "[]"
+
+
+def _bump_base(n=16):
+    grid = reebflow.make_grid(n)
+    return reebflow.metric_state(
+        reebflow.BasicPotential.from_callable(grid, lambda x: 0.3 * (1.0 - x * x))
+    )
+
+
+def _path():
+    return reebflow.run_continuity_path(_bump_base(), records=2)
+
+
+def _trajectory():
+    return reebflow.run_flow(_bump_base(), s_end=0.02)
+
+
+def _sphere():
+    from reebflow.oracle2d import make_sphere_grid
+
+    return make_sphere_grid(n_theta=16)
+
+
+# each builds a fresh instance, equal in every value to the last it built
+ARRAY_HOLDERS = {
+    "BasicPotential": lambda: reebflow.BasicPotential.zero(reebflow.make_grid(16)),
+    "MetricState": lambda: reebflow.reference_state(reebflow.make_grid(16)),
+    "SpectrumResult": lambda: reebflow.spectrum(reebflow.reference_state(reebflow.make_grid(16)), 4),
+    "FunctionalLedger": lambda: reebflow.FunctionalLedger.evaluate(
+        "x", reebflow.BasicPotential.from_callable(reebflow.make_grid(16), lambda x: 0.05 * x),
+        reebflow.reference_state(reebflow.make_grid(16)),
+    ),
+    "PathRecord": lambda: _path().endpoint(),
+    "ContinuityPath": _path,
+    "FlowRecord": lambda: _trajectory().endpoint(),
+    "FlowTrajectory": _trajectory,
+    "PinchResult": lambda: reebflow.epsilon_pinching(_bump_base(), 0.05),
+    "PathSuiteBundle": lambda: reebflow.verification.PathSuiteBundle(_path(), _path()),
+    "SphereGrid": _sphere,
+    "OracleFields": lambda: reebflow.oracle2d.oracle_fields(_sphere(), lambda x: 0.1 * x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    # a generated == would compare arrays elementwise and raise, and a
+    # generated hash would hash an unhashable array
+    x, rebuilt = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(x).__name__ == name
+    assert x == x
+    assert x != rebuilt
+    assert hash(x) == hash(x)
