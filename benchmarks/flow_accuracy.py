@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from reebflow import make_grid, metric_state
-from reebflow.flow import FlowPolicy, _ChordSolver, _make_flow_record, _rhs, run_flow
+from reebflow.flow import FlowPolicy, _ChordSolver, _record_march, _rhs, run_flow
 from reebflow.transverse import BasicPotential, _admissible, _ratio_ld
 
 N = 128
@@ -47,18 +47,24 @@ def euler(base, ds: float) -> np.ndarray:
     """The flow.csv rows of the linearly implicit Euler march at step ds:
     (I - ds Lap/(4r)) delta = ds rhs, the ratio carried as r + Lap(delta)/4
     and re-anchored at each record, as ``flow._steps`` does with omega = 0."""
-    grid = base.potential.grid
     h0_norm = float(np.abs(base.ricci_potential).max())
     lap0_h0 = base.laplacian(base.ricci_potential)
+    records, _, _ = _record_march(_euler_steps(base, ds), base, h0_norm, lap0_h0)
+    return table(records)
+
+
+def _euler_steps(base, ds: float):
+    """The Euler march's record steps (s, v, ratio_ld, True), as
+    ``flow._steps`` yields its anchored ones."""
+    grid = base.potential.grid
     stride = round(RECORD_DS / ds)
     steps = round(S_END / ds)
     solve = _ChordSolver(grid.lap)
     v, s = np.zeros(grid.n), 0.0
-    records = []
     for k in range(steps + 1):
         if k % stride == 0:
             ratio_ld = _ratio_ld(grid, base.potential.values + v)
-            records.append(_make_flow_record(s, v, ratio_ld, base, h0_norm, lap0_h0))
+            yield s, v, ratio_ld, True
         if k == steps:
             break
         ratio = _admissible(ratio_ld)
@@ -66,7 +72,6 @@ def euler(base, ds: float) -> np.ndarray:
         ratio_ld = ratio_ld + (grid.lap @ (delta - grid.w @ delta)) / 4.0
         v = v + delta
         s += ds
-    return table(records)
 
 
 def bdf2(base, ds: float) -> tuple[np.ndarray, int]:

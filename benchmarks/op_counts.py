@@ -6,7 +6,8 @@ Runs the bodies of ``perfbench/workloads.py`` at seed 1, each after its
 own untimed set-up, and prints one line per workload and iteration with
 the operations that iteration made:
 
-    laplacians  longdouble Laplacian applications (``Grid._laplacian_ld``)
+    laplacians  longdouble Laplacian applications (``Grid._laplacian_ld``),
+                one per field: a stacked call counts its rows
     solve       ``np.linalg.solve`` calls (dense LU solves)
     lstsq       ``np.linalg.lstsq`` calls
 
@@ -42,12 +43,18 @@ ITERATIONS = {"ledger": range(5)}
 COLUMNS = ("laplacians", "solve", "lstsq")
 
 
-def _counting(calls: Counter, key: str, fn):
+def _counting(calls: Counter, key: str, fn, weight=lambda *args, **kwargs: 1):
     def wrapped(*args, **kwargs):
-        calls[key] += 1
+        calls[key] += weight(*args, **kwargs)
         return fn(*args, **kwargs)
 
     return wrapped
+
+
+def _rows(grid, f) -> int:
+    """The fields a Laplacian call applies to: the rows of a stack whose
+    last axis is the grid, or one field."""
+    return int(np.prod(np.shape(f)[:-1]))
 
 
 def count(name: str) -> list[Counter]:
@@ -56,7 +63,7 @@ def count(name: str) -> list[Counter]:
     grid_cls = ctx.mod["transverse"].Grid
     originals = (grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq)
     calls: Counter = Counter()
-    grid_cls._laplacian_ld = _counting(calls, "laplacians", originals[0])
+    grid_cls._laplacian_ld = _counting(calls, "laplacians", originals[0], _rows)
     np.linalg.solve = _counting(calls, "solve", originals[1])
     np.linalg.lstsq = _counting(calls, "lstsq", originals[2])
     per_iteration = []

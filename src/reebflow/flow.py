@@ -54,9 +54,15 @@ and at its last step, so the drift of the carry (about 1e-12 relative at
 n = 128) never spans more than one record interval; run_flow takes its
 records at exactly those steps.
 
-Monitor quantities are recomputed from scratch at every record, from a
-state built on the anchored ratio, never evolved, so the
-maximum-principle checks are independent of stepper error:
+Monitor quantities are recomputed from scratch at every record, from its
+anchored ratio, never evolved, so the maximum-principle checks are
+independent of stepper error.  The records are built a block of
+_RECORD_BLOCK anchored steps at a time (``_record_march``): h_s, dv/ds,
+|dh_s|^2, Lap_s h_s, c_s and the scalar curvature are formed for the
+whole block as (rows, n) arrays through the grid's stacked transforms,
+each row with the bits a metric state of that record would give it, and
+no state is built.  Each record applies two Laplacians besides its
+anchor, for Lap_s h_s and for the scalar curvature.  The monitors are
 
     (a)  sup|dv/ds|  <=  e^{(m+1)s} sup|h_0|
     (b)  sup(h_s^2 + (s/2)|dh_s|_s^2)  <=  4 e^{2(m+1)s} sup|h_0|^2
@@ -80,7 +86,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -101,7 +107,7 @@ from .transverse import (
     MetricState,
     _admissible,
     _ratio_ld,
-    _state,
+    log_mean_exp,
 )
 
 __all__ = [
@@ -136,6 +142,8 @@ _GROWTH = 1.1
 _DS_FLOOR = 1e-6
 MAX_FLOW_STEPS = 100_000
 _PINCH_T_START = 0.1  # the pinching path's first t
+# anchored steps whose records are built together, as (rows, n) arrays
+_RECORD_BLOCK = 32
 
 
 def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
@@ -234,43 +242,110 @@ class FlowTrajectory:
         return self.records[idx]
 
 
-def _make_flow_record(
-    s: float,
-    v_values: NDArray,
-    ratio_ld: NDArray[np.longdouble],
+def _make_flow_records(
+    block: list[tuple[float, NDArray, NDArray[np.longdouble]]],
     base: MetricState,
     h0_norm: float,
     lap0_h0: NDArray,
-) -> FlowRecord:
-    """The record of base + v at flow time s, whose exact volume ratio
-    ratio_ld the march has formed already."""
+) -> list[FlowRecord]:
+    """The records of base + v at the anchored steps (s, v, ratio_ld) of
+    block, whose exact volume ratios the march has formed already.
+
+    Each field is formed for the whole block at once, as a (rows, n)
+    array through the grid's stacked transforms, with the operations, in
+    the same order, that a state of base + v applies to one row, so every
+    row has that state's bits; no state is built.  The integrals stay one
+    float64 dot of the weights with each row, the rounding of a state's;
+    the monitors are reductions along the rows.
+    """
     grid = base.potential.grid
-    v = BasicPotential(values=np.array(v_values), grid=grid)
-    state = _state(BasicPotential(values=base.potential.values + v.values, grid=grid), ratio_ld)
-    h = state.ricci_potential
-    vdot = _rhs(state.ratio, v.values, base)
-    dh2 = state.grad_norm_sq(h)
-    lap_h = state.laplacian(h)
-    c_s = state.integrate(h + vdot)
-    growth = math.exp(MP1 * s)
-    sup_vdot = float(np.abs(vdot).max())
-    sup_h = float(np.abs(h).max())
-    sup_dh2 = float(dh2.max())
-    mon = FlowMonitors(
-        sup_vdot=sup_vdot,
-        sup_h=sup_h,
-        sup_dh2=sup_dh2,
-        c_s=float(c_s),
-        constancy_dev=float(np.abs(h + vdot - c_s).max()),
-        bound_a_slack=growth * h0_norm - sup_vdot,
-        bound_b_slack=4.0 * growth**2 * h0_norm**2
-        - float((h**2 + 0.5 * s * dh2).max()),
-        bound_c_min=float((lap_h / growth).min() - lap0_h0.min()),
-        bound_d_slack=growth * h0_norm - abs(float(c_s)),
-        s_pinch=float(np.abs(state.scalar_curvature - SCALAR_TARGET).max()),
-        lap_h_min=float(lap_h.min()),
+    s = np.array([step[0] for step in block])
+    v = np.array([step[1] for step in block])
+    ratio_ld = np.array([step[2] for step in block])
+    ratio = _admissible(ratio_ld)
+    total = base.potential.values + v
+    # h = -log r - (m+1) phi + c, as _ricci_potential forms it per row
+    norm = np.array([-log_mean_exp(grid.w, -MP1 * row) for row in total])
+    h = -np.log(ratio) - MP1 * total + norm[:, None]
+    vdot = _rhs(ratio, v, base)
+    dh2 = 4.0 * (1.0 - grid.x**2) * grid.deriv(h) ** 2 / ratio
+    lap_h = grid.laplacian(h) / ratio
+    measure = grid.w * ratio
+    c_s = np.array([m @ f for m, f in zip(measure, h + vdot)])
+    # S r = 4 - Lap(log r)/2, in longdouble between the two Laplacians
+    scalar = ((SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(ratio_ld))) / ratio_ld).astype(
+        np.float64
     )
-    return FlowRecord(s=float(s), v=v, h=h, vdot=vdot, monitors=mon)
+    growth = np.array([math.exp(MP1 * t) for t in s.tolist()])
+    h.flags.writeable = False
+    per_row = zip(
+        s.tolist(),
+        growth.tolist(),
+        np.abs(vdot).max(axis=1).tolist(),
+        np.abs(h).max(axis=1).tolist(),
+        dh2.max(axis=1).tolist(),
+        c_s.tolist(),
+        np.abs(h + vdot - c_s[:, None]).max(axis=1).tolist(),
+        (h**2 + 0.5 * s[:, None] * dh2).max(axis=1).tolist(),
+        (lap_h / growth[:, None]).min(axis=1).tolist(),
+        np.abs(scalar - SCALAR_TARGET).max(axis=1).tolist(),
+        lap_h.min(axis=1).tolist(),
+    )
+    lap0_min = float(lap0_h0.min())
+    records = []
+    for i, (t, g, sup_vdot, sup_h, sup_dh2, c, dev, b_max, c_min, pinch, lap_min) in enumerate(
+        per_row
+    ):
+        mon = FlowMonitors(
+            sup_vdot=sup_vdot,
+            sup_h=sup_h,
+            sup_dh2=sup_dh2,
+            c_s=c,
+            constancy_dev=dev,
+            bound_a_slack=g * h0_norm - sup_vdot,
+            bound_b_slack=4.0 * g**2 * h0_norm**2 - b_max,
+            bound_c_min=c_min - lap0_min,
+            bound_d_slack=g * h0_norm - abs(c),
+            s_pinch=pinch,
+            lap_h_min=lap_min,
+        )
+        records.append(FlowRecord(
+            s=t, v=BasicPotential(values=v[i], grid=grid), h=h[i], vdot=vdot[i], monitors=mon
+        ))
+    return records
+
+
+def _record_march(
+    march: Iterable[tuple[float, NDArray, NDArray[np.longdouble], bool]],
+    base: MetricState,
+    h0_norm: float,
+    lap0_h0: NDArray,
+    s_last: float = math.inf,
+) -> tuple[list[FlowRecord], Optional[SolverError], NDArray[np.float64]]:
+    """The records of a march's anchored steps up to flow time s_last, the
+    error that stopped the march at the step floor (None when it ran to
+    its end) and its last v.
+
+    The anchored steps are buffered and their records built
+    _RECORD_BLOCK at a time (``_make_flow_records``); the last, partial
+    block is built when the march ends or stops, so a stopped march keeps
+    its records so far.
+    """
+    records: list[FlowRecord] = []
+    block: list[tuple[float, NDArray, NDArray[np.longdouble]]] = []
+    stopped = None
+    try:
+        for s, v, ratio_ld, anchored in march:
+            if anchored and s <= s_last + _S_TOL:
+                block.append((s, v, ratio_ld))
+                if len(block) == _RECORD_BLOCK:
+                    records += _make_flow_records(block, base, h0_norm, lap0_h0)
+                    block = []
+    except SolverError as err:
+        stopped = err
+    if block:
+        records += _make_flow_records(block, base, h0_norm, lap0_h0)
+    return records, stopped, v
 
 
 class _ChordSolver:
@@ -407,8 +482,9 @@ def run_flow(
 ) -> FlowTrajectory:
     """The flow from v = 0 to s_end (``_steps``), with a record at each
     anchored step: s = 0, every multiple of policy.record_stride *
-    policy.ds and the final time.  Reaching the step floor returns the records so far,
-    with completed False and the failure marker set.
+    policy.ds and the final time, built a block at a time
+    (``_record_march``).  Reaching the step floor returns the records so
+    far, with completed False and the failure marker set.
 
     s_end must be positive and below S_END_MAX (about 177 at m = 1),
     where the records' bound e^{2(m+1)s} still fits in float64, and
@@ -420,20 +496,13 @@ def run_flow(
         )
     h0_norm = float(np.abs(base.ricci_potential).max())
     lap0_h0 = base.laplacian(base.ricci_potential)
-    records: list[FlowRecord] = []
-    failure = None
-    try:
-        for s, v, ratio_ld, anchored in _steps(base, s_end, policy):
-            if anchored:
-                records.append(_make_flow_record(s, v, ratio_ld, base, h0_norm, lap0_h0))
-    except SolverError as err:
-        failure = str(err)
+    records, stopped, _ = _record_march(_steps(base, s_end, policy), base, h0_norm, lap0_h0)
     return FlowTrajectory(
         initial=base,
         records=tuple(records),
         policy=policy,
-        completed=failure is None,
-        failure=failure,
+        completed=stopped is None,
+        failure=None if stopped is None else str(stopped),
     )
 
 

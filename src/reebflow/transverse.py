@@ -26,13 +26,14 @@ on Legendre coefficients, so its matrix is exact on the resolved
 polynomial space and the discrete spectrum reproduces -4k(k+1) to
 rounding.  Both poles of the sphere sit off the grid; no boundary
 handling is needed.  Pointwise Laplacians and derivatives go through the
-Legendre transform in extended precision.  The grid is symmetric under
-x -> -x and P_k has the parity of k, so each transform folds the grid
-values into their even and odd parts on half the nodes and makes two
-half-size products, as the equatorial-symmetry split of spherical
-harmonic transforms does: a Laplacian costs n^2 multiply-adds where full
-matrices took 2n^2.  d/dx acts on the coefficients in O(n), by suffix
-sums.
+Legendre transform in extended precision, for one field or for a stack
+of fields with the grid on the last axis (the flow's record blocks).
+The grid is symmetric under x -> -x and P_k has the parity of k, so each
+transform folds the grid values into their even and odd parts on half
+the nodes and makes two half-size products, as the equatorial-symmetry
+split of spherical harmonic transforms does: a Laplacian costs n^2
+multiply-adds where full matrices took 2n^2.  d/dx acts on the
+coefficients in O(n), by suffix sums.
 """
 
 from __future__ import annotations
@@ -108,16 +109,20 @@ def _legder_ld(
     c_even: NDArray[np.longdouble], c_odd: NDArray[np.longdouble]
 ) -> tuple[NDArray[np.longdouble], NDArray[np.longdouble]]:
     """Legendre coefficients of f' from those of f, split by parity as the
-    grid's transforms are: P_j' is the sum of (2k+1) P_k over k < j with
-    j - k odd, so the even (odd) coefficients of f' are 2k+1 times the
-    suffix sums of the odd (even) coefficients of f; O(n), two cumsums."""
+    grid's transforms are (a stack of fields takes the coefficients on its
+    last axis): P_j' is the sum of (2k+1) P_k over k < j with j - k odd,
+    so the even (odd) coefficients of f' are 2k+1 times the suffix sums of
+    the odd (even) coefficients of f; O(n), two cumsums."""
     d_even = np.zeros_like(c_even)
     d_odd = np.zeros_like(c_odd)
+    n_odd = c_odd.shape[-1]
     # d_{2a} = (4a+1) sum_{b >= a} c_{2b+1}
-    d_even[: len(c_odd)] = np.cumsum(c_odd[::-1])[::-1] * (4 * np.arange(len(c_odd)) + 1)
+    d_even[..., :n_odd] = (
+        np.cumsum(c_odd[..., ::-1], axis=-1)[..., ::-1] * (4 * np.arange(n_odd) + 1)
+    )
     # d_{2a+1} = (4a+3) sum_{b > a} c_{2b}
-    tail = np.cumsum(c_even[:0:-1])[::-1]
-    d_odd[: len(tail)] = tail * (4 * np.arange(len(tail)) + 3)
+    tail = np.cumsum(c_even[..., :0:-1], axis=-1)[..., ::-1]
+    d_odd[..., : tail.shape[-1]] = tail * (4 * np.arange(tail.shape[-1]) + 3)
     return d_even, d_odd
 
 
@@ -176,26 +181,39 @@ class Grid:
             c = np.pad(c, (0, self.n - len(c)))
         return self.vander @ c
 
-    # The half-size products go through np.dot, whose longdouble
-    # matrix-vector kernel sums in the same order as the matmul operator's
-    # and runs about twice as fast.
+    # The transforms take one field or a stack of them, with the grid on
+    # the last axis.  The half-size products go through np.dot with the
+    # table transposed: its longdouble kernel forms each output entry as
+    # one dot of a field row with a table row, in the order a 1-D matrix-
+    # vector product (and the matmul operator) sums it, so a row of a
+    # stacked transform has the bits of that row's own transform, and a
+    # stack costs one call where a loop over rows took one per row.
+
+    def _field_ld(self, f: NDArray) -> NDArray[np.longdouble]:
+        """f in extended precision; GridMismatchError unless its last axis
+        is the grid's."""
+        f = np.asarray(f, dtype=np.longdouble)
+        # the fold alone would take any last axis at least ceil(n/2) long
+        if f.ndim == 0 or f.shape[-1] != self.n:
+            raise GridMismatchError(f"field has shape {f.shape}, grid expects (..., {self.n})")
+        return f
 
     def _forward_ld(self, f: NDArray[np.longdouble]) -> tuple[NDArray, NDArray]:
-        """Even and odd Legendre coefficients of grid values f."""
-        # the fold alone would take any vector at least ceil(n/2) long
-        if f.shape != (self.n,):
-            raise GridMismatchError(f"field has shape {f.shape}, grid expects ({self.n},)")
+        """Even and odd Legendre coefficients of grid values f, checked by
+        ``_field_ld``."""
         h = len(self._syn_even_ld)
-        head = f[:h]
-        mirror = f[: -h - 1 : -1]    # f(-x_i) on the nodes x_i <= 0
-        return np.dot(self._fwd_even_ld, head + mirror), np.dot(self._fwd_odd_ld, head - mirror)
+        head = f[..., :h]
+        mirror = f[..., : -h - 1 : -1]    # f(-x_i) on the nodes x_i <= 0
+        return (np.dot(head + mirror, self._fwd_even_ld.T),
+                np.dot(head - mirror, self._fwd_odd_ld.T))
 
     def _synthesis_ld(self, c_even: NDArray, c_odd: NDArray) -> NDArray[np.longdouble]:
         """Grid values of the Legendre series with the given even and odd
         coefficients."""
-        even = np.dot(self._syn_even_ld, c_even)
-        odd = np.dot(self._syn_odd_ld, c_odd)
-        return np.concatenate((even + odd, (even - odd)[self.n - len(even) - 1 :: -1]))
+        even = np.dot(c_even, self._syn_even_ld.T)
+        odd = np.dot(c_odd, self._syn_odd_ld.T)
+        mirror = (even - odd)[..., self.n - even.shape[-1] - 1 :: -1]
+        return np.concatenate((even + odd, mirror), axis=-1)
 
     # -- calculus --------------------------------------------------------
 
@@ -207,7 +225,7 @@ class Grid:
         return self._deriv_ld(f).astype(np.float64)
 
     def _deriv_ld(self, f: NDArray) -> NDArray[np.longdouble]:
-        c_even, c_odd = self._forward_ld(np.asarray(f, dtype=np.longdouble))
+        c_even, c_odd = self._forward_ld(self._field_ld(f))
         return self._synthesis_ld(*_legder_ld(c_even, c_odd))
 
     def laplacian(self, f: NDArray) -> NDArray[np.float64]:
@@ -221,8 +239,8 @@ class Grid:
         # curvature of the ratio) square the amplification, so callers
         # that feed one Laplacian into another stay in longdouble
         # between the two applications.
-        f = np.asarray(f, dtype=np.longdouble)
-        c_even, c_odd = self._forward_ld(f - self._w_ld @ f)
+        f = self._field_ld(f)
+        c_even, c_odd = self._forward_ld(f - np.dot(f, self._w_ld)[..., None])
         eigs = self._lap_eigs_ld
         return self._synthesis_ld(eigs[0::2] * c_even, eigs[1::2] * c_odd)
 

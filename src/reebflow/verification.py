@@ -42,11 +42,10 @@ from .curvature import (
 )
 from .errors import ConfigurationError
 from .flow import (
-    _S_TOL,
     FlowPolicy,
     FlowTrajectory,
     PinchResult,
-    _make_flow_record,
+    _record_march,
     _steps,
     epsilon_pinching,
 )
@@ -326,10 +325,13 @@ def flow_suite(
     psi-deformed base (relative tolerance 1e-6 against their proof
     bounds), exact stationarity of the Einstein structure, and
     agreement of the s = 5 flow limit with the continuity endpoint up
-    to a constant.  One march from the base to s = 5 serves both: it
-    builds records at its anchored steps up to s = 2, the records
-    ``run_flow(base, 2.0)`` returns, bit for bit, and its last v is the
-    flow limit.  The round reference march builds no record."""
+    to a constant.  One march from the base to s = 5 serves both: its
+    anchored steps up to s = 2 are recorded by the buffering run_flow
+    uses (``flow._record_march``, a block of records at a time), so the
+    records are those ``run_flow(base, 2.0)`` returns, bit for bit, and
+    its last v is the flow limit.  A march stopped at the step floor
+    raises its SolverError.  The round reference march builds no
+    record."""
     grid = make_grid(n)
     psi = _manufactured_psi(grid)
     base = metric_state(psi)
@@ -341,10 +343,9 @@ def flow_suite(
     mp1 = M_DIM + 1
 
     policy = FlowPolicy()
-    records = []
-    for s, v5, ratio_ld, anchored in _steps(base, 5.0, policy):
-        if anchored and s <= 2.0 + _S_TOL:
-            records.append(_make_flow_record(s, v5, ratio_ld, base, h0n, lap0_h0))
+    records, stopped, v5 = _record_march(_steps(base, 5.0, policy), base, h0n, lap0_h0, 2.0)
+    if stopped is not None:
+        raise stopped
     traj2 = FlowTrajectory(
         initial=base, records=tuple(records), policy=policy, completed=True, failure=None
     )

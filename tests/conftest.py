@@ -69,16 +69,22 @@ def rng():
     return np.random.default_rng(20260815)
 
 
+def rows(f) -> int:
+    """The fields in one field or a stack of them, grid on the last axis."""
+    return int(np.prod(np.shape(f)[:-1]))
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Counts Laplacian applications, dense solves and lstsq calls, and
-    metric states."""
+    metric states.  A stacked Laplacian applies the operator to each of
+    its rows, and counts one application per row."""
     calls = Counter()
     real_lap, real_state = Grid._laplacian_ld, transverse.metric_state
     real_solve, real_lstsq = np.linalg.solve, np.linalg.lstsq
 
     def lap(self, f):
-        calls["laplacian"] += 1
+        calls["laplacian"] += rows(f)
         return real_lap(self, f)
 
     def solve(*args, **kwargs):

@@ -8,7 +8,6 @@ from reebflow import (
     ConfigurationError,
     calabi_bound,
     calabi_functional,
-    reference_state,
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )

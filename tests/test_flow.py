@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reebflow import continuity, flow, functionals, transverse, verification
+from reebflow import continuity, flow, transverse, verification
 from reebflow import (
     BasicPotential,
     ConfigurationError,
@@ -16,13 +16,12 @@ from reebflow import (
     flow_rhs,
     holder_seminorm,
     metric_state,
-    reference_state,
     relative_state,
     run_flow,
     smoothing_monitors,
 )
-from reebflow.transverse import M_DIM, Grid
-from tests.conftest import psi_bump
+from reebflow.transverse import M_DIM, SCALAR_TARGET, Grid
+from tests.conftest import rows
 
 MP1 = M_DIM + 1
 
@@ -168,30 +167,29 @@ class TestRunFlow:
     def test_laplacians_per_record_not_per_step(self, base96, monkeypatch, stride):
         # between records the march carries the ratio by a float64 matvec
         # of each step's increment: no Laplacian per attempted step; each
-        # record re-anchors the carried ratio (one Laplacian), builds its
-        # state on that ratio (one more, for the scalar curvature) and
-        # applies one to h_s; the set-up applies one to h_0
+        # record re-anchors the carried ratio (one Laplacian), and its
+        # block applies one per row for the scalar curvature and one to
+        # h_s; the set-up applies one to h_0.  No record builds a state
         laps_per_record, setup_laps = 3, 1
         calls = Counter()
         real_lap = Grid._laplacian_ld
-        real_state = transverse._state
+        real_state = transverse.MetricState.__init__
         real_step = flow._ChordSolver.__call__
 
         def lap(self, f):
-            calls["laplacian"] += 1
+            calls["laplacian"] += rows(f)
             return real_lap(self, f)
 
-        def state(phi, ratio_ld):
+        def state(self, *args, **kwargs):
             calls["state"] += 1
-            return real_state(phi, ratio_ld)
+            real_state(self, *args, **kwargs)
 
         def step(self, q, b):
             calls["step"] += 1
             return real_step(self, q, b)
 
         monkeypatch.setattr(Grid, "_laplacian_ld", lap)
-        monkeypatch.setattr(transverse, "_state", state)
-        monkeypatch.setattr(flow, "_state", state)
+        monkeypatch.setattr(transverse.MetricState, "__init__", state)
         monkeypatch.setattr(flow._ChordSolver, "__call__", step)
         traj = run_flow(base96, s_end=0.2, policy=FlowPolicy(record_stride=stride))
         assert traj.completed
@@ -199,7 +197,7 @@ class TestRunFlow:
         # every multiple of 0.05, whose gaps it splits evenly
         assert calls["step"] == (60 if stride > 40 else 61)
         assert len(traj.records) == (2 if stride > 40 else 5)
-        assert calls["state"] == len(traj.records)
+        assert calls["state"] == 0
         assert calls["laplacian"] == laps_per_record * len(traj.records) + setup_laps
 
     def test_records_carry_lap_h_min(self, base96, traj96):
@@ -211,34 +209,141 @@ class TestRunFlow:
             assert rec.monitors.lap_h_min == float(state.laplacian(rec.h).min())
 
 
+def reference_record(base, s, v_values):
+    """h, vdot and the monitors of the record at (s, v) as one metric state
+    of base + v gives them, record by record."""
+    grid = base.potential.grid
+    state = metric_state(BasicPotential(values=base.potential.values + v_values, grid=grid))
+    h = state.ricci_potential
+    vdot = flow_rhs(BasicPotential(values=v_values, grid=grid), base)
+    dh2 = state.grad_norm_sq(h)
+    lap_h = state.laplacian(h)
+    c_s = state.integrate(h + vdot)
+    growth = math.exp(MP1 * s)
+    h0_norm = float(np.abs(base.ricci_potential).max())
+    lap0_h0 = base.laplacian(base.ricci_potential)
+    sup_vdot = float(np.abs(vdot).max())
+    monitors = flow.FlowMonitors(
+        sup_vdot=sup_vdot,
+        sup_h=float(np.abs(h).max()),
+        sup_dh2=float(dh2.max()),
+        c_s=c_s,
+        constancy_dev=float(np.abs(h + vdot - c_s).max()),
+        bound_a_slack=growth * h0_norm - sup_vdot,
+        bound_b_slack=4.0 * growth**2 * h0_norm**2 - float((h**2 + 0.5 * s * dh2).max()),
+        bound_c_min=float((lap_h / growth).min() - lap0_h0.min()),
+        bound_d_slack=growth * h0_norm - abs(c_s),
+        s_pinch=float(np.abs(state.scalar_curvature - SCALAR_TARGET).max()),
+        lap_h_min=float(lap_h.min()),
+    )
+    return h, vdot, monitors
+
+
+class TestRecordBlocks:
+    """Records are built a block of anchored steps at a time, with the bits
+    one metric state per record gives."""
+
+    @pytest.fixture
+    def block_sizes(self, monkeypatch):
+        sizes = []
+        real_records = flow._make_flow_records
+
+        def records(block, *args):
+            sizes.append(len(block))
+            return real_records(block, *args)
+
+        monkeypatch.setattr(flow, "_make_flow_records", records)
+        return sizes
+
+    @staticmethod
+    def base(n):
+        grid = transverse.make_grid(n)
+        return metric_state(
+            BasicPotential.from_callable(grid, lambda x: 0.3 * (1.0 - x * x) + 0.05 * x**3)
+        )
+
+    @staticmethod
+    def assert_records_match(base, records, march):
+        anchored = [(s, v) for s, v, _, is_anchored in march if is_anchored]
+        assert len(records) == len(anchored)
+        for rec, (s, v) in zip(records, anchored):
+            h, vdot, monitors = reference_record(base, s, v)
+            assert rec.s == s and np.array_equal(rec.v.values, v)
+            assert np.array_equal(rec.h, h) and np.array_equal(rec.vdot, vdot)
+            assert rec.monitors == monitors
+
+    @pytest.mark.parametrize("n, s_end, blocks", [
+        (33, 0.5, [32, 32, 32, 5]),
+        (64, 0.4, [32, 32, 17]),
+        (96, 0.2, [32, 9]),
+    ])
+    def test_blocks_match_one_state_per_record(self, n, s_end, blocks, block_sizes):
+        # a record at every multiple of 0.005: full blocks, then a partial one
+        assert flow._RECORD_BLOCK == 32
+        base = self.base(n)
+        policy = FlowPolicy(record_stride=1)
+        traj = run_flow(base, s_end=s_end, policy=policy)
+        assert traj.completed and block_sizes == blocks
+        self.assert_records_match(base, traj.records, flow._steps(base, s_end, policy))
+
+    def test_stopped_march_keeps_its_records(self, monkeypatch, block_sizes):
+        # NaN candidates after the accepted steps up to s = 0.04, with a
+        # record at every multiple of 1e-3, halve the step to the floor:
+        # the 41 records so far, a full block and a partial one, come back
+        base = self.base(64)
+        policy = FlowPolicy(ds=1e-3, record_stride=1)
+        march = list(flow._steps(base, 0.04, policy))
+        real_step = flow._ChordSolver.__call__
+        solves = []
+
+        def step(self, q, b):
+            solves.append(1)
+            x = real_step(self, q, b)
+            return x if len(solves) < len(march) else np.full_like(x, np.nan)
+
+        monkeypatch.setattr(flow._ChordSolver, "__call__", step)
+        traj = run_flow(base, s_end=1.0, policy=policy)
+        assert not traj.completed
+        assert traj.failure.startswith("step floor 1e-06 reached at s = 0.04")
+        assert block_sizes == [32, 9]
+        self.assert_records_match(base, traj.records, march)
+
+
 class TestCarriedRatio:
     """The march carries the volume ratio as r(v + delta) = r(v) +
     Lap(delta)/4 and re-anchors it to the exact ratio at every record."""
 
     @pytest.fixture
     def linearized(self, base96, monkeypatch):
-        """Logs the ratio each step linearizes about, with v, and whether a
-        record was taken just before it."""
+        """Logs the ratio each step linearizes about, with v, and whether
+        the march took an anchored step just before it."""
         log = []
-        flags = {"in_record": False, "fresh": True}
-        real_rhs, real_record = flow._rhs, flow._make_flow_record
+        flags = {"in_records": False, "fresh": True}
+        real_rhs, real_records, real_steps = flow._rhs, flow._make_flow_records, flow._steps
 
         def rhs(ratio, v_values, base):
-            # a record's own vdot is read off its state; log the steps only
-            if not flags["in_record"]:
+            # a record block's vdot is read off its ratios; log the steps only
+            if not flags["in_records"]:
                 log.append((ratio, np.array(v_values), flags["fresh"]))
                 flags["fresh"] = False
             return real_rhs(ratio, v_values, base)
 
-        def record(*args):
-            flags["in_record"] = True
+        def records(*args):
+            flags["in_records"] = True
             try:
-                return real_record(*args)
+                return real_records(*args)
             finally:
-                flags.update(in_record=False, fresh=True)
+                flags["in_records"] = False
+
+        def steps(*args):
+            for step in real_steps(*args):
+                yield step
+                if step[3]:
+                    flags["fresh"] = True
 
         monkeypatch.setattr(flow, "_rhs", rhs)
-        monkeypatch.setattr(flow, "_make_flow_record", record)
+        monkeypatch.setattr(flow, "_make_flow_records", records)
+        monkeypatch.setattr(flow, "_steps", steps)
         return log
 
     def _exact(self, base, v_values):

@@ -3,7 +3,6 @@
 import csv
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from reebflow import cli, continuity, io, transverse
 from reebflow import (
     BasicPotential,
     FunctionalLedger,
-    metric_state,
     run_continuity_path,
     SolverError,
     run_flow,

@@ -108,6 +108,25 @@ class TestGrid:
             assert np.abs(grid._laplacian_ld(f) - lap).max() <= 1e-17 * np.abs(lap).max()
             assert np.abs(grid._deriv_ld(f) - df).max() <= 1e-17 * np.abs(df).max()
 
+    @pytest.mark.parametrize("rows", [1, 3, 33])
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_stacked_transforms_match_each_row(self, n, rows):
+        # a stack of fields, grid on the last axis, gives each row the bits
+        # of its own 1-D Laplacian and derivative
+        grid = make_grid(n)
+        rng = np.random.default_rng(n * 100 + rows)
+        stack = (3.0 * rng.standard_normal((rows, n)) + 5.0).astype(np.longdouble)
+        for op in (grid._laplacian_ld, grid._deriv_ld):
+            out = op(stack)
+            assert out.shape == (rows, n) and out.dtype == np.longdouble
+            assert np.array_equal(out, np.array([op(f) for f in stack]))
+
+    @pytest.mark.parametrize("shape", [(3, 95), (96, 3), (2, 3, 97), ()])
+    def test_stacked_transforms_refuse_another_last_axis(self, grid96, shape):
+        for op in (grid96._laplacian_ld, grid96._deriv_ld):
+            with pytest.raises(GridMismatchError):
+                op(np.zeros(shape))
+
     @pytest.mark.parametrize("n", PARITY_SIZES)
     def test_no_full_longdouble_table(self, n):
         grid = make_grid(n)

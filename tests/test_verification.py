@@ -5,7 +5,6 @@ tolerances they certify run in test_acceptance; here the focus is the
 reporting semantics and that the cheap suites pass standalone.
 """
 
-import pytest
 
 from reebflow import (
     FunctionalLedger,
