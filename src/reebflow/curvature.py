@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .transverse import BasicPotential, MetricState, SCALAR_TARGET, metric_state
+from .transverse import BasicPotential, SCALAR_TARGET, metric_state
 
 __all__ = [
     "RoundCurvatureModel",
@@ -46,6 +45,9 @@ MAX_DIMENSION = 16  # the brute-force loops visit m^4 components
 # largest square, S^2 = c^2 m^2 (m+1)^2 / 4, is 1.8e304 at c = 1e150 and
 # overflows from c near 1e152
 MAX_CURVATURE = 1e150
+# the largest pinching eps: at m = MAX_DIMENSION the Calabi bound's
+# (2m)^2 eps^2 is 1.0e303 at eps = 1e150 and overflows from eps near 1e152
+MAX_EPS = 1e150
 
 NORM_CONVENTION = (
     "orthonormal-frame sum of squared components; fixed by requiring the "
@@ -166,17 +168,20 @@ def verify_round_characteristic_integrand(
     )
 
 
-def calabi_functional(phi: BasicPotential, state: Optional[MetricState] = None) -> float:
+def calabi_functional(phi: BasicPotential) -> float:
     """Integral of (S^T - 2m(m+1))^2 against the deformed measure."""
-    if state is None:
-        state = metric_state(phi)
+    state = metric_state(phi)
     dev = state.scalar_curvature - SCALAR_TARGET
     return float(state.measure @ dev**2)
 
 
 def calabi_bound(eps: float, m: int = 1) -> float:
     """Upper bound 2 (2m)^2 (m+1) eps + (2m)^2 eps^2 that an |S^T - 2m(m+1)|
-    <= eps structure forces on the Calabi functional (per unit volume)."""
-    if not (eps > 0):
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    <= eps structure forces on the Calabi functional (per unit volume).
+    An eps outside (0, MAX_EPS] (NaN and inf included) or an m outside
+    [1, MAX_DIMENSION] raises ConfigurationError."""
+    if not (0 < eps <= MAX_EPS):
+        raise ConfigurationError(f"eps must lie in (0, {MAX_EPS:g}], got {eps}")
+    if not 1 <= m <= MAX_DIMENSION:
+        raise ConfigurationError(f"transverse dimension must lie in [1, {MAX_DIMENSION}], got {m}")
     return 2.0 * (2 * m) ** 2 * (m + 1) * eps + (2 * m) ** 2 * eps**2

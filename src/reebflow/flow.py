@@ -59,8 +59,9 @@ anchored ratio, never evolved, so the maximum-principle checks are
 independent of stepper error.  The records are built a block of
 _RECORD_BLOCK anchored steps at a time (``_record_march``): h_s, dv/ds,
 |dh_s|^2, Lap_s h_s, c_s and the scalar curvature are formed for the
-whole block as (rows, n) arrays through the grid's stacked transforms,
-each row with the bits a metric state of that record would give it, and
+whole block as (rows, n) arrays by the formulas a metric state uses
+(``transverse._ricci_potential``, ``_grad_norm_sq`` and
+``_scalar_curvature``, which take a stack as they take one field), and
 no state is built.  Each record applies two Laplacians besides its
 anchor, for Lap_s h_s and for the scalar curvature.  The monitors are
 
@@ -74,7 +75,9 @@ supersolution of the flow's heat operator, so its spatial minimum is
 nondecreasing in s; comparing values at a fixed grid point would be
 strictly stronger than what holds.
 
-plus the achieved scalar-curvature pinching.  smoothing_monitors adds a
+plus the achieved scalar-curvature pinching max|S^T - 2m(m+1)| and the
+Calabi energy int (S^T - 2m(m+1))^2 dmu_s, which epsilon_pinching reads
+off its last record.  smoothing_monitors adds a
 discrete C^{1/2} seminorm of h_1 (geodesic distance of the round
 quotient), which feeds the fitted smoothing constants when the flow
 starts from a continuity-path state.
@@ -92,7 +95,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .continuity import PathPolicy, _march
-from .curvature import calabi_bound, calabi_functional
+from .curvature import calabi_bound
 from .errors import (
     ConfigurationError,
     InadmissibleError,
@@ -106,8 +109,10 @@ from .transverse import (
     BasicPotential,
     MetricState,
     _admissible,
+    _grad_norm_sq,
     _ratio_ld,
-    log_mean_exp,
+    _ricci_potential,
+    _scalar_curvature,
 )
 
 __all__ = [
@@ -183,7 +188,7 @@ def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class FlowPolicy:
-    """The step ds (reached after the graded start, halved on an
+    """The step ds (finite, reached after the graded start, halved on an
     inadmissible candidate, never below the constant _DS_FLOOR) and a
     record at every multiple of record_stride * ds in flow time.  The
     defaults take 422 BDF2 steps to s = 2 and record at multiples of 0.01."""
@@ -192,8 +197,8 @@ class FlowPolicy:
     record_stride: int = 2
 
     def __post_init__(self):
-        if not (self.ds >= _DS_FLOOR):
-            raise ConfigurationError(f"ds must be at least {_DS_FLOOR}, got {self.ds}")
+        if not (_DS_FLOOR <= self.ds < math.inf):
+            raise ConfigurationError(f"ds must be finite and at least {_DS_FLOOR}, got {self.ds}")
         stride = self.record_stride
         if not (isinstance(stride, (int, np.integer)) and stride >= 1):
             raise ConfigurationError(
@@ -214,6 +219,7 @@ class FlowMonitors:
     bound_d_slack: float
     s_pinch: float         # max |S^T - 2m(m+1)|
     lap_h_min: float       # min Lap_s h_s
+    calabi: float          # int (S^T - 2m(m+1))^2 dmu_s
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,67 +258,50 @@ def _make_flow_records(
     block, whose exact volume ratios the march has formed already.
 
     Each field is formed for the whole block at once, as a (rows, n)
-    array through the grid's stacked transforms, with the operations, in
-    the same order, that a state of base + v applies to one row, so every
-    row has that state's bits; no state is built.  The integrals stay one
+    array, by the formulas a metric state of base + v applies to one row
+    (``transverse``), and no state is built.  The integrals stay one
     float64 dot of the weights with each row, the rounding of a state's;
-    the monitors are reductions along the rows.
+    each monitor is one reduction along the rows.
     """
     grid = base.potential.grid
-    s = np.array([step[0] for step in block])
-    v = np.array([step[1] for step in block])
-    ratio_ld = np.array([step[2] for step in block])
+    s, v, ratio_ld = (np.array(column) for column in zip(*block))
     ratio = _admissible(ratio_ld)
-    total = base.potential.values + v
-    # h = -log r - (m+1) phi + c, as _ricci_potential forms it per row
-    norm = np.array([-log_mean_exp(grid.w, -MP1 * row) for row in total])
-    h = -np.log(ratio) - MP1 * total + norm[:, None]
+    h, _ = _ricci_potential(grid, ratio, base.potential.values + v)
     vdot = _rhs(ratio, v, base)
-    dh2 = 4.0 * (1.0 - grid.x**2) * grid.deriv(h) ** 2 / ratio
+    dh2 = _grad_norm_sq(grid, ratio, h)
     lap_h = grid.laplacian(h) / ratio
+    dev = _scalar_curvature(grid, ratio_ld) - SCALAR_TARGET
     measure = grid.w * ratio
-    c_s = np.array([m @ f for m, f in zip(measure, h + vdot)])
-    # S r = 4 - Lap(log r)/2, in longdouble between the two Laplacians
-    scalar = ((SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(ratio_ld))) / ratio_ld).astype(
-        np.float64
-    )
     growth = np.array([math.exp(MP1 * t) for t in s.tolist()])
-    h.flags.writeable = False
-    per_row = zip(
-        s.tolist(),
-        growth.tolist(),
-        np.abs(vdot).max(axis=1).tolist(),
-        np.abs(h).max(axis=1).tolist(),
-        dh2.max(axis=1).tolist(),
-        c_s.tolist(),
-        np.abs(h + vdot - c_s[:, None]).max(axis=1).tolist(),
-        (h**2 + 0.5 * s[:, None] * dh2).max(axis=1).tolist(),
-        (lap_h / growth[:, None]).min(axis=1).tolist(),
-        np.abs(scalar - SCALAR_TARGET).max(axis=1).tolist(),
-        lap_h.min(axis=1).tolist(),
+    # squared by float pow, whose last bit differs from numpy's x * x
+    growth_sq = np.array([g**2 for g in growth.tolist()])
+    sup_vdot = np.abs(vdot).max(axis=1)
+    c_s = np.array([m @ f for m, f in zip(measure, h + vdot)])
+    columns = dict(
+        sup_vdot=sup_vdot,
+        sup_h=np.abs(h).max(axis=1),
+        sup_dh2=dh2.max(axis=1),
+        c_s=c_s,
+        constancy_dev=np.abs(h + vdot - c_s[:, None]).max(axis=1),
+        bound_a_slack=growth * h0_norm - sup_vdot,
+        bound_b_slack=4.0 * growth_sq * h0_norm**2 - (h**2 + 0.5 * s[:, None] * dh2).max(axis=1),
+        bound_c_min=(lap_h / growth[:, None]).min(axis=1) - float(lap0_h0.min()),
+        bound_d_slack=growth * h0_norm - np.abs(c_s),
+        s_pinch=np.abs(dev).max(axis=1),
+        lap_h_min=lap_h.min(axis=1),
+        calabi=np.array([m @ f for m, f in zip(measure, dev**2)]),
     )
-    lap0_min = float(lap0_h0.min())
-    records = []
-    for i, (t, g, sup_vdot, sup_h, sup_dh2, c, dev, b_max, c_min, pinch, lap_min) in enumerate(
-        per_row
-    ):
-        mon = FlowMonitors(
-            sup_vdot=sup_vdot,
-            sup_h=sup_h,
-            sup_dh2=sup_dh2,
-            c_s=c,
-            constancy_dev=dev,
-            bound_a_slack=g * h0_norm - sup_vdot,
-            bound_b_slack=4.0 * g**2 * h0_norm**2 - b_max,
-            bound_c_min=c_min - lap0_min,
-            bound_d_slack=g * h0_norm - abs(c),
-            s_pinch=pinch,
-            lap_h_min=lap_min,
+    h.flags.writeable = False
+    return [
+        FlowRecord(
+            s=t,
+            v=BasicPotential(values=v[i], grid=grid),
+            h=h[i],
+            vdot=vdot[i],
+            monitors=FlowMonitors(**{name: float(col[i]) for name, col in columns.items()}),
         )
-        records.append(FlowRecord(
-            s=t, v=BasicPotential(values=v[i], grid=grid), h=h[i], vdot=vdot[i], monitors=mon
-        ))
-    return records
+        for i, t in enumerate(s.tolist())
+    ]
 
 
 def _record_march(
@@ -450,7 +439,7 @@ def _steps(
         a, c = (1.0 + 2.0 * omega) / (1.0 + omega), omega**2 / (1.0 + omega)
         try:
             # the ratio is affine in the potential: r(v + e) = r(v) + Lap(e)/4,
-            # with e's mean removed first as _laplacian_ld does
+            # with e's mean removed first as the grid's Laplacian does
             ratio_x = _admissible(ratio_ld + omega * lap_d / 4.0)
             q = step / (4.0 * a * ratio_x)
             b = (c * d + step * _rhs(ratio_x, v + omega * d, base) - a * omega * q * lap_d) / a
@@ -586,7 +575,6 @@ def smoothing_monitors(
 
 @dataclass(frozen=True, eq=False)
 class PinchResult:
-    structure: MetricState
     achieved: float
     eps: float
     path_t: float
@@ -612,15 +600,16 @@ def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     sup|h| <= eps/2.  Each accepted t builds the state of base + phi_t,
     whose h reads its ratio alone (one Laplacian); the state at the stop
     is the flow's base, and the flow runs with the default FlowPolicy.
-    Asserts achieved <= eps (the flow contracts far below the worst-case
-    constants).  A solver failure before the target is raised as the
-    properness diagnostic it is: a SolverError "pinching path failed at
-    its start t = ..." when no t was accepted, or "pinching path stalled
-    at t = ..." after one was, carrying the trace of the last failed
-    Newton solve.
+    achieved and the Calabi energy are read off the last record.  Asserts
+    achieved <= eps (the flow contracts far below the worst-case
+    constants).  An eps that calabi_bound refuses raises
+    ConfigurationError before any work.  A solver failure before the
+    target is raised as the properness diagnostic it is: a SolverError
+    "pinching path failed at its start t = ..." when no t was accepted,
+    or "pinching path stalled at t = ..." after one was, carrying the
+    trace of the last failed Newton solve.
     """
-    if not (eps > 0):
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    bound = calabi_bound(eps)
     target = eps / 2.0
 
     h_norm = None
@@ -641,8 +630,8 @@ def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     trajectory = run_flow(state, s_end=2.0)
     if not trajectory.completed:
         raise SolverError(f"pinching flow stage failed: {trajectory.failure}")
-    final = relative_state(state, trajectory.endpoint().v)
-    achieved = float(np.abs(final.scalar_curvature - SCALAR_TARGET).max())
+    end = trajectory.endpoint().monitors
+    achieved = end.s_pinch
     if achieved > eps:
         raise InvariantViolation(
             f"pinching missed its target: achieved {achieved:.3e} > eps {eps:.3e}"
@@ -654,13 +643,12 @@ def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     lap_min = min(r.monitors.lap_h_min for r in trajectory.records)
     smoothing = smoothing_monitors(trajectory, one_minus_t=1.0 - t)
     return PinchResult(
-        structure=final,
         achieved=achieved,
         eps=float(eps),
         path_t=float(t),
         h_at_path=h_norm,
-        calabi=calabi_functional(final.potential, state=final),
-        calabi_bound_value=calabi_bound(eps),
+        calabi=end.calabi,
+        calabi_bound_value=bound,
         flow_h_slack=float(h_slack),
         flow_dh2_slack=float(dh2_slack),
         flow_lap_h_min=float(lap_min + 2.0 * growth * h_norm),

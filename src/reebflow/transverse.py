@@ -17,9 +17,9 @@ reference objects take fully explicit form:
   increment to it, and checks it with ``_admissible``;
 * normalized Ricci potential: h = -log r - (m+1) phi + c, read off the
   ratio with no further Laplacian (``_ricci_potential``);
-* transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2,
-  so the reference has S = 4 = 2m(m+1) at transverse complex dimension
-  m = 1.
+* transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2
+  (``_scalar_curvature``), so the reference has S = 4 = 2m(m+1) at
+  transverse complex dimension m = 1.
 
 Discretization is Gauss-Legendre collocation.  The Laplacian is diagonal
 on Legendre coefficients, so its matrix is exact on the resolved
@@ -389,9 +389,7 @@ class MetricState:
 
     @cached_property
     def scalar_curvature(self) -> NDArray[np.float64]:
-        # S r = 4 - Lap(log r)/2, in longdouble between the two Laplacians
-        r = self._ratio_ext
-        return _lock((SCALAR_TARGET - 0.5 * self.grid._laplacian_ld(np.log(r))) / r)
+        return _lock(_scalar_curvature(self.grid, self._ratio_ext))
 
     @property
     def grid(self) -> Grid:
@@ -411,10 +409,8 @@ class MetricState:
         return self.grid.laplacian(f) / self.ratio
 
     def grad_norm_sq(self, f: NDArray) -> NDArray[np.float64]:
-        """|df|^2 in the deformed metric: 4 (1-x^2) f'^2 / ratio."""
-        g = self.grid
-        df = g.deriv(f)
-        return 4.0 * (1.0 - g.x**2) * df**2 / self.ratio
+        """|df|^2 in the deformed metric (``_grad_norm_sq``)."""
+        return _grad_norm_sq(self.grid, self.ratio, f)
 
 
 M_DIM = 1            # transverse complex dimension of the PDE model
@@ -434,16 +430,28 @@ def log_mean_exp(w: NDArray, z: NDArray) -> float:
 
 def _ricci_potential(
     grid: Grid, ratio: NDArray[np.float64], values: NDArray
-) -> tuple[NDArray[np.float64], float]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Ricci potential h = -log r - (m+1) phi + c of the total potential
     ``values`` and its constant c, read off the checked ratio r alone: no
-    Laplacian, and the same bits as ``MetricState.ricci_potential``."""
-    log_ratio = np.log(ratio)
+    Laplacian.  Like the two formulas below, it takes one field or a stack
+    of them with the grid on the last axis (the flow's record blocks)."""
     # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
     # so c is the explicit log-integral below (no root-find needed: e^c
-    # multiplies a fixed positive integral).
-    c = -log_mean_exp(grid.w, -(M_DIM + 1) * values)
-    return -log_ratio - (M_DIM + 1) * values + c, c
+    # multiplies a fixed positive integral), a 1-D one per row.
+    z = -(M_DIM + 1) * values
+    c = np.reshape([-log_mean_exp(grid.w, row) for row in z.reshape(-1, grid.n)], z.shape[:-1])
+    return z - np.log(ratio) + c[..., None], c
+
+
+def _scalar_curvature(grid: Grid, r: NDArray[np.longdouble]) -> NDArray[np.float64]:
+    """S from the volume ratio r in extended precision: S r = 4 - Lap(log r)/2,
+    in longdouble between the two Laplacians."""
+    return ((SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(r))) / r).astype(np.float64)
+
+
+def _grad_norm_sq(grid: Grid, ratio: NDArray[np.float64], f: NDArray) -> NDArray[np.float64]:
+    """|df|^2 in the deformed metric of volume ratio r: 4 (1-x^2) f'^2 / r."""
+    return 4.0 * (1.0 - grid.x**2) * grid.deriv(f) ** 2 / ratio
 
 
 def metric_state(phi: BasicPotential) -> MetricState:

@@ -11,7 +11,7 @@ from reebflow import (
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
-from reebflow.curvature import MAX_CURVATURE, MAX_DIMENSION
+from reebflow.curvature import MAX_CURVATURE, MAX_DIMENSION, MAX_EPS
 from reebflow.transverse import SCALAR_TARGET
 
 # frozen after grid-doubling agreement to 13 digits (n = 128 / 256 / 384)
@@ -122,10 +122,15 @@ class TestCalabi:
     def test_bound_values(self):
         assert calabi_bound(0.05) == pytest.approx(0.81, abs=1e-15)
         assert calabi_bound(0.05, m=2) == pytest.approx(4.84, abs=1e-12)
-        with pytest.raises(ConfigurationError):
-            calabi_bound(0.0)
+        # an eps that is not finite or is above MAX_EPS, and an m outside
+        # [1, MAX_DIMENSION], are refused; at the limits the bound is finite
+        for eps, m in [(0.0, 1), (np.inf, 1), (np.nan, 1), (1e151, 1), (0.05, 0),
+                       (0.05, MAX_DIMENSION + 1)]:
+            with pytest.raises(ConfigurationError):
+                calabi_bound(eps, m=m)
+        assert np.isfinite(calabi_bound(MAX_EPS, m=MAX_DIMENSION))
 
     def test_bound_dominates_small_deviations(self, base128):
         # any |S - 4| <= eps structure has Calabi energy below the bound
         eps = float(np.abs(base128.scalar_curvature - 4.0).max()) + 1e-12
-        assert calabi_functional(base128.potential, state=base128) < calabi_bound(eps)
+        assert calabi_functional(base128.potential) < calabi_bound(eps)

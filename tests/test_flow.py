@@ -12,6 +12,7 @@ from reebflow import (
     ConfigurationError,
     FlowPolicy,
     InadmissibleError,
+    calabi_functional,
     epsilon_pinching,
     flow_rhs,
     holder_seminorm,
@@ -122,7 +123,7 @@ class TestRunFlow:
         "kwargs",
         [{"ds": 0.0}, {"ds": -1e-3}, {"ds": float("nan")},
          {"record_stride": 0}, {"record_stride": -1}, {"record_stride": 2.5},
-         {"ds": 1e-9}],
+         {"ds": 1e-9}, {"ds": math.inf}],
     )
     def test_policy_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -235,6 +236,7 @@ def reference_record(base, s, v_values):
         bound_d_slack=growth * h0_norm - abs(c_s),
         s_pinch=float(np.abs(state.scalar_curvature - SCALAR_TARGET).max()),
         lap_h_min=float(lap_h.min()),
+        calabi=calabi_functional(state.potential),
     )
     return h, vdot, monitors
 
@@ -720,9 +722,35 @@ class TestPinching:
         assert res.smoothing.sandwich_hi_margin > -0.01
         assert res.trajectory.completed
 
-    def test_invalid_eps(self, base96):
-        with pytest.raises(ConfigurationError):
-            epsilon_pinching(base96, eps=0.0)
+    def test_invalid_eps(self, base96, counts):
+        # an eps whose Calabi bound is not a finite positive number is
+        # refused before the continuity stage starts
+        counts.clear()
+        for eps in (0.0, math.nan, math.inf, 1e300):
+            with pytest.raises(ConfigurationError):
+                epsilon_pinching(base96, eps=eps)
+        assert counts == {}
+
+    def test_endpoint_read_off_the_last_record(self, base96, counts, monkeypatch):
+        # once the flow has returned, only the time-one section of the
+        # smoothing report builds a state and applies a Laplacian; the
+        # pinch and the Calabi energy are the last record's columns
+        real_run_flow = flow.run_flow
+        after_flow = {}
+
+        def run(state, s_end):
+            trajectory = real_run_flow(state, s_end=s_end)
+            after_flow.update(counts)
+            return trajectory
+
+        monkeypatch.setattr(flow, "run_flow", run)
+        counts.clear()
+        res = epsilon_pinching(base96, eps=0.1)
+        rest = counts - Counter(after_flow)
+        assert rest == {"laplacian": 1, "metric_state": 1}
+        end = res.trajectory.endpoint()
+        assert res.achieved == end.monitors.s_pinch
+        assert res.calabi == end.monitors.calabi
 
     def test_continuity_stage_reads_h_off_the_ratio(self, base96, counts, monkeypatch):
         # Newton aside, each accepted t builds one state and applies one

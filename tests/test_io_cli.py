@@ -1,12 +1,15 @@
 """Artifact writers, expression parsing, CLI exit behavior."""
 
+import contextlib
 import csv
 import json
+import math
 import time
+from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reebflow import cli, continuity, io, transverse
@@ -359,7 +362,7 @@ class TestCliExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--ds", "0"), ("--ds", "1e-9"), ("--stride", "0")]
+        "flag, value", [("--ds", "0"), ("--ds", "1e-9"), ("--ds", "inf"), ("--stride", "0")]
     )
     def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
@@ -368,6 +371,19 @@ class TestCliExitCodes:
         assert rc == 1
         assert "invalid input" in capsys.readouterr().err
         assert not (out / "flow.csv").exists()
+
+    @pytest.mark.parametrize("eps", ["inf", "1e300"])
+    def test_pinch_eps_out_of_range(self, tmp_path, capsys, eps):
+        # an eps whose Calabi bound is infinite, or overflows, is refused
+        # before the continuity stage and the flow run
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        rc = cli.main(["pinch", "--n", "16", "--eps", eps, "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_newton_tol_out_of_range(self, tmp_path, capsys, tol):
@@ -495,3 +511,90 @@ class TestExpressionProperty:
         with np.errstate(all="ignore"):
             rc = cli.main(["solve", "--n", "16", flag, expr, "--out", str(out)])
         assert rc in (0, 1, 2)
+
+
+# Adversarial values by the kind of value a flag takes: NaN, +-inf, 0,
+# negative, huge and out-of-kind numbers among a few valid ones.  Valid
+# grid sizes stay at most 16 so that a valid run is short, and a seed is
+# always invalid: a valid one runs every suite, as acceptance test c10 does.
+_VALUES = {
+    "size": [8, 16, 0, -16, 7, 10**9, 16.5, math.nan, math.inf],
+    "int": [2, 0, -1, 10**30, 2.5, math.nan, math.inf],
+    "float": [0.05, 0.5, 0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf],
+    "list": [[1.0, 2.0], [2.0, 2.0], [math.nan, 2.0], [1.0, math.inf], [0.0, 2.0],
+             [-1.0, 2.0], [1e300, 2.0]],
+    "seed": [-1, 2.5, math.nan, math.inf],
+}
+# JSON values of the wrong type, and a non-numeric string, for any flag
+_WRONG_TYPES = [None, True, "abc", {"a": 1}, [1, "x"]]
+# each command's arguments and the kinds of its value flags; the first flag
+# is always drawn, which keeps a run on a small grid (or refuses its seed)
+_CONTRACT = {
+    "solve": (["solve"], {"--n": "size", "--t": "float", "--newton-tol": "float"}),
+    "path": (["path"], {"--n": "size", "--t-start": "float", "--t-end": "float",
+                        "--records": "int", "--newton-tol": "float"}),
+    "flow": (["flow"], {"--n": "size", "--s-end": "float", "--ds": "float", "--stride": "int"}),
+    "scan": (["scan"], {"--n": "size", "--lambdas": "list"}),
+    "scan-bump": (["scan", "--family", "bump"], {"--n": "size", "--epsilons": "list"}),
+    "pinch": (["pinch"], {"--n": "size", "--eps": "float"}),
+    "spectrum": (["spectrum"], {"--n": "size", "--k": "int"}),
+    "curvature": (["curvature"], {"--m": "int", "--c": "float"}),
+    "verify-all": (["verify-all", "--quick"], {"--seed": "seed"}),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """A command, a subset of its flags, and for each flag a value and
+    whether it is passed as a flag or through --config."""
+    args, kinds = _CONTRACT[draw(st.sampled_from(sorted(_CONTRACT)))]
+    first, *rest = kinds
+    flags = [first, *draw(st.lists(st.sampled_from(rest), unique=True))] if rest else [first]
+    values = {
+        flag: (draw(st.sampled_from(_VALUES[kinds[flag]] + _WRONG_TYPES)), draw(st.booleans()))
+        for flag in flags
+    }
+    return args, values
+
+
+def _non_finite(value) -> bool:
+    items = value if isinstance(value, list) else [value]
+    return any(isinstance(v, float) and not math.isfinite(v) for v in items)
+
+
+class TestCliContractProperty:
+    """Any command, with adversarial values as flags or in a config file,
+    ends in an exit code, never an exception or a traceback; a NaN or an
+    infinity is refused as input, never run to a success."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(invocation=_invocations())
+    # an infinite or overflowing pinching eps, and an infinite flow step,
+    # as a flag and through --config
+    @example(invocation=(["pinch"], {"--n": (16, False), "--eps": (math.inf, False)}))
+    @example(invocation=(["pinch"], {"--n": (16, False), "--eps": (1e300, True)}))
+    @example(invocation=(["flow"], {"--n": (16, False), "--ds": (math.inf, False)}))
+    @example(invocation=(["flow"], {"--n": (16, True), "--ds": (math.inf, True)}))
+    def test_every_invocation_returns_an_exit_code(self, tmp_path_factory, invocation):
+        args, values = invocation
+        work = tmp_path_factory.getbasetemp() / "contract-property"
+        work.mkdir(exist_ok=True)
+        argv = [*args, "--out", str(work / "out")]
+        config = {flag[2:]: value for flag, (value, in_config) in values.items() if in_config}
+        for flag, (value, in_config) in values.items():
+            if not in_config:
+                token = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv.append(f"{flag}={token}")
+        if config:
+            (work / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(work / "config.json")]
+        err = StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+            with np.errstate(all="ignore"):
+                rc = cli.main(argv)
+        assert time.perf_counter() - start < 10.0
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if any(_non_finite(value) for value, _ in values.values()):
+            assert rc == 1, err.getvalue()

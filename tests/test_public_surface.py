@@ -82,6 +82,7 @@ REMOVED_MEMBERS = {
         "monotone_tol",
     ),
     ("reebflow.flow", "FlowPolicy"): ("ds_floor",),
+    ("reebflow.flow", "PinchResult"): ("structure",),
 }
 
 # parameters that no caller set, by the function that took them
@@ -97,6 +98,7 @@ REMOVED_PARAMETERS = {
     ("reebflow.transverse", "log_mean_exp"): ("grid_or_weights",),
     ("reebflow.flow", "epsilon_pinching"): ("t_start", "path_policy", "flow_policy"),
     ("reebflow.verification", "mobius_scan_suite"): ("lambdas",),
+    ("reebflow.curvature", "calabi_functional"): ("state",),
 }
 
 
