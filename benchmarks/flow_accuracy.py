@@ -63,7 +63,7 @@ def _euler_steps(base, ds: float):
     v, s = np.zeros(grid.n), 0.0
     for k in range(steps + 1):
         if k % stride == 0:
-            ratio_ld = _ratio_ld(grid, base.potential.values + v)
+            ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
             yield s, v, ratio_ld, True
         if k == steps:
             break

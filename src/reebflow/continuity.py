@@ -29,7 +29,8 @@ turns the recorded (I - J) values into a spectral quadrature rule; that
 is what makes the t-integral identity relating F at the Einstein base to
 the path integral of I - J checkable to 1e-5 rather than to trapezoid
 accuracy.  Each record keeps the state of base + phi_t that its residual
-read, and ``path_diagnostics`` reads it again.
+read, and phi_t the Laplacian of its last Newton evaluation, which the
+next solve, the ledger and ``path_diagnostics`` read again.
 """
 
 from __future__ import annotations
@@ -132,24 +133,26 @@ def solve_ma_at_t(
     The Jacobian comes from ``ma_jacobian`` and is exact, so convergence
     is quadratic once inside the basin. Steps are Armijo-damped on the
     sup-norm of the defect and rejected outright if they push the total
-    potential's ratio margin below _MARGIN_FLOOR.  Each candidate is
-    evaluated once, from one Laplacian; its margin and defect stay in
-    float64, the rounding that fixes the iterates.  A guess whose margin
-    is not positive raises ConfigurationError; a residual that is not
-    finite, or a failed linear solve (LU below t = 1, minimum-norm least
-    squares at the t = 1 kernel), raises SolverError.
+    potential's ratio margin below _MARGIN_FLOOR.  Each iterate is a
+    potential evaluated once, from the Laplacian it keeps, so a warm
+    start applies none for its guess; margins and defects stay in float64,
+    the rounding that fixes the iterates.  A guess whose margin is not
+    positive raises ConfigurationError; a residual that is not finite, or
+    a failed or non-finite linear solve (LU below t = 1, minimum-norm
+    least squares at the t = 1 kernel), raises SolverError.
     """
     if not (0.0 < t <= 1.0):
         raise ConfigurationError(f"t must lie in (0, 1], got {t}")
     grid = initial_guess.grid
     mp1 = M_DIM + 1
 
-    def evaluate(values: NDArray) -> tuple[float, NDArray[np.float64]]:
-        lap = grid.laplacian(values)
-        defect = 1.0 + lap / (4.0 * base.ratio) - np.exp(base.ricci_potential - t * mp1 * values)
+    def evaluate(phi: BasicPotential) -> tuple[float, NDArray[np.float64]]:
+        lap = phi._lap_ld.astype(np.float64)
+        rhs = np.exp(base.ricci_potential - t * mp1 * phi.values)
+        defect = 1.0 + lap / (4.0 * base.ratio) - rhs
         return float((base.ratio + lap / 4.0).min()), defect
 
-    phi = np.array(initial_guess.values, dtype=np.float64)
+    phi = initial_guess
     margin, defect = evaluate(phi)
     if not (margin > 0.0):  # not the transverse rule: Newton's float64 margin
         raise ConfigurationError("initial guess is not admissible over the base")
@@ -159,7 +162,7 @@ def solve_ma_at_t(
     trace: list[float] = []
     for _ in range(_MAX_ITERATIONS):
         trace.append(res)
-        jac = ma_jacobian(BasicPotential(values=phi, grid=grid), t, base)
+        jac = ma_jacobian(phi, t, base)
         try:
             if t < 1.0:
                 step = np.linalg.solve(jac, -defect)
@@ -167,17 +170,19 @@ def solve_ma_at_t(
                 step = np.linalg.lstsq(jac, -defect, rcond=1e-10)[0]
         except np.linalg.LinAlgError as err:
             raise SolverError(f"Newton step failed at t = {t:.6g}: {err}", trace=trace) from err
+        if not np.isfinite(step).all():
+            raise SolverError(f"Newton step is not finite at t = {t:.6g}", trace=trace)
         if res < policy.newton_tol:
             # one polishing step: the quadratic tail typically buys several
             # digits, which the along-path curvature identity benefits from
-            polished = phi + step
+            polished = BasicPotential(values=phi.values + step, grid=grid)
             margin, defect = evaluate(polished)
             if margin >= _MARGIN_FLOOR and float(np.abs(defect).max()) < res:
                 phi = polished
-            return BasicPotential(values=phi, grid=grid)
+            return phi
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            cand = phi + alpha * step
+            cand = BasicPotential(values=phi.values + alpha * step, grid=grid)
             margin, cand_defect = evaluate(cand)
             if margin >= _MARGIN_FLOOR:
                 cand_res = float(np.abs(cand_defect).max())
@@ -382,15 +387,14 @@ def path_diagnostics(
 ) -> PathDiagnostics:
     """Along-path report: monotonicity, the t = 1 energy identity against
     F at the Einstein base, and the curvature identity
-    S_t = 4 - (1-t) Lap_t(phi_t), read off each record's state: two
-    Laplacians per record, for its scalar curvature (kept on the state)
-    and for Lap(phi_t), and no new state.  The energy residual is None unless
+    S_t = 4 - (1-t) Lap_t(phi_t), read off each record's state and phi_t:
+    one Laplacian per record, for its scalar curvature (kept on the
+    state), and no new state.  The energy residual is None unless
     the path completed to t = 1 with Gauss weights and the Einstein base
     is given as ``reference``."""
     recs = path.records
     if len(recs) < 3:
         raise ConfigurationError("diagnostics need at least 3 path records")
-    grid = recs[0].phi.grid
     imj = path.i_minus_j()
     monotone = float(np.diff(imj).min())
 
@@ -404,7 +408,7 @@ def path_diagnostics(
     for rec in recs:
         state = rec.state
         lhs = state.scalar_curvature
-        rhs = SCALAR_TARGET - (1.0 - rec.t) * grid.laplacian(rec.phi.values) / state.ratio
+        rhs = SCALAR_TARGET - (1.0 - rec.t) * rec.phi._lap_ld.astype(np.float64) / state.ratio
         worst_420 = max(worst_420, float(np.abs(lhs - rhs).max()))
 
     return PathDiagnostics(

@@ -411,14 +411,10 @@ def _steps(
         raise ConfigurationError(f"s_end / ds = {s_end / policy.ds:.6g} is above {MAX_FLOW_STEPS}")
     grid = base.potential.grid
 
-    def anchor(v: NDArray) -> NDArray[np.longdouble]:
-        ratio_ld = _ratio_ld(grid, base.potential.values + v)
-        _admissible(ratio_ld)
-        return ratio_ld
-
     v = np.zeros(grid.n)
     s = 0.0
-    ratio_ld = anchor(v)
+    # at v = 0 the base's own ratio, checked when the base was built
+    ratio_ld = _ratio_ld(base.potential)
     yield s, v, ratio_ld, True
     # the step cap: a fraction of policy.ds at the start, grown on each
     # accepted step and halved with a rejected one
@@ -454,13 +450,15 @@ def _steps(
             continue
         v = v + delta
         anchored = parts == 1
+        ratio_ld = cand_ratio_ld
         if anchored:
             s, next_record = target, next_record + 1
+            ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
+            _admissible(ratio_ld)
         else:
             s += step
         last_step, d, lap_d = step, delta, lap_delta
         ds = min(ds * _GROWTH, policy.ds)
-        ratio_ld = anchor(v) if anchored else cand_ratio_ld
         yield s, v, ratio_ld, anchored
 
 

@@ -8,7 +8,7 @@ finite and translation behavior explicit.
 
 The functionals read only volume ratios along the ray s -> psi + s phi,
 and those are affine in s: r(psi + s phi) = r(psi) + s Lap(phi)/4
-exactly.  Each evaluation therefore applies the Laplacian once, to phi,
+exactly.  Each evaluation therefore reads the one Laplacian phi keeps,
 and forms every ratio on the ray from the base ratio and that one field
 in extended precision.  A quadrature forms the ratios at all its nodes
 in one pass, as the rows of one (nodes, n) array; ``transverse`` casts
@@ -85,7 +85,7 @@ def relative_state(base: MetricState, phi: BasicPotential) -> MetricState:
 
 
 class _Ray:
-    """Volume ratios along s -> psi + s phi from one Laplacian of phi.
+    """Volume ratios along s -> psi + s phi from the kept Laplacian of phi.
 
     psi is the base potential.  r(psi + s phi) = r(psi) + s Lap(phi)/4,
     summed in extended precision and cast, so no metric state is built
@@ -97,9 +97,8 @@ class _Ray:
     def __init__(self, phi: BasicPotential, base: MetricState):
         self.phi = phi
         self.base = base
-        lap_ld = phi.grid._laplacian_ld(phi.values)
-        self.lap = lap_ld.astype(np.float64)
-        self._quarter_lap_ld = lap_ld / 4.0
+        self.lap = phi._lap_ld.astype(np.float64)
+        self._quarter_lap_ld = phi._lap_ld / 4.0
         self._base_ratio_ld = base.ratio.astype(np.longdouble)
 
     @cached_property
@@ -205,8 +204,8 @@ def eval_K_energy(
     The ratio r_t at each of the 48 Gauss nodes is read off the
     affine ray r(psi) + a(t) Lap(phi)/4, all 48 as one array checked row
     by row, and Lap(phi) is the same one field that carries the moved
-    Laplacian of log r_t, so the whole quadrature applies the Laplacian
-    once.  The first nonpositive r_t in t raises InadmissibleError with
+    Laplacian of log r_t, so the whole quadrature reads one Laplacian,
+    the one phi keeps.  The first nonpositive r_t in t raises InadmissibleError with
     its margin.
     """
     return _Ray(phi, base).k_energy(path)
@@ -336,9 +335,9 @@ class FunctionalLedger:
     def evaluate(
         cls, tag: str, phi: BasicPotential, base: MetricState
     ) -> "FunctionalLedger":
-        # one Laplacian of phi serves every functional, the ratio at s = 1
-        # is formed once for the margin and I, and J is computed once and
-        # feeds F
+        # the one Laplacian phi keeps serves every functional, the ratio
+        # at s = 1 is formed once for the margin and I, and J is computed
+        # once and feeds F
         ray = _Ray(phi, base)
         margin = float(ray.ratio.min())
         j_val = ray.j_value()

@@ -12,9 +12,9 @@ reference objects take fully explicit form:
 * basic Laplacian:   Lap f = 4 d/dx[(1 - x^2) f'(x)], with Legendre
   eigenfunctions P_k and eigenvalues -4k(k+1);
 * volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4, formed
-  (``_ratio_ld``) and checked (``_admissible``) here; the flow march alone
-  carries a ratio between records, adding Lap(delta)/4 of each step's
-  increment to it, and checks it with ``_admissible``;
+  from phi's kept Laplacian (``_ratio_ld``) and checked (``_admissible``)
+  here; the flow march alone carries a ratio between records, adding
+  Lap(delta)/4 of each step's increment to it, and checks it likewise;
 * normalized Ricci potential: h = -log r - (m+1) phi + c, read off the
   ratio with no further Laplacian (``_ricci_potential``);
 * transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2
@@ -38,7 +38,7 @@ coefficients in O(n), by suffix sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -296,7 +296,8 @@ def make_grid(n: int = 256) -> Grid:
 @dataclass(frozen=True, eq=False)
 class BasicPotential:
     """Axisymmetric basic potential sampled on the collocation grid; its
-    values must be finite (ConfigurationError otherwise)."""
+    values must be finite (ConfigurationError otherwise).  Its longdouble
+    Laplacian is applied on first read and kept, for every reader."""
 
     values: NDArray[np.float64]
     grid: Grid
@@ -319,6 +320,12 @@ class BasicPotential:
     def zero(cls, grid: Grid) -> "BasicPotential":
         return cls(values=np.zeros(grid.n), grid=grid)
 
+    @cached_property
+    def _lap_ld(self) -> NDArray[np.longdouble]:
+        lap = self.grid._laplacian_ld(self.values)
+        lap.flags.writeable = False
+        return lap
+
     def shifted(self, c: float) -> "BasicPotential":
         return BasicPotential(values=self.values + float(c), grid=self.grid)
 
@@ -329,11 +336,11 @@ class BasicPotential:
         return float(np.abs(self.values).max())
 
 
-def _ratio_ld(grid: Grid, values: NDArray) -> NDArray[np.longdouble]:
-    """Volume ratio 1 + Lap(values)/4 of a total potential, in extended
-    precision (a ray's r(psi) + s Lap(phi)/4 is summed the same way, at
-    all of a rule's nodes s at once)."""
-    return 1.0 + grid._laplacian_ld(values) / 4.0
+def _ratio_ld(phi: BasicPotential) -> NDArray[np.longdouble]:
+    """Volume ratio 1 + Lap(phi)/4 of a total potential, in extended
+    precision, from its kept Laplacian (a ray's r(psi) + s Lap(phi)/4 is
+    summed the same way, at all of a rule's nodes s at once)."""
+    return 1.0 + phi._lap_ld / 4.0
 
 
 def _admissible(ratio_ld: NDArray[np.longdouble]) -> NDArray[np.float64]:
@@ -351,7 +358,7 @@ def _admissible(ratio_ld: NDArray[np.longdouble]) -> NDArray[np.float64]:
 def admissibility(phi: BasicPotential) -> tuple[bool, float]:
     """Whether the deformed structure is positive, and the margin min r(phi)."""
     try:
-        return True, float(_admissible(_ratio_ld(phi.grid, phi.values)).min())
+        return True, float(_admissible(_ratio_ld(phi)).min())
     except InadmissibleError as exc:
         return False, exc.margin
 
@@ -365,7 +372,7 @@ def admissibility(phi: BasicPotential) -> tuple[bool, float]:
 class MetricState:
     """Derived geometric data of an admissible potential.  Construction
     casts and checks the ratio; the rest is computed on first read, kept
-    and read-only.
+    and read-only, from the ratio and the potential's kept Laplacian.
 
     ratio            volume ratio r(phi) against the reference measure
     ricci_potential  normalized Ricci potential h with int e^h dmu_phi = 1
@@ -376,8 +383,6 @@ class MetricState:
 
     potential: BasicPotential
     ratio: NDArray[np.float64]
-    # the ratio in extended precision, which the scalar curvature reads
-    _ratio_ext: NDArray[np.longdouble] = field(repr=False)
 
     @cached_property
     def _ricci(self) -> tuple[NDArray[np.float64], float]:
@@ -389,7 +394,7 @@ class MetricState:
 
     @cached_property
     def scalar_curvature(self) -> NDArray[np.float64]:
-        return _lock(_scalar_curvature(self.grid, self._ratio_ext))
+        return _lock(_scalar_curvature(self.grid, _ratio_ld(self.potential)))
 
     @property
     def grid(self) -> Grid:
@@ -460,13 +465,7 @@ def metric_state(phi: BasicPotential) -> MetricState:
 
     Raises InadmissibleError when the deformed structure is not positive.
     """
-    return _state(phi, _ratio_ld(phi.grid, phi.values))
-
-
-def _state(phi: BasicPotential, ratio_ld: NDArray[np.longdouble]) -> MetricState:
-    """``metric_state(phi)`` from the ratio ``_ratio_ld(grid, phi.values)``
-    formed already: cast and checked here, with no Laplacian."""
-    return MetricState(potential=phi, ratio=_lock(_admissible(ratio_ld)), _ratio_ext=ratio_ld)
+    return MetricState(potential=phi, ratio=_lock(_admissible(_ratio_ld(phi))))
 
 
 def reference_state(grid: Grid) -> MetricState:

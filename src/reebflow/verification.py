@@ -484,7 +484,7 @@ def oracle_suite(
             fields,
             grid.x,
             state.ratio,
-            grid.laplacian(phi.values),
+            phi._lap_ld.astype(np.float64),
             state.scalar_curvature,
         )
         for field_name, dev in devs.items():

@@ -11,6 +11,7 @@ from reebflow import continuity
 from reebflow import (
     BasicPotential,
     ConfigurationError,
+    FunctionalLedger,
     InadmissibleError,
     PathPolicy,
     SolverError,
@@ -258,6 +259,25 @@ class TestOperatorCounts:
         assert counts == {"laplacian": solves + 1, "lstsq": solves}
         assert np.abs(ma_defect(phi, 1.0, base96)).max() < 1e-10
 
+    def test_warm_start_reuses_the_guess_laplacian(self, base96, counts):
+        # a solve returns its iterate with the Laplacian of its last
+        # evaluation kept: a solve warm-started from it applies none for
+        # the guess, one fewer than from a fresh copy of the same values,
+        # and lands on the same bits; the ledger of its result applies none
+        guess = solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+        fresh = BasicPotential(values=guess.values, grid=base96.grid)
+        counts.clear()
+        phi = solve_ma_at_t(0.55, base96, guess)
+        solves = counts["solve"]
+        assert solves >= 2
+        assert counts == {"laplacian": solves, "solve": solves}
+        counts.clear()
+        np.testing.assert_array_equal(solve_ma_at_t(0.55, base96, fresh).values, phi.values)
+        assert counts == {"laplacian": solves + 1, "solve": solves}
+        counts.clear()
+        FunctionalLedger.evaluate("phi", phi, base96)
+        assert counts == {}
+
     def test_path_newton_iterations_pinned(self, base128, counts, monkeypatch):
         # the n = 128 path suite's two paths take 205 Newton iterations
         # (one Jacobian each), a count the choice of linear solver must not
@@ -290,19 +310,19 @@ class TestOperatorCounts:
 
     def test_diagnostics_read_the_records_states(self, base96, counts):
         # each record keeps the state of base + phi_t its residual read; the
-        # diagnostics build no state and apply two Laplacians per record,
-        # one for its scalar curvature, which the state keeps, and one for
-        # Lap(phi_t)
+        # diagnostics build no state and apply one Laplacian per record, for
+        # its scalar curvature, which the state keeps; Lap(phi_t) is the one
+        # phi_t kept from its Newton solve
         path = run_continuity_path(base96)
         end = path.endpoint()
         np.testing.assert_array_equal(end.state.ratio, relative_state(base96, end.phi).ratio)
         assert len(path.records) == 19
         counts.clear()
         path_diagnostics(path, base96)
-        assert counts == {"laplacian": 2 * len(path.records)}
+        assert counts == {"laplacian": len(path.records)}
         counts.clear()
         path_diagnostics(path, base96)
-        assert counts == {"laplacian": len(path.records)}
+        assert counts == {}
 
     def test_defect_of_inadmissible_potential_raises(self, ref96):
         bad = BasicPotential.from_callable(ref96.grid, lambda x: 3.0 * (1 - x * x))

@@ -170,7 +170,9 @@ class TestRunFlow:
         # of each step's increment: no Laplacian per attempted step; each
         # record re-anchors the carried ratio (one Laplacian), and its
         # block applies one per row for the scalar curvature and one to
-        # h_s; the set-up applies one to h_0.  No record builds a state
+        # h_s; the set-up applies one to h_0.  The record at s = 0 applies
+        # one fewer: its ratio is the one the base's potential keeps.  No
+        # record builds a state
         laps_per_record, setup_laps = 3, 1
         calls = Counter()
         real_lap = Grid._laplacian_ld
@@ -199,7 +201,7 @@ class TestRunFlow:
         assert calls["step"] == (60 if stride > 40 else 61)
         assert len(traj.records) == (2 if stride > 40 else 5)
         assert calls["state"] == 0
-        assert calls["laplacian"] == laps_per_record * len(traj.records) + setup_laps
+        assert calls["laplacian"] == laps_per_record * len(traj.records) - 1 + setup_laps
 
     def test_records_carry_lap_h_min(self, base96, traj96):
         grid = base96.potential.grid
@@ -350,9 +352,8 @@ class TestCarriedRatio:
 
     def _exact(self, base, v_values):
         grid = base.potential.grid
-        return transverse._admissible(
-            transverse._ratio_ld(grid, base.potential.values + v_values)
-        )
+        total = BasicPotential(values=base.potential.values + v_values, grid=grid)
+        return transverse._admissible(transverse._ratio_ld(total))
 
     def test_drift_is_bounded(self, base96, linearized):
         # each step linearizes about its extrapolated point v + omega d,
@@ -395,7 +396,8 @@ class TestCarriedRatio:
                 continue
             r, v, _ = linearized[k]
             omega, d = (1.0, deltas[k - 1]) if k else (0.0, np.zeros(grid.n))
-            exact = transverse._ratio_ld(grid, base96.potential.values + rec.v.values)
+            total = BasicPotential(values=base96.potential.values + rec.v.values, grid=grid)
+            exact = transverse._ratio_ld(total)
             lap_d = grid.lap @ (d - grid.w @ d)
             assert np.array_equal(v, rec.v.values + omega * d)
             assert np.array_equal(r, transverse._admissible(exact + omega * lap_d / 4.0))
@@ -403,8 +405,9 @@ class TestCarriedRatio:
     def test_round_reference_applies_no_step_laplacian(self, ref128, counts):
         traj = run_flow(ref128, s_end=1.0, policy=FlowPolicy(record_stride=20))
         assert traj.completed and len(traj.records) == 11
-        # one Laplacian for h_0, three per record, none per step
-        assert counts["laplacian"] == 1 + 3 * len(traj.records)
+        # one Laplacian for h_0, three per record less the anchor at s = 0
+        # (the base's kept one), none per step
+        assert counts["laplacian"] == 1 + 3 * len(traj.records) - 1
         assert all(not r.v.values.any() for r in traj.records)
         assert all(not r.vdot.any() for r in traj.records)
 
@@ -496,7 +499,8 @@ class TestBDF2Step:
         run_flow(base96, s_end=h)
         (_, _, x), = step_log["steps"]
         grid = base96.potential.grid
-        ratio = transverse._admissible(transverse._ratio_ld(grid, base96.potential.values))
+        fresh = BasicPotential(values=base96.potential.values, grid=grid)
+        ratio = transverse._admissible(transverse._ratio_ld(fresh))
         a = np.eye(grid.n) - (h / (4.0 * ratio))[:, None] * grid.lap
         rhs = flow_rhs(BasicPotential.zero(grid), base96)
         exact = step_log["exact"](a, h * rhs)

@@ -342,15 +342,20 @@ class TestAffineRay:
         assert led.K == eval_K_energy(phi, base128)
 
     def test_mabuchi_report_reads_h_off_the_ray(self, ref128, grid128, counts):
-        # one Laplacian in the ledger, none and no state in the report, and
-        # on the reference base the same bits as the report built from the
-        # full state of phi
+        # one Laplacian in the ledger of a fresh potential and none in that
+        # of the draw, which keeps it from its admissibility test; none and
+        # no state in the report, and on the reference base the same bits
+        # as the report built from the full state of phi
         rng = np.random.default_rng(11)
         for _ in range(3):
             phi = random_potential(grid128, rng)
             counts.clear()
-            led = FunctionalLedger.evaluate("phi", phi, ref128)
+            fresh = FunctionalLedger.evaluate("phi", BasicPotential(phi.values, grid128), ref128)
             assert counts == {"laplacian": 1}
+            counts.clear()
+            led = FunctionalLedger.evaluate("phi", phi, ref128)
+            assert counts == {}
+            assert fresh.row() == led.row()
             counts.clear()
             rep = verify_mabuchi_f_relation(led, ref128)
             assert counts == {}

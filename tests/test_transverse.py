@@ -257,11 +257,12 @@ class TestMetricState:
         assert c == state.norm_constant
 
     def test_fields_are_computed_on_first_read(self, psi128, counts):
-        # construction forms and checks the ratio (one Laplacian); h and c
-        # are read off it, and S applies one more Laplacian, once
+        # construction forms and checks the ratio (one Laplacian, which the
+        # potential keeps); h and c are read off it, and S applies one more
+        # Laplacian, once.  A fresh potential: psi128 may keep its own.
         grid = psi128.grid
         counts.clear()
-        state = metric_state(psi128)
+        state = metric_state(BasicPotential(values=psi128.values, grid=grid))
         assert counts["laplacian"] == 1
         h, c = state.ricci_potential, state.norm_constant
         assert counts["laplacian"] == 1
@@ -273,7 +274,8 @@ class TestMetricState:
         expected_h, expected_c = transverse._ricci_potential(grid, state.ratio, psi128.values)
         np.testing.assert_array_equal(h, expected_h)
         assert c == expected_c
-        ratio_ld = transverse._ratio_ld(grid, psi128.values)
+        # a fresh potential applies its own Laplacian, not the one psi128 keeps
+        ratio_ld = transverse._ratio_ld(BasicPotential(values=psi128.values, grid=grid))
         expected_s = (
             (SCALAR_TARGET - grid._laplacian_ld(np.log(ratio_ld)) / 2) / ratio_ld
         ).astype(np.float64)
