@@ -18,6 +18,7 @@ import ast
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -214,6 +215,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, registry
 
 
+# parsing leaves the tree as it is, so one serves every call of main
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def _apply_config_file(
     argv: Sequence[str], parser: _Parser, registry: dict[str, _Parser]
 ) -> argparse.Namespace:
@@ -229,7 +234,7 @@ def _apply_config_file(
 
     command_parser = registry[args.command]
     actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
-    tokens, given = [], []
+    tokens = []
     for key, value in loaded.items():
         dest = key.replace("-", "_")
         if dest == "command":
@@ -245,12 +250,11 @@ def _apply_config_file(
             if isinstance(value, list):
                 value = ",".join(map(str, value))
             tokens.append(f"{flag}={value}")
-        given.append(dest)
-    # the command's parser converts and checks each value as it would the
-    # flag; the results become defaults, so explicit flags still win
-    parsed = vars(command_parser.parse_args(tokens))
-    command_parser.set_defaults(**{dest: parsed[dest] for dest in given})
-    return parser.parse_args(argv)
+    # the config's tokens go right after the command: its parser converts
+    # and checks each value as it would the flag, and the explicit flags
+    # after them win
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +443,7 @@ _TRACE_TAIL = 3
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, registry = build_parser()
+    parser, registry = _parser()
     try:
         args = _apply_config_file(
             list(argv) if argv is not None else sys.argv[1:], parser, registry

@@ -77,22 +77,30 @@ _MARGIN_FLOOR = 1e-6
 _DT_INIT = 0.05
 _DT_FLOOR = 1e-4
 _MONOTONE_TOL = 1e-8
+# the least newton_tol: a defect of O(1) terms cannot fall below float64
+# epsilon.  The attainable floor is higher and grows with n (about 1e-15
+# at n = 16, 1.3e-13 at 128 and 1e-11 at 1024), so a tolerance between
+# the two still ends as a stalled line search
+_MIN_NEWTON_TOL = float(np.finfo(np.float64).eps)
 # Gauss records per path: leggauss(records) allocates a records^2 matrix
 MAX_RECORDS = 1000
 
 
 @dataclass(frozen=True)
 class PathPolicy:
-    """The Newton residual at which a solve stops; the rest of the march is
-    fixed by the constants _MAX_ITERATIONS, _MAX_BACKTRACKS, _ARMIJO_C,
-    _MARGIN_FLOOR, _DT_INIT, _DT_FLOOR and _MONOTONE_TOL."""
+    """The Newton residual at which a solve stops, finite and at least
+    _MIN_NEWTON_TOL; the rest of the march is fixed by the constants
+    _MAX_ITERATIONS, _MAX_BACKTRACKS, _ARMIJO_C, _MARGIN_FLOOR, _DT_INIT,
+    _DT_FLOOR and _MONOTONE_TOL."""
 
     newton_tol: float = 1e-10
 
     def __post_init__(self):
         tol = self.newton_tol
-        if not (math.isfinite(tol) and tol > 0):
-            raise ConfigurationError(f"newton_tol must be finite and positive, got {tol}")
+        if not (math.isfinite(tol) and tol >= _MIN_NEWTON_TOL):
+            raise ConfigurationError(
+                f"newton_tol must be finite and at least {_MIN_NEWTON_TOL:.3g}, got {tol}"
+            )
 
 
 def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:

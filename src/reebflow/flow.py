@@ -146,6 +146,10 @@ _GROWTH = 1.1
 # s_end / ds of a march (S_END_MAX at the default ds takes 35,400)
 _DS_FLOOR = 1e-6
 MAX_FLOW_STEPS = 100_000
+# the largest FlowPolicy.ds, 20 times the default: a larger step leaves
+# the fast early modes (they decay within s ~ 0.05) unresolved, and one
+# above s_end makes a single step of the whole run
+MAX_DS = 0.1
 _PINCH_T_START = 0.1  # the pinching path's first t
 # anchored steps whose records are built together, as (rows, n) arrays
 _RECORD_BLOCK = 32
@@ -188,17 +192,18 @@ def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class FlowPolicy:
-    """The step ds (finite, reached after the graded start, halved on an
-    inadmissible candidate, never below the constant _DS_FLOOR) and a
-    record at every multiple of record_stride * ds in flow time.  The
-    defaults take 422 BDF2 steps to s = 2 and record at multiples of 0.01."""
+    """The step ds (between the constants _DS_FLOOR and MAX_DS, reached
+    after the graded start, halved on an inadmissible candidate, never
+    below _DS_FLOOR) and a record at every multiple of record_stride * ds
+    in flow time.  The defaults take 422 BDF2 steps to s = 2 and record
+    at multiples of 0.01."""
 
     ds: float = 5e-3
     record_stride: int = 2
 
     def __post_init__(self):
-        if not (_DS_FLOOR <= self.ds < math.inf):
-            raise ConfigurationError(f"ds must be finite and at least {_DS_FLOOR}, got {self.ds}")
+        if not (_DS_FLOOR <= self.ds <= MAX_DS):
+            raise ConfigurationError(f"ds must lie in [{_DS_FLOOR}, {MAX_DS}], got {self.ds}")
         stride = self.record_stride
         if not (isinstance(stride, (int, np.integer)) and stride >= 1):
             raise ConfigurationError(

@@ -144,11 +144,18 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("newton_tol", value) for value in (0.0, -1e-3, float("nan"), float("inf"))],
+        [("newton_tol", value)
+         for value in (0.0, -1e-3, float("nan"), float("inf"), 1e-300, 1e-16)],
     )
     def test_policy_tolerances_and_caps_checked(self, field, value):
         with pytest.raises(ConfigurationError):
             PathPolicy(**{field: value})
+
+    def test_newton_tol_floor_is_float64_epsilon(self):
+        eps = float(np.finfo(np.float64).eps)
+        assert PathPolicy(newton_tol=eps).newton_tol == eps
+        with pytest.raises(ConfigurationError, match="at least 2.22e-16"):
+            PathPolicy(newton_tol=eps / 2)
 
     def test_iteration_cap(self, grid96, monkeypatch):
         monkeypatch.setattr(continuity, "_MAX_ITERATIONS", 1)

@@ -123,11 +123,15 @@ class TestRunFlow:
         "kwargs",
         [{"ds": 0.0}, {"ds": -1e-3}, {"ds": float("nan")},
          {"record_stride": 0}, {"record_stride": -1}, {"record_stride": 2.5},
-         {"ds": 1e-9}, {"ds": math.inf}],
+         {"ds": 1e-9}, {"ds": math.inf}, {"ds": 0.2}, {"ds": 1e300}],
     )
     def test_policy_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             FlowPolicy(**kwargs)
+
+    def test_policy_bounds_are_inclusive(self):
+        assert FlowPolicy(ds=flow.MAX_DS).ds == flow.MAX_DS
+        assert FlowPolicy(ds=flow._DS_FLOOR).ds == flow._DS_FLOOR
 
     def test_invalid_s_end(self, ref128):
         with pytest.raises(ConfigurationError):

@@ -220,6 +220,19 @@ class TestCliCommands:
         assert man["config"]["n"] == 96
         assert man["config"]["t"] == 0.6
 
+    def test_config_does_not_leak_into_the_next_call(self, tmp_path):
+        # one parser tree serves every call of main, and a config file's
+        # values reach only the call that names it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 96, "t": 0.4}))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(first)]) == 0
+        assert cli.main(["solve", "--out", str(second)]) == 0
+        for out, expected in ((first, (96, 0.4)), (second, (128, 1.0))):
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert (config["n"], config["t"]) == expected
+        assert cli._parser() is cli._parser()
+
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"plutonium": 1}))
@@ -362,15 +375,22 @@ class TestCliExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--ds", "0"), ("--ds", "1e-9"), ("--ds", "inf"), ("--stride", "0")]
+        "flag, value",
+        [("--ds", "0"), ("--ds", "1e-9"), ("--ds", "inf"), ("--stride", "0"),
+         ("--ds", "2.5"), ("--ds", "1e30"), ("--ds", "1e300")],
     )
     def test_flow_policy_out_of_range(self, tmp_path, capsys, flag, value):
+        # refused as a flag and through --config alike; a ds above
+        # flow.MAX_DS would make one step of the whole run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
         out = tmp_path / "o"
-        rc = cli.main(["flow", "--n", "16", "--s-end", "0.1", flag, value,
-                       "--out", str(out)])
-        assert rc == 1
-        assert "invalid input" in capsys.readouterr().err
-        assert not (out / "flow.csv").exists()
+        for given in ([flag, value], ["--config", str(cfg)]):
+            rc = cli.main(["flow", "--n", "16", "--s-end", "0.1", *given,
+                           "--out", str(out)])
+            assert rc == 1
+            assert "invalid input" in capsys.readouterr().err
+            assert not (out / "flow.csv").exists()
 
     @pytest.mark.parametrize("eps", ["inf", "1e300"])
     def test_pinch_eps_out_of_range(self, tmp_path, capsys, eps):
@@ -385,12 +405,14 @@ class TestCliExitCodes:
         assert "invalid input" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "1e-300", "1e-16"])
     def test_newton_tol_out_of_range(self, tmp_path, capsys, tol):
-        rc = cli.main(["solve", "--n", "16", "--newton-tol", tol,
-                       "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "invalid input" in capsys.readouterr().err
+        # a tolerance below float64 epsilon is refused before any solve
+        for command in ("solve", "path"):
+            rc = cli.main([command, "--n", "16", "--newton-tol", tol,
+                           "--out", str(tmp_path / command)])
+            assert rc == 1
+            assert "invalid input" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "psi", ["1/0", "0^(-1)", "2^10000", "(-8)^(1/3)", "pow(2,-1)", "3^9^9"]

@@ -35,6 +35,7 @@ REMOVED = {
         "basic_laplacian",
         "integrate",
         "_check_same_grid",
+        "_state",
     ),
     "reebflow.continuity": ("gauss_record_ts", "_relative_ratio"),
     "reebflow.curvature": ("q_norm_field", "pinch_estimates", "PinchEstimates"),
@@ -71,7 +72,7 @@ REMOVED_MEMBERS = {
     ("reebflow.transverse", "BasicPotential"): ("mean",),
     ("reebflow.flow", "SmoothingReport"): ("holder_track",),
     ("reebflow.flow", "FlowMonitors"): ("holder_h",),
-    ("reebflow.transverse", "MetricState"): ("margin",),
+    ("reebflow.transverse", "MetricState"): ("margin", "_ratio_ext"),
     ("reebflow.continuity", "PathPolicy"): (
         "max_iterations",
         "max_backtracks",
