@@ -142,6 +142,13 @@ class TestNewtonSolve:
             solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
         assert len(info.value.trace) == 1
 
+    def test_non_finite_step_is_a_solver_error(self, base96, monkeypatch):
+        # an ill-conditioned LU solve may return NaN or inf without raising;
+        # no potential holds such values, so the solve fails as a solver
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(SolverError, match="Newton step is not finite at t = 0.5"):
+            solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+
     @pytest.mark.parametrize(
         "field, value",
         [("newton_tol", value)
