@@ -10,6 +10,9 @@ the operations that iteration made:
                 one per field: a stacked call counts its rows
     solve       ``np.linalg.solve`` calls (dense LU solves)
     lstsq       ``np.linalg.lstsq`` calls
+    steps       flow steps (``flow._ChordSolver.__call__`` calls): one
+                per accepted step, and one per step whose candidate is
+                rejected after its solve
 
 Counts are exact and compare across machines, where seconds do not.  The
 ``ledger`` body draws its random potentials from a seed of its own per
@@ -40,7 +43,7 @@ import workloads  # noqa: E402
 
 SEED = 1
 ITERATIONS = {"ledger": range(5)}
-COLUMNS = ("laplacians", "solve", "lstsq")
+COLUMNS = ("laplacians", "solve", "lstsq", "steps")
 
 
 def _counting(calls: Counter, key: str, fn, weight=lambda *args, **kwargs: 1):
@@ -61,11 +64,13 @@ def count(name: str) -> list[Counter]:
     """The counts of each reported iteration of one workload's body."""
     ctx = workloads.setup(name, SEED)
     grid_cls = ctx.mod["transverse"].Grid
-    originals = (grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq)
+    chord_cls = ctx.mod["flow"]._ChordSolver
+    originals = (grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq, chord_cls.__call__)
     calls: Counter = Counter()
     grid_cls._laplacian_ld = _counting(calls, "laplacians", originals[0], _rows)
     np.linalg.solve = _counting(calls, "solve", originals[1])
     np.linalg.lstsq = _counting(calls, "lstsq", originals[2])
+    chord_cls.__call__ = _counting(calls, "steps", originals[3])
     per_iteration = []
     try:
         for i in ITERATIONS.get(name, range(1)):
@@ -76,7 +81,7 @@ def count(name: str) -> list[Counter]:
                 raise workloads.BodyFailed(f"{name} iteration {i} failed {failed}")
             per_iteration.append(Counter(calls))
     finally:
-        grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq = originals
+        grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq, chord_cls.__call__ = originals
     return per_iteration
 
 

@@ -33,7 +33,7 @@ from .continuity import (
     run_continuity_path,
     solve_ma_at_t,
 )
-from .curvature import verify_round_characteristic_integrand
+from .curvature import calabi_bound, verify_round_characteristic_integrand
 from .errors import (
     ConfigurationError,
     GridMismatchError,
@@ -367,6 +367,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_pinch(args) -> int:
     t0 = time.perf_counter()
+    # an eps out of range is refused before the base state's Laplacian
+    calabi_bound(args.eps)
     grid = make_grid(args.n)
     base = metric_state(_potential_from_expression(args.psi, grid))
     result = epsilon_pinching(base, args.eps)

@@ -27,17 +27,33 @@ for the first-order step at 1e-3 in 2,000 steps and 3.0e-2 for uniform
 BDF2 steps of 5e-3, whose first records under-resolve the transient
 (benchmarks/FLOW_ACCURACY.md).
 
+A march that records nothing past some flow time s_last (the flow
+suite's march to s = 5 records up to s = 2, its round reference march
+nothing after s = 0) steps freely after it: it targets s_end alone,
+holds each step length for three steps and then doubles it, up to 0.04.
+A ratio of 2 between steps keeps variable-step BDF2 zero-stable (below
+1 + sqrt 2), and the constant steps of a hold reuse one kept inverse.
+The flow suite's psi march takes 504 steps (82 of them after s = 2), the
+round one 144; v at s = 5, mean-free, is off a march at Delta s/4 by
+6.7e-10 of its sup (1.7e-11 with no tail), far inside the
+path-consistency tolerance 1e-5.
+
 The step matrix I - Delta s Lap/(4 a r), with a = 3/2 at a constant step
 (1 on the first), moves only by O(Delta s) from one step to the next, so
 the march keeps one inverse of it and reuses it by defect correction (the
 chord method): each step starts from the kept inverse applied to the
 right-hand side and makes at most five sweeps x += P (b - A x), two
-float64 matvecs each, until the correction is below a relative
-tolerance.  When the sweeps do not get there (the growing steps of the
-graded start, a halving of the step, the fast early transient) the
-inverse is refreshed from this step's matrix and the step is redone from
-it.  The march of the psi = 0.3(1-x^2) base to s = 2 at n = 128 makes
-39 factorizations in its 422 steps, the last at s = 0.87.
+float64 matvecs each, until the correction is at most 1e-11 of the
+solution's sup.  As stiff solvers stop their simplified Newton
+iterations at a small fraction of the local error (Hairer and Wanner,
+Solving Ordinary Differential Equations II, IV.8), this stop lies far
+below the step's own time error, 5e-4 of a column's sup: the records
+differ from those of a stop at 1e-13 by at most 3e-10 of it.  When
+the sweeps do not get there (the growing steps of the graded start, a
+halving or doubling of the step, the fast early transient) the inverse
+is refreshed from this step's matrix and the step is redone from it.
+The march of the psi = 0.3(1-x^2) base to s = 2 at n = 128 makes 18
+factorizations in its 422 steps, the last on the step from s = 0.605.
 
 Between anchors the march carries only the volume ratio r_base(v), in
 extended precision.  The ratio is affine in the potential, r(v + delta) =
@@ -50,9 +66,11 @@ the ratio at its extrapolated point.  No step applies an
 extended-precision Laplacian or builds a metric state.  The march
 (``_steps``) re-anchors the carried ratio to the exact one (one Laplacian)
 at s = 0, at every record time (the multiples of record_stride * Delta s)
-and at its last step, so the drift of the carry (about 1e-12 relative at
-n = 128) never spans more than one record interval; run_flow takes its
-records at exactly those steps.
+up to s_last and at its last step, so the drift of the carry spans at
+most one record interval (about 1e-12 relative at n = 128) or the tail
+(3e-10 over the flow suite's, where the growing constant mode of v
+rounds in each increment's mean); run_flow takes its records at exactly
+those steps.
 
 Monitor quantities are recomputed from scratch at every record, from its
 anchored ratio, never evolved, so the maximum-principle checks are
@@ -135,13 +153,21 @@ S_END_MAX = math.log(sys.float_info.max) / (2 * MP1)
 # the march stops once s is within this of s_end
 _S_TOL = 1e-12
 # the chord step: sweeps from a kept inverse before it is refreshed, and
-# the sup of the last correction relative to the sup of the solution
+# the sup of the last correction relative to the sup of the solution, far
+# below the step's own time error (about 5e-4 of a column's sup at the
+# default ds, benchmarks/FLOW_ACCURACY.md)
 _CHORD_SWEEPS = 5
-_CHORD_TOL = 1e-13
+_CHORD_TOL = 1e-11
 # the graded start: the first step is this fraction of FlowPolicy.ds, and
 # each accepted step lets the next grow by _GROWTH, up to FlowPolicy.ds
 _START_FRACTION = 1.0 / 16.0
 _GROWTH = 1.1
+# the tail after the last record time: each step length is held for
+# _TAIL_HOLD accepted steps and then doubled, up to _TAIL_DS (or
+# FlowPolicy.ds if larger); a step ratio of 2 is below 1 + sqrt(2), where
+# variable-step BDF2 stays zero-stable
+_TAIL_HOLD = 3
+_TAIL_DS = 0.04
 # the floor of the step's halvings and of FlowPolicy.ds; the most steps
 # s_end / ds of a march (S_END_MAX at the default ds takes 35,400)
 _DS_FLOOR = 1e-6
@@ -265,8 +291,9 @@ def _make_flow_records(
     Each field is formed for the whole block at once, as a (rows, n)
     array, by the formulas a metric state of base + v applies to one row
     (``transverse``), and no state is built.  The integrals stay one
-    float64 dot of the weights with each row, the rounding of a state's;
-    each monitor is one reduction along the rows.
+    float64 dot of the weights with each row (one ``np.vecdot`` over the
+    block), the rounding of a state's; each monitor is one reduction
+    along the rows.
     """
     grid = base.potential.grid
     s, v, ratio_ld = (np.array(column) for column in zip(*block))
@@ -281,7 +308,7 @@ def _make_flow_records(
     # squared by float pow, whose last bit differs from numpy's x * x
     growth_sq = np.array([g**2 for g in growth.tolist()])
     sup_vdot = np.abs(vdot).max(axis=1)
-    c_s = np.array([m @ f for m, f in zip(measure, h + vdot)])
+    c_s = np.vecdot(measure, h + vdot)
     columns = dict(
         sup_vdot=sup_vdot,
         sup_h=np.abs(h).max(axis=1),
@@ -294,7 +321,7 @@ def _make_flow_records(
         bound_d_slack=growth * h0_norm - np.abs(c_s),
         s_pinch=np.abs(dev).max(axis=1),
         lap_h_min=lap_h.min(axis=1),
-        calabi=np.array([m @ f for m, f in zip(measure, dev**2)]),
+        calabi=np.vecdot(measure, dev**2),
     )
     h.flags.writeable = False
     return [
@@ -348,10 +375,11 @@ class _ChordSolver:
 
     A call starts from x = P b and makes at most _CHORD_SWEEPS sweeps
     x += P (b - x + q Lap x), stopping once the sup of the correction is
-    at most _CHORD_TOL times the sup of x.  If they have not converged,
-    P is refreshed from this call's matrix (one dense factorization) and
-    the call is redone from it; the sweeps from a fresh P are taken as
-    they end.
+    at most _CHORD_TOL times the sup of x: a small fraction of the step's
+    time error, not the float64 roundoff of the solve.  If they have not
+    converged, P is refreshed from this call's matrix (one dense
+    factorization) and the call is redone from it; the sweeps from a
+    fresh P are taken as they end.
     """
 
     def __init__(self, lap: NDArray[np.float64]):
@@ -378,7 +406,7 @@ class _ChordSolver:
 
 
 def _steps(
-    base: MetricState, s_end: float, policy: FlowPolicy
+    base: MetricState, s_end: float, policy: FlowPolicy, s_last: float = math.inf
 ) -> Iterator[tuple[float, NDArray[np.float64], NDArray[np.longdouble], bool]]:
     """Semi-implicit BDF2 march of the flow from v = 0 to s_end.  Yields
     (s, v, ratio_ld, anchored) at s = 0 and after each accepted step,
@@ -388,9 +416,16 @@ def _steps(
     step, then grown by _GROWTH per accepted step up to policy.ds.  The
     gap to the next record time (a multiple of policy.record_stride *
     policy.ds) or to s_end is split into the fewest equal steps no longer
-    than the cap, so the march lands on each record time.  A step of length h after an accepted step h' with increment d
-    takes omega = h/h' (0 on the first step, which is linearly implicit
-    Euler) and solves the variable-step BDF2 relation
+    than the cap, so the march lands on each record time.  Record times
+    after s_last are not targeted: past the last one up to s_last (from
+    s = 0 if the first is after s_last) the march is in its tail, whose
+    one target is s_end.  There the cap is held for _TAIL_HOLD accepted
+    steps and then set to twice the last step, up to _TAIL_DS (policy.ds
+    if larger), so the steps of a hold are equal and a tail step is at
+    most twice the one before it.  A step of length h after an accepted
+    step h' with increment d takes omega = h/h' (0 on the first step,
+    which is linearly implicit Euler) and solves the variable-step BDF2
+    relation
 
         a delta - c d = h rhs(v + delta),
         a = (1 + 2 omega)/(1 + omega),  c = omega^2/(1 + omega),
@@ -406,11 +441,12 @@ def _steps(
     transient.  The candidate's ratio is the carried one plus Lap(delta)/4,
     a float64 matvec; it is the admissibility test.  A candidate or
     extrapolated ratio that is not positive everywhere (NaN included)
-    halves the step (the cap becomes half the rejected step); reaching the
-    step floor raises SolverError.  At s = 0, at each record time and at
-    the last step, ratio_ld is re-anchored to the exact ratio of base + v
-    and the step is yielded as anchored.  More than MAX_FLOW_STEPS steps
-    s_end / policy.ds raise ConfigurationError before the first.
+    halves the step (the cap becomes half the rejected step, and a tail's
+    hold starts over); reaching the step floor raises SolverError.  At
+    s = 0, at each record time up to s_last and at the last step,
+    ratio_ld is re-anchored to the exact ratio of base + v and the step
+    is yielded as anchored.  More than MAX_FLOW_STEPS steps s_end /
+    policy.ds raise ConfigurationError before the first.
     """
     if s_end / policy.ds > MAX_FLOW_STEPS:
         raise ConfigurationError(f"s_end / ds = {s_end / policy.ds:.6g} is above {MAX_FLOW_STEPS}")
@@ -426,14 +462,17 @@ def _steps(
     ds = policy.ds * _START_FRACTION
     record_ds = policy.record_stride * policy.ds
     next_record = 1
+    # past s_last the cap is held for _TAIL_HOLD steps, then doubled
+    tail_ds, held = max(_TAIL_DS, policy.ds), 0
     # the last accepted step, its increment d and Lap(d) of d's mean-free part
     last_step, d, lap_d = None, np.zeros(grid.n), np.zeros(grid.n)
     solve_step = _ChordSolver(grid.lap)
     while s < s_end - _S_TOL:
-        # the gap to the next record time in equal steps no longer than the
-        # cap; a gap a rounding error above a whole number of steps is not
-        # split once more
-        target = min(next_record * record_ds, s_end)
+        # the gap to the next record time (to s_end in the tail) in equal
+        # steps no longer than the cap; a gap a rounding error above a
+        # whole number of steps is not split once more
+        tail = next_record * record_ds > s_last + _S_TOL
+        target = s_end if tail else min(next_record * record_ds, s_end)
         parts = max(1, math.ceil((target - s) / ds - 1e-9))
         step = (target - s) / parts
         omega = 0.0 if last_step is None else step / last_step
@@ -449,7 +488,7 @@ def _steps(
             cand_ratio_ld = ratio_ld + lap_delta / 4.0
             _admissible(cand_ratio_ld)
         except InadmissibleError:
-            ds = 0.5 * step
+            ds, held = 0.5 * step, 0
             if ds < _DS_FLOOR:
                 raise SolverError(f"step floor {_DS_FLOOR} reached at s = {s:.6g}")
             continue
@@ -463,7 +502,12 @@ def _steps(
         else:
             s += step
         last_step, d, lap_d = step, delta, lap_delta
-        ds = min(ds * _GROWTH, policy.ds)
+        if not tail:
+            ds = min(ds * _GROWTH, policy.ds)
+        else:
+            held += 1
+            if held == _TAIL_HOLD:
+                ds, held = min(2.0 * step, tail_ds), 0
         yield s, v, ratio_ld, anchored
 
 

@@ -15,8 +15,9 @@ in one pass, as the rows of one (nodes, n) array; ``transverse`` casts
 it once and checks it row by row as it checks the ratio of
 ``metric_state``, so a nonpositive row raises InadmissibleError with the
 margin of the first such node.  Each row's integral is its own dot
-product and the rule's sum runs node by node, as a node-at-a-time loop
-sums them; one matrix-vector product over the rows would round
+product (one ``np.vecdot`` over the rows, with each row's 1-D bits) and
+the rule's sum runs node by node (``np.cumsum``), as a node-at-a-time
+loop sums them; one matrix-vector product over the rows would round
 differently in the last bits.  ``FunctionalLedger`` shares
 the one Laplacian, and the one ratio at s = 1, across I, J, F0, F and K.
 
@@ -124,10 +125,8 @@ class _Ray:
         rows = self._ratios(s)
         np.subtract(self.base.ratio, rows, out=rows)
         rows *= s[:, None] * self.phi.values
-        total = 0.0
-        for sj, wj, row in zip(s, w, rows):
-            total += wj * float(self.phi.grid.w @ row) / sj
-        return float(total)
+        # the rule's sum over the nodes in order, as a loop would add them
+        return float(np.cumsum(w * np.vecdot(rows, self.phi.grid.w) / s)[-1])
 
     def f_values(self, j_val: float) -> tuple[float, float]:
         grid, base, phi = self.phi.grid, self.base, self.phi.values
@@ -153,10 +152,8 @@ class _Ray:
         moved *= self.lap
         excess = np.subtract(1.0, ratios, out=ratios)
         excess *= phi
-        total = 0.0
-        for dj, wj, ex, mv in zip(adot, t_weights, excess, moved):
-            total -= wj * (dj * (SCALAR_TARGET * float(w @ ex) - 0.5 * float(w @ mv)))
-        return float(total)
+        terms = t_weights * (adot * (SCALAR_TARGET * np.vecdot(excess, w) - 0.5 * np.vecdot(moved, w)))
+        return float(-np.cumsum(terms)[-1])
 
 
 def eval_I(phi: BasicPotential, base: MetricState) -> float:

@@ -422,15 +422,19 @@ M_DIM = 1            # transverse complex dimension of the PDE model
 SCALAR_TARGET = 4.0  # 2 m (m+1) at m = 1; also the quotient Gauss curvature
 
 
-def log_mean_exp(w: NDArray, z: NDArray) -> float:
-    """log of int e^z against the given (nonnegative, mass ~1) weights.
+def log_mean_exp(w: NDArray, z: NDArray) -> np.float64 | NDArray[np.float64]:
+    """log of int e^z against the given (nonnegative, mass ~1) weights:
+    a float for one field, and one value per row for a stack of fields
+    with the grid on the last axis.
 
     Guarded against overflow; mandatory for Ricci-potential normalization
-    because flow trajectories develop large additive constants.
+    because flow trajectories develop large additive constants.  Each
+    row's integral is one float64 dot with the weights (``np.vecdot``),
+    with the bits of the 1-D ``w @ row``.
     """
     z = np.asarray(z, dtype=np.float64)
-    zmax = float(z.max())
-    return zmax + float(np.log(w @ np.exp(z - zmax)))
+    zmax = z.max(axis=-1, keepdims=True)
+    return (zmax[..., 0] + np.log(np.vecdot(np.exp(z - zmax), w)))[()]
 
 
 def _ricci_potential(
@@ -442,9 +446,9 @@ def _ricci_potential(
     of them with the grid on the last axis (the flow's record blocks)."""
     # Normalization: int e^h dmu_phi = e^c int e^{-(m+1) phi} dmu_ref = 1,
     # so c is the explicit log-integral below (no root-find needed: e^c
-    # multiplies a fixed positive integral), a 1-D one per row.
+    # multiplies a fixed positive integral), one per row.
     z = -(M_DIM + 1) * values
-    c = np.reshape([-log_mean_exp(grid.w, row) for row in z.reshape(-1, grid.n)], z.shape[:-1])
+    c = -log_mean_exp(grid.w, z)
     return z - np.log(ratio) + c[..., None], c
 
 

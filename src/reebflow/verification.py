@@ -329,9 +329,12 @@ def flow_suite(
     anchored steps up to s = 2 are recorded by the buffering run_flow
     uses (``flow._record_march``, a block of records at a time), so the
     records are those ``run_flow(base, 2.0)`` returns, bit for bit, and
-    its last v is the flow limit.  A march stopped at the step floor
-    raises its SolverError.  The round reference march builds no
-    record."""
+    its last v is the flow limit.  Past s = 2 it steps freely to s = 5
+    (``flow._steps`` with s_last = 2: 82 steps that double up to 0.04,
+    anchored only at s = 5).  A march stopped at the step floor raises
+    its SolverError.  The round reference march builds no record and
+    steps freely from s = 0 (144 steps); stationarity reads v at every
+    one of them."""
     grid = make_grid(n)
     psi = _manufactured_psi(grid)
     base = metric_state(psi)
@@ -343,7 +346,9 @@ def flow_suite(
     mp1 = M_DIM + 1
 
     policy = FlowPolicy()
-    records, stopped, v5 = _record_march(_steps(base, 5.0, policy), base, h0n, lap0_h0, 2.0)
+    records, stopped, v5 = _record_march(
+        _steps(base, 5.0, policy, s_last=2.0), base, h0n, lap0_h0, s_last=2.0
+    )
     if stopped is not None:
         raise stopped
     traj2 = FlowTrajectory(
@@ -360,7 +365,8 @@ def flow_suite(
 
     # v over every step of the round march, not only at records
     stationary = max(
-        float(np.abs(v).max()) for _, v, _, _ in _steps(reference_state(grid), 5.0, policy)
+        float(np.abs(v).max())
+        for _, v, _, _ in _steps(reference_state(grid), 5.0, policy, s_last=0.0)
     )
 
     v5_centered = v5 - grid.integrate(v5)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reebflow import continuity, flow, transverse, verification
+from reebflow import continuity, curvature, flow, transverse, verification
 from reebflow import (
     BasicPotential,
     ConfigurationError,
@@ -441,9 +441,11 @@ def step_log(monkeypatch):
 
 class TestChordStep:
     def test_matches_a_dense_solve(self, base96, step_log):
-        # each step of the graded start refreshes the inverse (steps 1 to
-        # 30), then the transient ever more rarely (32, 34, 37, ..., 156 and
-        # 195); every other step reuses it
+        # the graded start refreshes the inverse about every second step
+        # (steps 1 to 30), then the transient ever more rarely (37, 46, 63,
+        # 79, 95, 115 and 151): 24 in all; every other step reuses it, and
+        # the sweeps' stop at 1e-11 leaves each step within 2.3e-13 of the
+        # dense solve
         run_flow(base96, s_end=1.0, policy=FlowPolicy(record_stride=10**6))
         steps = step_log["steps"]
         assert len(steps) == 220
@@ -586,9 +588,66 @@ class TestBDF2Step:
         assert np.abs(v_end - v_ref).max() < 2e-6 * np.abs(v_ref).max()
 
 
+class TestTail:
+    """Past the last record time s_last the march targets s_end alone: it
+    holds each step for _TAIL_HOLD steps, then doubles it up to _TAIL_DS,
+    and re-anchors only at s_end."""
+
+    @pytest.mark.parametrize("s_last", [0.0, 0.5, 1.0])
+    def test_one_anchored_step_past_s_last(self, base96, s_last):
+        # up to s_last the march is the one without a tail, bit for bit,
+        # anchored at every record time; past it only at s_end
+        policy = FlowPolicy()
+        march = list(flow._steps(base96, 3.0, policy, s_last=s_last))
+        full = list(flow._steps(base96, 3.0, policy))
+        anchored = [s for s, _, _, is_anchored in march if is_anchored]
+        assert [s for s in anchored if s > s_last + flow._S_TOL] == [3.0]
+        head = [step for step in full if step[0] <= s_last + flow._S_TOL]
+        assert len(anchored) == 1 + sum(is_anchored for *_, is_anchored in head)
+        for (s, v, ratio, is_anchored), ref in zip(march, head):
+            assert (s, is_anchored) == (ref[0], ref[3])
+            assert np.array_equal(v, ref[1]) and np.array_equal(ratio, ref[2])
+        assert len(march) < len(full)
+
+    @pytest.mark.parametrize("from_round", [True, False])
+    def test_steps_change_once_per_hold_by_at_most_two(self, ref96, base96, from_round):
+        # from the round reference the tail starts at s = 0 with the graded
+        # start's first step; from base96 at s = 1, after the record there
+        base, s_last = (ref96, 0.0) if from_round else (base96, 1.0)
+        s = np.array([s for s, *_ in flow._steps(base, 5.0, FlowPolicy(), s_last=s_last)])
+        in_tail = s[:-1] >= s_last - flow._S_TOL
+        tail = np.diff(s)[in_tail]
+        # from the step that reached s_last, if any, through the tail
+        steps = np.diff(s)[max(0, np.argmax(in_tail) - 1):]
+        ratio = steps[1:] / steps[:-1]
+        assert ratio.min() >= 1.0 - 1e-9 and ratio.max() <= 2.0 + 1e-9
+        # tail step k + 1 differs from step k: a change ends each hold
+        changes = np.flatnonzero(np.abs(tail[1:] / tail[:-1] - 1.0) > 1e-9)
+        assert len(changes) >= 3
+        assert np.diff(changes, prepend=-1).min() >= flow._TAIL_HOLD
+        assert flow._TAIL_DS / 2.0 < tail.max() <= flow._TAIL_DS * (1.0 + 1e-9)
+
+
 class TestFlowSuiteMarch:
+    def test_march_lengths(self, monkeypatch):
+        # each march makes one chord solver: the psi march takes the 422
+        # steps to s = 2 and a tail of 82 to s = 5, the round march a tail
+        # from s = 0 alone
+        steps = Counter()
+        real_step = flow._ChordSolver.__call__
+
+        def step(self, q, b):
+            steps[id(self)] += 1
+            return real_step(self, q, b)
+
+        monkeypatch.setattr(flow._ChordSolver, "__call__", step)
+        grid = transverse.make_grid(64)
+        verification.flow_suite(n=64, path_endpoint=BasicPotential.zero(grid))
+        assert sorted(steps.values()) == [144, 504]
+
     def test_records_equal_the_shorter_march(self, grid96, base96):
-        # the flow suite builds its s in [0, 2] records off the march to s = 5
+        # the flow suite builds its s in [0, 2] records off the march to
+        # s = 5, whose tail past s = 2 takes no record
         short = run_flow(base96, s_end=2.0)
         _, traj = verification.flow_suite(n=96, path_endpoint=BasicPotential.zero(grid96))
         assert (traj.completed, traj.failure, traj.policy) == (
@@ -602,9 +661,12 @@ class TestFlowSuiteMarch:
 
     def test_stationarity_reads_every_step(self, monkeypatch):
         # increments eps and then -eps on the round reference's last two
-        # steps, between its last two records (0.01 apart, two steps): v
-        # is exactly 0 at every record, not at every step
+        # steps: v is exactly 0 at s_end, its only anchor after s = 0,
+        # and nonzero at the step before it
         eps = 1e-9
+        grid = transverse.make_grid(64)
+        march = flow._steps(transverse.reference_state(grid), 5.0, FlowPolicy(), s_last=0.0)
+        total = len(list(march)) - 1
         real_step = flow._ChordSolver.__call__
         round_steps = []
 
@@ -613,14 +675,13 @@ class TestFlowSuiteMarch:
             # the round march's right-hand side starts out exactly zero
             if round_steps or not b.any():
                 round_steps.append(1)
-                if len(round_steps) in (1021, 1022):
-                    x = np.full_like(x, eps if len(round_steps) == 1021 else -eps)
+                if len(round_steps) in (total - 1, total):
+                    x = np.full_like(x, eps if len(round_steps) == total - 1 else -eps)
             return x
 
         monkeypatch.setattr(flow._ChordSolver, "__call__", step)
-        grid = transverse.make_grid(64)
         checks, _ = verification.flow_suite(n=64, path_endpoint=BasicPotential.zero(grid))
-        assert len(round_steps) == 1022
+        assert len(round_steps) == total <= 150
         stationary = next(c for c in checks if c.name == "flow-stationary-round")
         assert not stationary.passed and stationary.value >= eps
 
@@ -731,10 +792,11 @@ class TestPinching:
         assert res.trajectory.completed
 
     def test_invalid_eps(self, base96, counts):
-        # an eps whose Calabi bound is not a finite positive number is
-        # refused before the continuity stage starts
+        # an eps whose Calabi bound is not a finite positive number, or
+        # below the flow's attainable pinch, is refused before the
+        # continuity stage starts
         counts.clear()
-        for eps in (0.0, math.nan, math.inf, 1e300):
+        for eps in (0.0, math.nan, math.inf, 1e300, 1e-300, 0.5 * curvature._MIN_EPS):
             with pytest.raises(ConfigurationError):
                 epsilon_pinching(base96, eps=eps)
         assert counts == {}

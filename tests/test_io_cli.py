@@ -392,10 +392,11 @@ class TestCliExitCodes:
             assert "invalid input" in capsys.readouterr().err
             assert not (out / "flow.csv").exists()
 
-    @pytest.mark.parametrize("eps", ["inf", "1e300"])
-    def test_pinch_eps_out_of_range(self, tmp_path, capsys, eps):
-        # an eps whose Calabi bound is infinite, or overflows, is refused
-        # before the continuity stage and the flow run
+    @pytest.mark.parametrize("eps", ["inf", "1e300", "1e-300", "5e-11"])
+    def test_pinch_eps_out_of_range(self, tmp_path, capsys, counts, eps):
+        # an eps whose Calabi bound is infinite, or overflows, or one below
+        # curvature._MIN_EPS, which could only miss its target after the
+        # whole run, is refused before the base state's Laplacian
         out = tmp_path / "o"
         start = time.perf_counter()
         rc = cli.main(["pinch", "--n", "16", "--eps", eps, "--out", str(out)])
@@ -403,6 +404,7 @@ class TestCliExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
+        assert counts == {}
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "1e-300", "1e-16"])

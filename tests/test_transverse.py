@@ -331,6 +331,39 @@ class TestLogMeanExp:
         val = log_mean_exp(grid96.w, z)
         assert np.isfinite(val) and 799.0 < val < 801.0
 
+    def test_stack_matches_each_row(self, grid128, rng):
+        # a stack gives one value per row, each with the bits of that row
+        # alone, including rows large enough to overflow exp
+        z = rng.standard_normal((5, grid128.n)) + np.array([0.0, 1.0, -3.0, 700.0, 800.0])[:, None]
+        rows = [log_mean_exp(grid128.w, row) for row in z]
+        assert all(isinstance(value, float) for value in rows)
+        assert log_mean_exp(grid128.w, z).tolist() == rows
+
+
+class TestRowDots:
+    """The per-row integrals of a stack are one np.vecdot, and a quadrature
+    over its rows sums by np.cumsum: both keep the bits of the per-row
+    loops they replace (the functionals' rules, the flow records' c_s and
+    Calabi energy, the Ricci potential's constant)."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_vecdot_has_the_bits_of_each_row_dot(self, n, rng):
+        w = make_grid(n).w
+        rows = rng.standard_normal((48, n))
+        assert np.vecdot(rows, w).tolist() == [float(w @ row) for row in rows]
+        assert np.vecdot(w, rows).tolist() == [float(w @ row) for row in rows]
+
+    def test_cumsum_adds_in_the_loop_order(self, rng):
+        terms = rng.standard_normal(48) * np.logspace(-8, 8, 48)
+        total = 0.0
+        for term in terms:
+            total += term
+        assert float(np.cumsum(terms)[-1]) == total
+        total = 0.0
+        for term in terms:
+            total -= term
+        assert float(-np.cumsum(terms)[-1]) == total
+
 
 class TestSpectrum:
     def test_round_eigenvalues(self, ref128):
