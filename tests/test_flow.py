@@ -793,8 +793,8 @@ class TestPinching:
 
     def test_invalid_eps(self, base96, counts):
         # an eps whose Calabi bound is not a finite positive number, or
-        # below the flow's attainable pinch, is refused before the
-        # continuity stage starts
+        # one below curvature._MIN_EPS, is refused before the continuity
+        # stage starts
         counts.clear()
         for eps in (0.0, math.nan, math.inf, 1e300, 1e-300, 0.5 * curvature._MIN_EPS):
             with pytest.raises(ConfigurationError):
