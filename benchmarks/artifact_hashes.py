@@ -4,8 +4,10 @@
 
 Runs each command below (together they cover all eight subcommands)
 through ``reebflow.cli.main`` in a temporary directory and prints one
-sorted ``command/artifact sha256`` line per artifact, 25 in all.
-Manifests are left out: they hold wall times.  The BLAS threads are
+sorted ``command/artifact sha256`` line per artifact, 25 in all, and one
+``command/manifest.json sha256`` line per command, 9 in all: the sha256
+of the manifest with ``wall_time_seconds`` removed, dumped with sorted
+keys, so a changed config or extra value shows too.  The BLAS threads are
 pinned to one before numpy is imported, since the artifacts' last bits
 depend on the thread count.  Run it on two trees and diff the outputs; a
 change that keeps every computation prints the same lines.  Exits 1 if any
@@ -20,6 +22,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -52,6 +56,12 @@ def main() -> int:
             for path in out.rglob("*"):
                 if path.is_file() and path.name != "manifest.json":
                     lines.append(f"{name}/{path.relative_to(out)} {io.content_hash(path)}")
+            manifest = out / "manifest.json"
+            if manifest.is_file():
+                payload = json.loads(manifest.read_text())
+                del payload["wall_time_seconds"]
+                digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+                lines.append(f"{name}/manifest.json {digest.hexdigest()}")
     print("\n".join(sorted(lines)))
     for line in failed:
         print(f"failed: {line}", file=sys.stderr)

@@ -6,6 +6,10 @@ unwritable output), 2 when a structural invariant fails numerically
 (solver divergence, a violated bound, a failed verification check), so
 CI can distinguish math regressions from configuration mistakes.
 
+`main` times each command and writes its manifest.json (verify-all's own
+function writes it); the manifest's config is the parsed flags less --out
+and --config, so giving it back as `--config` replays the run.
+
 Potential expressions are parsed from a minimal arithmetic grammar over
 the variable x with functions sin, cos, exp, log, pow (both `^` and `**`
 denote powers), then sampled onto the grid.
@@ -45,7 +49,7 @@ from .errors import (
 from .flow import FlowPolicy, epsilon_pinching, run_flow
 from .functionals import relative_state
 from .transverse import BasicPotential, make_grid, metric_state, reference_state, spectrum
-from .verification import DEFAULT_SEED, verify_all
+from .verification import DEFAULT_SEED, IDENTITY_GRID_N, MOBIUS_LAMBDAS, PDE_GRID_N, verify_all
 
 __all__ = ["main", "parse_expression", "build_parser"]
 
@@ -148,6 +152,10 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"cannot parse number list {text!r}") from exc
 
 
+# the base deformation of solve, path, flow and pinch
+_PSI = "0.3*(1-x^2)"
+
+
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(
         prog="reebflow",
@@ -168,37 +176,38 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         registry[name] = p
         return p
 
-    p = add("solve", "Newton solve of the potential equation at fixed t", 128)
+    p = add("solve", "Newton solve of the potential equation at fixed t", PDE_GRID_N)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--psi", default="0.3*(1-x^2)", help="base deformation")
+    p.add_argument("--psi", default=_PSI, help="base deformation")
     p.add_argument("--guess", default="0", help="initial Newton guess")
-    p.add_argument("--newton-tol", type=float, default=1e-10)
+    p.add_argument("--newton-tol", type=float, default=PathPolicy.newton_tol)
 
-    p = add("path", "continuity-method march in t", 128)
-    p.add_argument("--psi", default="0.3*(1-x^2)")
+    p = add("path", "continuity-method march in t", PDE_GRID_N)
+    p.add_argument("--psi", default=_PSI)
     p.add_argument("--t-start", type=float, default=0.1)
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--records", type=int, default=None,
                    help="fixed record count (quadrature nodes); default adaptive")
-    p.add_argument("--newton-tol", type=float, default=1e-10)
+    p.add_argument("--newton-tol", type=float, default=PathPolicy.newton_tol)
 
-    p = add("flow", "potential-level flow march in s", 128)
-    p.add_argument("--psi", default="0.3*(1-x^2)")
+    p = add("flow", "potential-level flow march in s", PDE_GRID_N)
+    p.add_argument("--psi", default=_PSI)
     p.add_argument("--s-end", type=float, default=5.0)
-    p.add_argument("--ds", type=float, default=5e-3)
-    p.add_argument("--stride", type=int, default=2, help="record every stride * ds of flow time")
+    p.add_argument("--ds", type=float, default=FlowPolicy.ds)
+    p.add_argument("--stride", type=int, default=FlowPolicy.record_stride,
+                   help="record every stride * ds of flow time")
 
-    p = add("scan", "(J, F) scan over a potential family", 256)
+    p = add("scan", "(J, F) scan over a potential family", IDENTITY_GRID_N)
     p.add_argument("--family", choices=("mobius", "bump"), default="mobius")
-    p.add_argument("--lambdas", type=_float_list, default=[1.0, 2.0, 4.0, 8.0, 16.0])
+    p.add_argument("--lambdas", type=_float_list, default=list(MOBIUS_LAMBDAS))
     p.add_argument("--epsilons", type=_float_list,
                    default=[0.025, 0.05, 0.075, 0.1, 0.125, 0.15])
 
-    p = add("pinch", "two-stage curvature pinching", 128)
-    p.add_argument("--psi", default="0.3*(1-x^2)")
+    p = add("pinch", "two-stage curvature pinching", PDE_GRID_N)
+    p.add_argument("--psi", default=_PSI)
     p.add_argument("--eps", type=float, default=0.05)
 
-    p = add("spectrum", "deformed Laplacian eigenvalues", 256)
+    p = add("spectrum", "deformed Laplacian eigenvalues", IDENTITY_GRID_N)
     p.add_argument("--phi", default="0", help="deformation potential")
     p.add_argument("--k", type=int, default=12, help="eigenvalue count")
 
@@ -242,6 +251,11 @@ def _apply_config_file(
         if dest not in actions:
             raise UsageError(f"config key {key!r} unknown for command {args.command!r}")
         flag = actions[dest].option_strings[0]
+        if value is None:
+            # a manifest records a flag left at its default None as null
+            if actions[dest].default is not None:
+                raise UsageError(f"config key {key!r} cannot be null")
+            continue
         if actions[dest].nargs == 0:  # a switch such as --quick
             if not isinstance(value, bool):
                 raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
@@ -258,162 +272,122 @@ def _apply_config_file(
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each computes, writes its artifacts, prints its line and returns
+# (artifacts, extra, failure); main times it and writes the manifest
 # ---------------------------------------------------------------------------
 
 
-def _finish(args, config: dict, artifacts: list[Path], t0: float, extra=None) -> Path:
-    config = {"command": args.command, **config}
-    if "n" in vars(args):
-        config["n"] = args.n
-    return io.write_manifest(
-        Path(args.out) / "manifest.json", config, artifacts, time.perf_counter() - t0, extra
-    )
-
-
-def _cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_solve(args):
     grid = make_grid(args.n)
     base = metric_state(_potential_from_expression(args.psi, grid))
     guess = _potential_from_expression(args.guess, grid)
-    policy = PathPolicy(newton_tol=args.newton_tol)
-    phi = solve_ma_at_t(args.t, base, guess, policy)
+    phi = solve_ma_at_t(args.t, base, guess, PathPolicy(newton_tol=args.newton_tol))
     residual = float(np.abs(ma_defect(phi, args.t, base)).max())
-    out = Path(args.out)
     artifacts = [
-        io.write_field_csv(out / "solution.csv", grid.x, phi.values),
-        io.write_state_json(out / "state.json", relative_state(base, phi)),
+        io.write_field_csv(args.out / "solution.csv", grid.x, phi.values),
+        io.write_state_json(args.out / "state.json", relative_state(base, phi)),
     ]
-    _finish(args, {"t": args.t, "psi": args.psi, "guess": args.guess,
-                   "newton_tol": args.newton_tol}, artifacts, t0,
-            extra={"residual": residual})
-    print(f"solve: t = {args.t:g}, residual {residual:.3e} -> {out}")
-    return 0
+    print(f"solve: t = {args.t:g}, residual {residual:.3e} -> {args.out}")
+    return artifacts, {"residual": residual}, None
 
 
-def _cmd_path(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_path(args):
     grid = make_grid(args.n)
     base = metric_state(_potential_from_expression(args.psi, grid))
-    policy = PathPolicy(newton_tol=args.newton_tol)
     path = run_continuity_path(
         base,
         t_start=args.t_start,
         t_end=args.t_end,
-        policy=policy,
+        policy=PathPolicy(newton_tol=args.newton_tol),
         records=args.records,
     )
     if not path.records:
         raise InvariantViolation(f"path failed at its start: {path.failure}")
     end = path.endpoint()
-    out = Path(args.out)
     artifacts = [
-        io.write_path_csv(out / "path.csv", path),
-        io.write_field_csv(out / "endpoint.csv", grid.x, end.phi.values),
-        io.write_state_json(out / "endpoint_state.json", end.state),
+        io.write_path_csv(args.out / "path.csv", path),
+        io.write_field_csv(args.out / "endpoint.csv", grid.x, end.phi.values),
+        io.write_state_json(args.out / "endpoint_state.json", end.state),
     ]
-    _finish(args, {"psi": args.psi, "t_start": args.t_start, "t_end": args.t_end,
-                   "records": args.records, "newton_tol": args.newton_tol},
-            artifacts, t0, extra={"endpoint_residual": end.residual,
-                                  "records_written": len(path.records)})
-    print(f"path: {len(path.records)} records, endpoint residual {end.residual:.3e} -> {out}")
-    if not path.completed:
-        raise InvariantViolation(f"path did not reach t = {args.t_end}: {path.failure}")
-    return 0
+    print(f"path: {len(path.records)} records, endpoint residual {end.residual:.3e} "
+          f"-> {args.out}")
+    extra = {"endpoint_residual": end.residual, "records_written": len(path.records)}
+    failure = None if path.completed else (
+        f"path did not reach t = {args.t_end}: {path.failure}")
+    return artifacts, extra, failure
 
 
-def _cmd_flow(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_flow(args):
     grid = make_grid(args.n)
     base = metric_state(_potential_from_expression(args.psi, grid))
     policy = FlowPolicy(ds=args.ds, record_stride=args.stride)
     traj = run_flow(base, s_end=args.s_end, policy=policy)
-    out = Path(args.out)
-    artifacts = [io.write_flow_csv(out / "flow.csv", traj)]
+    artifacts = [io.write_flow_csv(args.out / "flow.csv", traj)]
     end = traj.endpoint()
-    _finish(args, {"psi": args.psi, "s_end": args.s_end, "ds": args.ds,
-                   "stride": args.stride}, artifacts, t0,
-            extra={"final_sup_h": float(np.abs(end.h).max())})
+    sup_h = end.monitors.sup_h
     print(f"flow: {len(traj.records)} records to s = {end.s:g}, "
-          f"sup|h| {float(np.abs(end.h).max()):.3e} -> {out}")
-    if not traj.completed:
-        raise InvariantViolation(f"flow stopped early: {traj.failure}")
-    return 0
+          f"sup|h| {sup_h:.3e} -> {args.out}")
+    failure = None if traj.completed else f"flow stopped early: {traj.failure}"
+    return artifacts, {"final_sup_h": sup_h}, failure
 
 
-def _cmd_scan(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_scan(args):
     grid = make_grid(args.n)
-    ref = reference_state(grid)
     if args.family == "mobius":
         members = [(lam, mobius_potential(lam, grid)) for lam in args.lambdas]
-        params = args.lambdas
     else:
         p2 = parse_expression("(3*x^2-1)/2")
         members = [
             (eps, BasicPotential.from_callable(grid, lambda x, e=eps: e * p2(x)))
             for eps in args.epsilons
         ]
-        params = args.epsilons
-    scan = mt_scan(args.family, members, ref)
-    out = Path(args.out)
-    artifacts = [io.write_scan_csv(out / "scan.csv", scan)]
-    _finish(args, {"family": args.family, "params": list(map(float, params))},
-            artifacts, t0, extra={"c1": scan.c1, "c2": scan.c2})
-    print(f"scan: {args.family} over {len(params)} members, "
-          f"fit F ~ {scan.c1:.4g} J - {scan.c2:.4g} -> {out}")
-    return 0
+    scan = mt_scan(args.family, members, reference_state(grid))
+    artifacts = [io.write_scan_csv(args.out / "scan.csv", scan)]
+    print(f"scan: {args.family} over {len(members)} members, "
+          f"fit F ~ {scan.c1:.4g} J - {scan.c2:.4g} -> {args.out}")
+    return artifacts, {"c1": scan.c1, "c2": scan.c2}, None
 
 
-def _cmd_pinch(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_pinch(args):
     # an eps out of range is refused before the base state's Laplacian
     calabi_bound(args.eps)
     grid = make_grid(args.n)
     base = metric_state(_potential_from_expression(args.psi, grid))
     result = epsilon_pinching(base, args.eps)
-    out = Path(args.out)
     artifacts = [
-        io.write_pinch_json(out / "pinch.json", result),
-        io.write_flow_csv(out / "flow.csv", result.trajectory),
+        io.write_pinch_json(args.out / "pinch.json", result),
+        io.write_flow_csv(args.out / "flow.csv", result.trajectory),
     ]
-    _finish(args, {"psi": args.psi, "eps": args.eps}, artifacts, t0,
-            extra={"achieved": result.achieved, "calabi": result.calabi})
     print(f"pinch: achieved {result.achieved:.3e} (target {args.eps:g}), "
-          f"Calabi {result.calabi:.3e} -> {out}")
-    return 0
+          f"Calabi {result.calabi:.3e} -> {args.out}")
+    return artifacts, {"achieved": result.achieved, "calabi": result.calabi}, None
 
 
-def _cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_spectrum(args):
     grid = make_grid(args.n)
     state = metric_state(_potential_from_expression(args.phi, grid))
     result = spectrum(state, k=args.k)
-    out = Path(args.out)
-    artifacts = [io.write_spectrum_csv(out / "spectrum.csv", result)]
-    _finish(args, {"phi": args.phi, "k": args.k}, artifacts, t0,
-            extra={"has_obstruction": result.has_obstruction,
-                   "obstruction_gap": result.obstruction_gap,
-                   "clusters": [[ev, mult] for ev, mult in result.clusters]})
+    artifacts = [io.write_spectrum_csv(args.out / "spectrum.csv", result)]
     flag = "present" if result.has_obstruction else "absent"
     print(f"spectrum: {args.k + 1} eigenvalues, obstruction eigenvalue {flag} "
-          f"(gap {result.obstruction_gap:.3e}) -> {out}")
-    return 0
+          f"(gap {result.obstruction_gap:.3e}) -> {args.out}")
+    extra = {"has_obstruction": result.has_obstruction,
+             "obstruction_gap": result.obstruction_gap,
+             "clusters": [[ev, mult] for ev, mult in result.clusters]}
+    return artifacts, extra, None
 
 
-def _cmd_curvature(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_curvature(args):
     report = verify_round_characteristic_integrand(args.m, args.c)
-    out = Path(args.out)
-    artifacts = [io.write_curvature_json(out / "curvature.json", report)]
-    _finish(args, {"m": args.m, "c": args.c}, artifacts, t0)
+    artifacts = [io.write_curvature_json(args.out / "curvature.json", report)]
     print(f"curvature: m = {args.m}, c = {args.c:g}, "
-          f"integrand {report.integrand:.3e} (sign {report.sign}) -> {out}")
-    return 0
+          f"integrand {report.integrand:.3e} (sign {report.sign}) -> {args.out}")
+    return artifacts, None, None
 
 
-def _cmd_verify_all(args) -> int:
-    run = verify_all(Path(args.out), seed=args.seed, quick=args.quick)
+def _cmd_verify_all(args):
+    # verify_all writes its own manifest, which its library callers read
+    run = verify_all(args.out, seed=args.seed, quick=args.quick)
     for check in run.checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"[{mark}] {check.name:32s} value {check.value:.3e}  "
@@ -421,11 +395,9 @@ def _cmd_verify_all(args) -> int:
     n_pass = sum(c.passed for c in run.checks)
     print(f"verify-all: {n_pass}/{len(run.checks)} checks passed "
           f"in {run.wall_time:.1f}s -> {args.out}")
-    if not run.passed:
-        raise InvariantViolation(
-            "failed checks: " + ", ".join(c.name for c in run.failures())
-        )
-    return 0
+    failure = None if run.passed else (
+        "failed checks: " + ", ".join(c.name for c in run.failures()))
+    return None, None, failure
 
 
 _COMMANDS = {
@@ -450,7 +422,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _apply_config_file(
             list(argv) if argv is not None else sys.argv[1:], parser, registry
         )
-        return _COMMANDS[args.command](args)
+        t0 = time.perf_counter()
+        artifacts, extra, failure = _COMMANDS[args.command](args)
+        if artifacts is not None:
+            config = {k: v for k, v in vars(args).items() if k not in ("out", "config")}
+            io.write_manifest(args.out / "manifest.json", config, artifacts,
+                              time.perf_counter() - t0, extra)
+        if failure is not None:
+            raise InvariantViolation(failure)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

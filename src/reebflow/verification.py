@@ -603,15 +603,12 @@ def verify_all(
     artifacts.append(io.write_checks_csv(out / "checks.csv", all_checks))
 
     wall = time.perf_counter() - t0
-    config = {
-        "command": "verify-all",
-        "seed": int(seed),
-        "quick": bool(quick),
+    # config holds the command's flags alone, so it replays as --config
+    config = {"command": "verify-all", "seed": int(seed), "quick": bool(quick)}
+    extra = {
         "identity_samples": samples,
         "identity_grid_n": IDENTITY_GRID_N,
         "pde_grid_n": PDE_GRID_N,
-    }
-    extra = {
         "suites": {
             name: {
                 "passed": int(sum(c.passed for c in cs)),

@@ -247,10 +247,13 @@ class TestCliCommands:
             ("scan", '{"lambdas": ["a", 2]}'),
             ("scan", '{"family": "xyz"}'),
             ("verify-all", '{"quick": "no"}'),
+            ("solve", '{"n": null}'),
+            ("verify-all", '{"quick": null}'),
         ],
     )
     def test_config_value_is_checked_as_its_flag(self, tmp_path, capsys, command, config):
-        # 1e400 is inf, no int; a switch takes only true or false
+        # 1e400 is inf, no int; a switch takes only true or false; null
+        # stands only for a default None
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
         out = tmp_path / "o"
@@ -265,7 +268,33 @@ class TestCliCommands:
         out = tmp_path / "run"
         assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["config"]["params"] == [1.0, 2.0, 4.0]
+        assert man["config"]["lambdas"] == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "16"],
+        ["path", "--n", "16"],  # records null in the manifest: its default None
+        ["flow", "--n", "16"],
+        ["scan", "--n", "64"],
+        ["pinch", "--n", "32"],
+        ["spectrum", "--n", "16", "--k", "4"],
+        ["curvature"],
+        ["verify-all", "--quick"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_config_replays_the_run(self, tmp_path, argv):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main([*argv, "--out", str(first)]) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        _, registry = cli.build_parser()
+        dests = {a.dest for a in registry[argv[0]]._actions} - {"help", "out", "config"}
+        assert set(config) == dests | {"command"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+        replayed = json.loads((again / "manifest.json").read_text())
+        assert replayed["config"] == config
+        for entry in replayed["artifacts"]:
+            name = entry["name"]
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestCliExitCodes:
