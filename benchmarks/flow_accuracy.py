@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from reebflow import make_grid, metric_state
-from reebflow.flow import FlowPolicy, _ChordSolver, _record_march, _rhs, run_flow
+from reebflow.flow import FlowPolicy, _ChordSolver, _make_flow_records, _rhs, run_flow
 from reebflow.transverse import BasicPotential, _admissible, _ratio_ld
 
 N = 128
@@ -46,16 +46,16 @@ def table(records) -> np.ndarray:
 def euler(base, ds: float) -> np.ndarray:
     """The flow.csv rows of the linearly implicit Euler march at step ds:
     (I - ds Lap/(4r)) delta = ds rhs, the ratio carried as r + Lap(delta)/4
-    and re-anchored at each record, as ``flow._steps`` does with omega = 0."""
+    and re-anchored at each record, as ``flow._steps`` does with omega = 0;
+    the records are built as ``flow._flow`` builds them."""
     h0_norm = float(np.abs(base.ricci_potential).max())
-    lap0_h0 = base.laplacian(base.ricci_potential)
-    records, _, _ = _record_march(_euler_steps(base, ds), base, h0_norm, lap0_h0)
-    return table(records)
+    lap0_min = float(base.laplacian(base.ricci_potential).min())
+    return table(_make_flow_records(list(_euler_steps(base, ds)), base, h0_norm, lap0_min))
 
 
 def _euler_steps(base, ds: float):
-    """The Euler march's record steps (s, v, ratio_ld, True), as
-    ``flow._steps`` yields its anchored ones."""
+    """The Euler march's record steps (s, v, ratio_ld), as ``flow._steps``
+    yields its anchored ones."""
     grid = base.potential.grid
     stride = round(RECORD_DS / ds)
     steps = round(S_END / ds)
@@ -64,7 +64,7 @@ def _euler_steps(base, ds: float):
     for k in range(steps + 1):
         if k % stride == 0:
             ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
-            yield s, v, ratio_ld, True
+            yield s, v, ratio_ld
         if k == steps:
             break
         ratio = _admissible(ratio_ld)

@@ -6,9 +6,9 @@ unwritable output), 2 when a structural invariant fails numerically
 (solver divergence, a violated bound, a failed verification check), so
 CI can distinguish math regressions from configuration mistakes.
 
-`main` times each command and writes its manifest.json (verify-all's own
-function writes it); the manifest's config is the parsed flags less --out
-and --config, so giving it back as `--config` replays the run.
+`main` times each command and writes its manifest.json; the manifest's
+config is the parsed flags less --out and --config, so giving it back as
+`--config` replays the run.
 
 Potential expressions are parsed from a minimal arithmetic grammar over
 the variable x with functions sin, cos, exp, log, pow (both `^` and `**`
@@ -37,7 +37,7 @@ from .continuity import (
     run_continuity_path,
     solve_ma_at_t,
 )
-from .curvature import calabi_bound, verify_round_characteristic_integrand
+from .curvature import verify_round_characteristic_integrand
 from .errors import (
     ConfigurationError,
     GridMismatchError,
@@ -46,7 +46,7 @@ from .errors import (
     ResolutionError,
     SolverError,
 )
-from .flow import FlowPolicy, epsilon_pinching, run_flow
+from .flow import FlowPolicy, _pinch_calabi_bound, epsilon_pinching, run_flow
 from .functionals import relative_state
 from .transverse import BasicPotential, make_grid, metric_state, reference_state, spectrum
 from .verification import DEFAULT_SEED, IDENTITY_GRID_N, MOBIUS_LAMBDAS, PDE_GRID_N, verify_all
@@ -349,9 +349,9 @@ def _cmd_scan(args):
 
 
 def _cmd_pinch(args):
-    # an eps out of range is refused before the base state's Laplacian
-    calabi_bound(args.eps)
     grid = make_grid(args.n)
+    # an eps out of range is refused before the base state's Laplacian
+    _pinch_calabi_bound(args.eps, grid.n)
     base = metric_state(_potential_from_expression(args.psi, grid))
     result = epsilon_pinching(base, args.eps)
     artifacts = [
@@ -386,18 +386,16 @@ def _cmd_curvature(args):
 
 
 def _cmd_verify_all(args):
-    # verify_all writes its own manifest, which its library callers read
     run = verify_all(args.out, seed=args.seed, quick=args.quick)
     for check in run.checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"[{mark}] {check.name:32s} value {check.value:.3e}  "
               f"tol {check.tolerance:.1e}")
     n_pass = sum(c.passed for c in run.checks)
-    print(f"verify-all: {n_pass}/{len(run.checks)} checks passed "
-          f"in {run.wall_time:.1f}s -> {args.out}")
+    print(f"verify-all: {n_pass}/{len(run.checks)} checks passed -> {args.out}")
     failure = None if run.passed else (
         "failed checks: " + ", ".join(c.name for c in run.failures()))
-    return None, None, failure
+    return run.artifacts, run.extra, failure
 
 
 _COMMANDS = {
@@ -424,10 +422,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         t0 = time.perf_counter()
         artifacts, extra, failure = _COMMANDS[args.command](args)
-        if artifacts is not None:
-            config = {k: v for k, v in vars(args).items() if k not in ("out", "config")}
-            io.write_manifest(args.out / "manifest.json", config, artifacts,
-                              time.perf_counter() - t0, extra)
+        config = {k: v for k, v in vars(args).items() if k not in ("out", "config")}
+        io.write_manifest(args.out / "manifest.json", config, artifacts,
+                          time.perf_counter() - t0, extra)
         if failure is not None:
             raise InvariantViolation(failure)
         return 0

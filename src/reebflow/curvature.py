@@ -48,11 +48,6 @@ MAX_CURVATURE = 1e150
 # the largest pinching eps: at m = MAX_DIMENSION the Calabi bound's
 # (2m)^2 eps^2 is 1.0e303 at eps = 1e150 and overflows from eps near 1e152
 MAX_EPS = 1e150
-# the smallest pinching eps: the flow's achieved pinch stops near the
-# float64 roundoff of S^T, which grows with n (6.5e-13 at n = 16, 1.5e-11
-# at 32, 3.6e-10 at 64, measured with eps = 1e-300), so a smaller eps
-# could only fail after the whole run
-_MIN_EPS = 1e-10
 
 NORM_CONVENTION = (
     "orthonormal-frame sum of squared components; fixed by requiring the "
@@ -183,10 +178,10 @@ def calabi_functional(phi: BasicPotential) -> float:
 def calabi_bound(eps: float, m: int = 1) -> float:
     """Upper bound 2 (2m)^2 (m+1) eps + (2m)^2 eps^2 that an |S^T - 2m(m+1)|
     <= eps structure forces on the Calabi functional (per unit volume).
-    An eps outside [_MIN_EPS, MAX_EPS] (NaN and inf included) or an m
-    outside [1, MAX_DIMENSION] raises ConfigurationError."""
-    if not (_MIN_EPS <= eps <= MAX_EPS):
-        raise ConfigurationError(f"eps must lie in [{_MIN_EPS:g}, {MAX_EPS:g}], got {eps}")
+    An eps outside (0, MAX_EPS] (NaN and inf included) or an m outside
+    [1, MAX_DIMENSION] raises ConfigurationError."""
+    if not (0.0 < eps <= MAX_EPS):
+        raise ConfigurationError(f"eps must lie in (0, {MAX_EPS:g}], got {eps}")
     if not 1 <= m <= MAX_DIMENSION:
         raise ConfigurationError(f"transverse dimension must lie in [1, {MAX_DIMENSION}], got {m}")
     return 2.0 * (2 * m) ** 2 * (m + 1) * eps + (2 * m) ** 2 * eps**2

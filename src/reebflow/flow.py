@@ -65,23 +65,26 @@ is accepted, the carried ratio; the next step reuses the same matvec for
 the ratio at its extrapolated point.  No step applies an
 extended-precision Laplacian or builds a metric state.  The march
 (``_steps``) re-anchors the carried ratio to the exact one (one Laplacian)
-at s = 0, at every record time (the multiples of record_stride * Delta s)
-up to s_last and at its last step, so the drift of the carry spans at
-most one record interval (about 1e-12 relative at n = 128) or the tail
-(3e-10 over the flow suite's, where the growing constant mode of v
-rounds in each increment's mean); run_flow takes its records at exactly
-those steps.
+only at the steps that become records: s = 0, and each record time (the
+multiples of record_stride * Delta s) and the final time up to s_last.
+So the drift of the carry spans at most one record interval (about 1e-12
+relative at n = 128), or the tail, which no record reads (3e-10 over the
+flow suite's, where the growing constant mode of v rounds in each
+increment's mean).
 
 Monitor quantities are recomputed from scratch at every record, from its
 anchored ratio, never evolved, so the maximum-principle checks are
-independent of stepper error.  The records are built a block of
-_RECORD_BLOCK anchored steps at a time (``_record_march``): h_s, dv/ds,
-|dh_s|^2, Lap_s h_s, c_s and the scalar curvature are formed for the
-whole block as (rows, n) arrays by the formulas a metric state uses
+independent of stepper error.  One function (``_flow``) marches and
+records every recorded flow: run_flow's and the flow suite's.  It builds
+the records a block of _RECORD_BLOCK anchored steps at a time: h_s,
+dv/ds, |dh_s|^2, Lap_s h_s, c_s and the scalar curvature are formed for
+the whole block as (rows, n) arrays by the formulas a metric state uses
 (``transverse._ricci_potential``, ``_grad_norm_sq`` and
 ``_scalar_curvature``, which take a stack as they take one field), and
 no state is built.  Each record applies two Laplacians besides its
-anchor, for Lap_s h_s and for the scalar curvature.  The monitors are
+anchor, for Lap_s h_s and for the scalar curvature, and keeps its
+float64 volume ratio, from which smoothing_monitors reads the metric
+sandwich at s = 1.  The monitors are
 
     (a)  sup|dv/ds|  <=  e^{(m+1)s} sup|h_0|
     (b)  sup(h_s^2 + (s/2)|dh_s|_s^2)  <=  4 e^{2(m+1)s} sup|h_0|^2
@@ -95,10 +98,11 @@ strictly stronger than what holds.
 
 plus the achieved scalar-curvature pinching max|S^T - 2m(m+1)| and the
 Calabi energy int (S^T - 2m(m+1))^2 dmu_s, which epsilon_pinching reads
-off its last record.  smoothing_monitors adds a
-discrete C^{1/2} seminorm of h_1 (geodesic distance of the round
-quotient), which feeds the fitted smoothing constants when the flow
-starts from a continuity-path state.
+off its last record; an eps below the pinch the flow can attain at n
+nodes, _PINCH_EPS_PER_N4 n^4, is refused before any work.
+smoothing_monitors adds a discrete C^{1/2} seminorm of h_1 (geodesic
+distance of the round quotient), which feeds the fitted smoothing
+constants when the flow starts from a continuity-path state.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -177,6 +181,12 @@ MAX_FLOW_STEPS = 100_000
 # above s_end makes a single step of the whole run
 MAX_DS = 0.1
 _PINCH_T_START = 0.1  # the pinching path's first t
+# the least pinching eps is this times n^4: the achieved pinch stops near
+# the float64 roundoff of S^T, which grows like n^4.  From t = 1 it was at
+# most 2.35e-17 n^4 (6.3e-9 at n = 128, 1.6e-6 at 512) over n = 16 to 512
+# and the bases 0.3(1-x^2), 0.1x and 0.05(x^3-x)+0.02, so the floor is at
+# least 42 times the pinch attained; at MAX_GRID it is 1.1e-3
+_PINCH_EPS_PER_N4 = 1e-15
 # anchored steps whose records are built together, as (rows, n) arrays
 _RECORD_BLOCK = 32
 
@@ -259,6 +269,7 @@ class FlowRecord:
     v: BasicPotential
     h: NDArray[np.float64]
     vdot: NDArray[np.float64]
+    ratio: NDArray[np.float64]  # volume ratio of base + v, read-only
     monitors: FlowMonitors
 
 
@@ -283,10 +294,11 @@ def _make_flow_records(
     block: list[tuple[float, NDArray, NDArray[np.longdouble]]],
     base: MetricState,
     h0_norm: float,
-    lap0_h0: NDArray,
+    lap0_min: float,
 ) -> list[FlowRecord]:
     """The records of base + v at the anchored steps (s, v, ratio_ld) of
-    block, whose exact volume ratios the march has formed already.
+    block, whose exact volume ratios the march has formed already, against
+    the bounds sup|h_0| = h0_norm and min Lap_0 h_0 = lap0_min.
 
     Each field is formed for the whole block at once, as a (rows, n)
     array, by the formulas a metric state of base + v applies to one row
@@ -317,56 +329,25 @@ def _make_flow_records(
         constancy_dev=np.abs(h + vdot - c_s[:, None]).max(axis=1),
         bound_a_slack=growth * h0_norm - sup_vdot,
         bound_b_slack=4.0 * growth_sq * h0_norm**2 - (h**2 + 0.5 * s[:, None] * dh2).max(axis=1),
-        bound_c_min=(lap_h / growth[:, None]).min(axis=1) - float(lap0_h0.min()),
+        bound_c_min=(lap_h / growth[:, None]).min(axis=1) - lap0_min,
         bound_d_slack=growth * h0_norm - np.abs(c_s),
         s_pinch=np.abs(dev).max(axis=1),
         lap_h_min=lap_h.min(axis=1),
         calabi=np.vecdot(measure, dev**2),
     )
     h.flags.writeable = False
+    ratio.flags.writeable = False
     return [
         FlowRecord(
             s=t,
             v=BasicPotential(values=v[i], grid=grid),
             h=h[i],
             vdot=vdot[i],
+            ratio=ratio[i],
             monitors=FlowMonitors(**{name: float(col[i]) for name, col in columns.items()}),
         )
         for i, t in enumerate(s.tolist())
     ]
-
-
-def _record_march(
-    march: Iterable[tuple[float, NDArray, NDArray[np.longdouble], bool]],
-    base: MetricState,
-    h0_norm: float,
-    lap0_h0: NDArray,
-    s_last: float = math.inf,
-) -> tuple[list[FlowRecord], Optional[SolverError], NDArray[np.float64]]:
-    """The records of a march's anchored steps up to flow time s_last, the
-    error that stopped the march at the step floor (None when it ran to
-    its end) and its last v.
-
-    The anchored steps are buffered and their records built
-    _RECORD_BLOCK at a time (``_make_flow_records``); the last, partial
-    block is built when the march ends or stops, so a stopped march keeps
-    its records so far.
-    """
-    records: list[FlowRecord] = []
-    block: list[tuple[float, NDArray, NDArray[np.longdouble]]] = []
-    stopped = None
-    try:
-        for s, v, ratio_ld, anchored in march:
-            if anchored and s <= s_last + _S_TOL:
-                block.append((s, v, ratio_ld))
-                if len(block) == _RECORD_BLOCK:
-                    records += _make_flow_records(block, base, h0_norm, lap0_h0)
-                    block = []
-    except SolverError as err:
-        stopped = err
-    if block:
-        records += _make_flow_records(block, base, h0_norm, lap0_h0)
-    return records, stopped, v
 
 
 class _ChordSolver:
@@ -442,11 +423,12 @@ def _steps(
     a float64 matvec; it is the admissibility test.  A candidate or
     extrapolated ratio that is not positive everywhere (NaN included)
     halves the step (the cap becomes half the rejected step, and a tail's
-    hold starts over); reaching the step floor raises SolverError.  At
-    s = 0, at each record time up to s_last and at the last step,
-    ratio_ld is re-anchored to the exact ratio of base + v and the step
-    is yielded as anchored.  More than MAX_FLOW_STEPS steps s_end /
-    policy.ds raise ConfigurationError before the first.
+    hold starts over); reaching the step floor raises SolverError.  A
+    step becomes a record, is yielded as anchored and has ratio_ld
+    re-anchored to the exact ratio of base + v (one Laplacian) only at
+    s = 0 and where it lands on a record time or s_end up to s_last; the
+    tail's landing on s_end is not one.  More than MAX_FLOW_STEPS steps
+    s_end / policy.ds raise ConfigurationError before the first.
     """
     if s_end / policy.ds > MAX_FLOW_STEPS:
         raise ConfigurationError(f"s_end / ds = {s_end / policy.ds:.6g} is above {MAX_FLOW_STEPS}")
@@ -493,14 +475,15 @@ def _steps(
                 raise SolverError(f"step floor {_DS_FLOOR} reached at s = {s:.6g}")
             continue
         v = v + delta
-        anchored = parts == 1
         ratio_ld = cand_ratio_ld
-        if anchored:
+        anchored = parts == 1 and target <= s_last + _S_TOL
+        if parts == 1:
             s, next_record = target, next_record + 1
-            ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
-            _admissible(ratio_ld)
         else:
             s += step
+        if anchored:
+            ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
+            _admissible(ratio_ld)
         last_step, d, lap_d = step, delta, lap_delta
         if not tail:
             ds = min(ds * _GROWTH, policy.ds)
@@ -511,16 +494,54 @@ def _steps(
         yield s, v, ratio_ld, anchored
 
 
+def _flow(
+    base: MetricState, s_end: float, policy: FlowPolicy, s_last: float = math.inf
+) -> tuple[FlowTrajectory, NDArray[np.float64]]:
+    """The march from v = 0 to s_end (``_steps``) with a record at each
+    anchored step, and its last v.
+
+    The bounds sup|h_0| and min Lap_0 h_0 are read off base.  The
+    anchored steps are buffered and their records built _RECORD_BLOCK at
+    a time (``_make_flow_records``); the last, partial block is built
+    when the march ends or stops at the step floor, so a stopped march
+    keeps its records so far, with completed False and the failure
+    marker set.
+    """
+    h0_norm = float(np.abs(base.ricci_potential).max())
+    lap0_min = float(base.laplacian(base.ricci_potential).min())
+    records: list[FlowRecord] = []
+    block: list[tuple[float, NDArray, NDArray[np.longdouble]]] = []
+    failure = None
+    try:
+        for s, v, ratio_ld, anchored in _steps(base, s_end, policy, s_last):
+            if anchored:
+                block.append((s, v, ratio_ld))
+                if len(block) == _RECORD_BLOCK:
+                    records += _make_flow_records(block, base, h0_norm, lap0_min)
+                    block = []
+    except SolverError as err:
+        failure = str(err)
+    if block:
+        records += _make_flow_records(block, base, h0_norm, lap0_min)
+    trajectory = FlowTrajectory(
+        initial=base,
+        records=tuple(records),
+        policy=policy,
+        completed=failure is None,
+        failure=failure,
+    )
+    return trajectory, v
+
+
 def run_flow(
     base: MetricState,
     s_end: float = 5.0,
     policy: FlowPolicy = FlowPolicy(),
 ) -> FlowTrajectory:
-    """The flow from v = 0 to s_end (``_steps``), with a record at each
-    anchored step: s = 0, every multiple of policy.record_stride *
-    policy.ds and the final time, built a block at a time
-    (``_record_march``).  Reaching the step floor returns the records so
-    far, with completed False and the failure marker set.
+    """The flow from v = 0 to s_end (``_flow``), with a record at s = 0,
+    every multiple of policy.record_stride * policy.ds and the final
+    time.  Reaching the step floor returns the records so far, with
+    completed False and the failure marker set.
 
     s_end must be positive and below S_END_MAX (about 177 at m = 1),
     where the records' bound e^{2(m+1)s} still fits in float64, and
@@ -530,16 +551,7 @@ def run_flow(
         raise ConfigurationError(
             f"s_end must lie in (0, {S_END_MAX:.6g}), got {s_end}"
         )
-    h0_norm = float(np.abs(base.ricci_potential).max())
-    lap0_h0 = base.laplacian(base.ricci_potential)
-    records, stopped, _ = _record_march(_steps(base, s_end, policy), base, h0_norm, lap0_h0)
-    return FlowTrajectory(
-        initial=base,
-        records=tuple(records),
-        policy=policy,
-        completed=stopped is None,
-        failure=None if stopped is None else str(stopped),
-    )
+    return _flow(base, s_end, policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +580,9 @@ def smoothing_monitors(
     """Aggregate the per-record monitor bounds and, from the record at
     s = 1, the time-one potential bound, the one-sided metric sandwich
     (reported, never assumed), and the fitted smoothing constants.  The
-    sandwich and the centring of h_1 read the ratio of the state of
-    base + v_1 alone (one Laplacian).  The time-one section is None when
-    no record lies within _S_TOL of s = 1.
+    sandwich and the centring of h_1 read the volume ratio the record at
+    s = 1 keeps, so no state is built and no Laplacian applied.  The
+    time-one section is None when no record lies within _S_TOL of s = 1.
 
     The two fitted constants follow the shapes the smoothing estimates
     take for a flow started from a continuity-path state at parameter t
@@ -592,16 +604,15 @@ def smoothing_monitors(
     rec1 = trajectory.record_at(1.0)
     if abs(rec1.s - 1.0) <= _S_TOL:
         u_slack = (math.exp(MP1) / MP1) * h0_norm - rec1.v.sup()
-        state = relative_state(base, rec1.v)
-        lo = float(state.ratio.min()) - 0.5
-        hi = 1.0 - float(state.ratio.max())
+        lo = float(rec1.ratio.min()) - 0.5
+        hi = 1.0 - float(rec1.ratio.max())
         held = bool(lo >= 0.0 and hi >= 0.0)
         if one_minus_t is not None and h0_norm > 0:
             h1 = rec1.h
-            h1_centered = h1 - state.integrate(h1)
+            h1_centered = h1 - float((base.grid.w * rec1.ratio) @ h1)
             denom = one_minus_t ** (1.0 / 3.0) * h0_norm ** (2.0 / 3.0)
             c1 = float(np.abs(h1_centered).max() / denom) if denom > 0 else None
-            holder_norm = float(np.abs(h1).max()) + holder_seminorm(state.grid, h1)
+            holder_norm = float(np.abs(h1).max()) + holder_seminorm(base.grid, h1)
             denom7 = one_minus_t ** (1.0 / 6.0) * (1.0 + h0_norm) ** (5.0 / 6.0)
             c7 = holder_norm / denom7 if denom7 > 0 else None
 
@@ -635,6 +646,17 @@ class PinchResult:
     trajectory: FlowTrajectory
 
 
+def _pinch_calabi_bound(eps: float, n: int) -> float:
+    """calabi_bound(eps), once eps is also at least the pinch the flow can
+    attain at n nodes, _PINCH_EPS_PER_N4 n^4; a smaller one could only
+    miss its target after the whole run.  Raises ConfigurationError."""
+    bound = calabi_bound(eps)
+    floor = _PINCH_EPS_PER_N4 * n**4
+    if eps < floor:
+        raise ConfigurationError(f"eps must be at least {floor:.3g} at n = {n}, got {eps}")
+    return bound
+
+
 def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     """Two-stage pinching: march the continuity family upward in t until
     the state's Ricci potential drops below eps/2, then run the flow for
@@ -649,14 +671,14 @@ def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     is the flow's base, and the flow runs with the default FlowPolicy.
     achieved and the Calabi energy are read off the last record.  Asserts
     achieved <= eps (the flow contracts far below the worst-case
-    constants).  An eps that calabi_bound refuses raises
+    constants).  An eps that ``_pinch_calabi_bound`` refuses raises
     ConfigurationError before any work.  A solver failure before the
     target is raised as the properness diagnostic it is: a SolverError
     "pinching path failed at its start t = ..." when no t was accepted,
     or "pinching path stalled at t = ..." after one was, carrying the
     trace of the last failed Newton solve.
     """
-    bound = calabi_bound(eps)
+    bound = _pinch_calabi_bound(eps, base.grid.n)
     target = eps / 2.0
 
     h_norm = None

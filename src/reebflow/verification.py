@@ -3,9 +3,9 @@
 Each suite checks one cluster of mathematical guarantees end to end and
 returns plain ``CheckResult`` rows, so the command line, the test suite
 and the manifest all consume the same measurements.  ``verify_all``
-executes every suite with a fixed seed and writes the full artifact set;
-everything except the manifest (which records wall time) is
-byte-reproducible for a given seed on one platform.
+executes every suite with a fixed seed and writes the full artifact set,
+byte-reproducible for a given seed on one platform; the command line
+writes its manifest, which records wall time.
 
 Grid sizes: the functional identity suite runs at n = 256, where the
 identities are exact in the discretization and only roundoff remains.
@@ -18,7 +18,6 @@ solver quantity is converged far below the tolerances in play.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -40,15 +39,8 @@ from .curvature import (
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
-from .errors import ConfigurationError
-from .flow import (
-    FlowPolicy,
-    FlowTrajectory,
-    PinchResult,
-    _record_march,
-    _steps,
-    epsilon_pinching,
-)
+from .errors import ConfigurationError, SolverError
+from .flow import FlowPolicy, FlowTrajectory, PinchResult, _flow, _steps, epsilon_pinching
 from .functionals import (
     FunctionalLedger,
     eval_F,
@@ -325,35 +317,27 @@ def flow_suite(
     psi-deformed base (relative tolerance 1e-6 against their proof
     bounds), exact stationarity of the Einstein structure, and
     agreement of the s = 5 flow limit with the continuity endpoint up
-    to a constant.  One march from the base to s = 5 serves both: its
-    anchored steps up to s = 2 are recorded by the buffering run_flow
-    uses (``flow._record_march``, a block of records at a time), so the
-    records are those ``run_flow(base, 2.0)`` returns, bit for bit, and
-    its last v is the flow limit.  Past s = 2 it steps freely to s = 5
-    (``flow._steps`` with s_last = 2: 82 steps that double up to 0.04,
-    anchored only at s = 5).  A march stopped at the step floor raises
-    its SolverError.  The round reference march builds no record and
-    steps freely from s = 0 (144 steps); stationarity reads v at every
-    one of them."""
+    to a constant.  One march from the base to s = 5 serves both
+    (``flow._flow`` with s_last = 2): its records are those
+    ``run_flow(base, 2.0)`` returns, bit for bit, and its last v is the
+    flow limit.  Past s = 2 it steps freely to s = 5 (82 steps that double
+    up to 0.04) and records nothing.  sup|h_0| and min Lap_0 h_0 are read
+    off the base and its s = 0 record.  A march stopped at the step floor
+    raises SolverError.  The round reference march (``flow._steps`` with
+    s_last = 0) builds no record and steps freely from s = 0 (144 steps);
+    stationarity reads v at every one of them."""
     grid = make_grid(n)
-    psi = _manufactured_psi(grid)
-    base = metric_state(psi)
-    h0 = base.ricci_potential
-    h0n = float(np.abs(h0).max())
-    lap0_h0 = base.laplacian(h0)
-    lap0_min = float(lap0_h0.min())
+    base = metric_state(_manufactured_psi(grid))
+    policy = FlowPolicy()
+    traj2, v5 = _flow(base, 5.0, policy, s_last=2.0)
+    if not traj2.completed:
+        raise SolverError(traj2.failure)
+    records = traj2.records
+    h0n = float(np.abs(base.ricci_potential).max())
+    lap0_min = records[0].monitors.lap_h_min
     c_scale = abs(lap0_min) if abs(lap0_min) > 1e-12 else 1.0
     mp1 = M_DIM + 1
 
-    policy = FlowPolicy()
-    records, stopped, v5 = _record_march(
-        _steps(base, 5.0, policy, s_last=2.0), base, h0n, lap0_h0, s_last=2.0
-    )
-    if stopped is not None:
-        raise stopped
-    traj2 = FlowTrajectory(
-        initial=base, records=tuple(records), policy=policy, completed=True, failure=None
-    )
     mons = [rec.monitors for rec in records]
     scale_a = [np.exp(mp1 * rec.s) * h0n for rec in records]
     scale_b = [4.0 * np.exp(2.0 * mp1 * rec.s) * h0n**2 for rec in records]
@@ -534,13 +518,12 @@ def oracle_suite(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerifyRun:
     checks: tuple[CheckResult, ...]
     artifacts: tuple[Path, ...]
-    manifest: Path
+    extra: dict  # the manifest's extra values: samples, grid sizes, suite tallies
     passed: bool
-    wall_time: float
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
@@ -551,7 +534,10 @@ def verify_all(
     seed: int = DEFAULT_SEED,
     quick: bool = False,
 ) -> VerifyRun:
-    """Run every suite and write the artifact set plus a manifest.
+    """Run every suite and write the artifact set into out_dir; return the
+    checks, the artifacts and the manifest's extra values.  The manifest,
+    which records wall time, is written by the command line
+    (``cli.main``), as for every other command.
 
     ``quick`` reduces the randomized identity sample count (the
     deterministic suites are identical); artifact layout and schemas do
@@ -560,7 +546,6 @@ def verify_all(
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
-    t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     samples = 10 if quick else 100
@@ -602,9 +587,6 @@ def verify_all(
     all_checks = [c for _, cs in suites for c in cs]
     artifacts.append(io.write_checks_csv(out / "checks.csv", all_checks))
 
-    wall = time.perf_counter() - t0
-    # config holds the command's flags alone, so it replays as --config
-    config = {"command": "verify-all", "seed": int(seed), "quick": bool(quick)}
     extra = {
         "identity_samples": samples,
         "identity_grid_n": IDENTITY_GRID_N,
@@ -617,11 +599,9 @@ def verify_all(
             for name, cs in suites
         }
     }
-    manifest = io.write_manifest(out / "manifest.json", config, artifacts, wall, extra)
     return VerifyRun(
         checks=tuple(all_checks),
         artifacts=tuple(artifacts),
-        manifest=manifest,
+        extra=extra,
         passed=all(c.passed for c in all_checks),
-        wall_time=wall,
     )

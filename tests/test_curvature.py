@@ -11,7 +11,7 @@ from reebflow import (
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
-from reebflow.curvature import _MIN_EPS, MAX_CURVATURE, MAX_DIMENSION, MAX_EPS
+from reebflow.curvature import MAX_CURVATURE, MAX_DIMENSION, MAX_EPS
 from reebflow.transverse import SCALAR_TARGET
 
 # frozen after grid-doubling agreement to 13 digits (n = 128 / 256 / 384)
@@ -122,15 +122,16 @@ class TestCalabi:
     def test_bound_values(self):
         assert calabi_bound(0.05) == pytest.approx(0.81, abs=1e-15)
         assert calabi_bound(0.05, m=2) == pytest.approx(4.84, abs=1e-12)
-        # an eps that is not finite, below _MIN_EPS or above MAX_EPS, and
-        # an m outside [1, MAX_DIMENSION], are refused; at the limits the
-        # bound is finite
+        # an eps that is not positive and finite or is above MAX_EPS, and an
+        # m outside [1, MAX_DIMENSION], are refused; at the limits the bound
+        # is finite.  The floor of an eps that a pinch at n nodes can reach
+        # is the pinch's own check (test_flow, test_io_cli)
         for eps, m in [(0.0, 1), (np.inf, 1), (np.nan, 1), (1e151, 1), (0.05, 0),
-                       (0.05, MAX_DIMENSION + 1), (1e-300, 1), (0.5 * _MIN_EPS, 1)]:
+                       (0.05, MAX_DIMENSION + 1)]:
             with pytest.raises(ConfigurationError):
                 calabi_bound(eps, m=m)
         assert np.isfinite(calabi_bound(MAX_EPS, m=MAX_DIMENSION))
-        assert 0.0 < calabi_bound(_MIN_EPS) < 1e-8
+        assert 0.0 < calabi_bound(1e-300) < 1e-298
 
     def test_bound_dominates_small_deviations(self, base128):
         # any |S - 4| <= eps structure has Calabi energy below the bound

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reebflow import continuity, curvature, flow, transverse, verification
+from reebflow import continuity, flow, transverse, verification
 from reebflow import (
     BasicPotential,
     ConfigurationError,
@@ -591,22 +591,28 @@ class TestBDF2Step:
 class TestTail:
     """Past the last record time s_last the march targets s_end alone: it
     holds each step for _TAIL_HOLD steps, then doubles it up to _TAIL_DS,
-    and re-anchors only at s_end."""
+    and no step is anchored, s_end's included."""
 
     @pytest.mark.parametrize("s_last", [0.0, 0.5, 1.0])
-    def test_one_anchored_step_past_s_last(self, base96, s_last):
+    def test_no_anchored_step_past_s_last(self, base96, s_last, counts):
         # up to s_last the march is the one without a tail, bit for bit,
-        # anchored at every record time; past it only at s_end
+        # anchored at every record time; past it no step is anchored, so
+        # it applies no Laplacian
         policy = FlowPolicy()
+        counts.clear()
         march = list(flow._steps(base96, 3.0, policy, s_last=s_last))
+        laplacians = counts["laplacian"]
+        tail_start = next(i for i, step in enumerate(march) if step[0] > s_last + flow._S_TOL)
+        assert march[-1][0] == 3.0
+        assert not any(is_anchored for *_, is_anchored in march[tail_start:])
         full = list(flow._steps(base96, 3.0, policy))
-        anchored = [s for s, _, _, is_anchored in march if is_anchored]
-        assert [s for s in anchored if s > s_last + flow._S_TOL] == [3.0]
         head = [step for step in full if step[0] <= s_last + flow._S_TOL]
-        assert len(anchored) == 1 + sum(is_anchored for *_, is_anchored in head)
+        assert len(head) == tail_start
         for (s, v, ratio, is_anchored), ref in zip(march, head):
             assert (s, is_anchored) == (ref[0], ref[3])
             assert np.array_equal(v, ref[1]) and np.array_equal(ratio, ref[2])
+        anchors = sum(is_anchored for *_, is_anchored in head) - 1
+        assert laplacians == anchors
         assert len(march) < len(full)
 
     @pytest.mark.parametrize("from_round", [True, False])
@@ -661,8 +667,8 @@ class TestFlowSuiteMarch:
 
     def test_stationarity_reads_every_step(self, monkeypatch):
         # increments eps and then -eps on the round reference's last two
-        # steps: v is exactly 0 at s_end, its only anchor after s = 0,
-        # and nonzero at the step before it
+        # steps: v is exactly 0 at s_end and nonzero at the step before it;
+        # no step after s = 0 is anchored
         eps = 1e-9
         grid = transverse.make_grid(64)
         march = flow._steps(transverse.reference_state(grid), 5.0, FlowPolicy(), s_last=0.0)
@@ -730,11 +736,11 @@ class TestSmoothing:
         assert rep.c7_fit is not None and rep.c7_fit > 0
 
     def test_time_one_section_reads_one_ratio(self, base96, traj96, counts):
-        # the sandwich and the centring of h_1 read the volume ratio of the
-        # state of base + v_1 alone: one Laplacian, for that ratio
+        # the sandwich and the centring of h_1 read the volume ratio the
+        # record at s = 1 keeps: no Laplacian, no state
         counts.clear()
         rep = smoothing_monitors(traj96, one_minus_t=0.4)
-        assert counts == {"laplacian": 1, "metric_state": 1}
+        assert counts == {}
         # the same numbers, bit for bit, as a full state of base + v_1
         rec1 = traj96.record_at(1.0)
         full = relative_state(base96, rec1.v)
@@ -793,18 +799,31 @@ class TestPinching:
 
     def test_invalid_eps(self, base96, counts):
         # an eps whose Calabi bound is not a finite positive number, or
-        # one below curvature._MIN_EPS, is refused before the continuity
-        # stage starts
+        # one below the floor _PINCH_EPS_PER_N4 n^4 (8.5e-8 at n = 96), is
+        # refused before the continuity stage starts
         counts.clear()
-        for eps in (0.0, math.nan, math.inf, 1e300, 1e-300, 0.5 * curvature._MIN_EPS):
+        floor = flow._PINCH_EPS_PER_N4 * 96**4
+        for eps in (0.0, math.nan, math.inf, 1e300, 1e-300, 2e-10, 0.5 * floor):
             with pytest.raises(ConfigurationError):
                 epsilon_pinching(base96, eps=eps)
         assert counts == {}
 
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_eps_at_the_floor_is_attained(self, n):
+        # the floor grows like the roundoff of S^T, n^4, and lies at least
+        # 42 times above the pinch measured (2.35e-17 n^4); a tenth leaves
+        # room for the last bits that vary with the BLAS threads
+        eps = flow._PINCH_EPS_PER_N4 * n**4
+        grid = transverse.make_grid(n)
+        base = transverse.metric_state(
+            BasicPotential.from_callable(grid, lambda x: 0.3 * (1.0 - x * x)))
+        assert epsilon_pinching(base, eps).achieved <= eps / 10.0
+
     def test_endpoint_read_off_the_last_record(self, base96, counts, monkeypatch):
-        # once the flow has returned, only the time-one section of the
-        # smoothing report builds a state and applies a Laplacian; the
-        # pinch and the Calabi energy are the last record's columns
+        # once the flow has returned, no state is built and no Laplacian
+        # applied: the time-one section of the smoothing report reads the
+        # record's ratio, and the pinch and the Calabi energy are the last
+        # record's columns
         real_run_flow = flow.run_flow
         after_flow = {}
 
@@ -817,7 +836,12 @@ class TestPinching:
         counts.clear()
         res = epsilon_pinching(base96, eps=0.1)
         rest = counts - Counter(after_flow)
-        assert rest == {"laplacian": 1, "metric_state": 1}
+        assert rest == {}
+        # the time-one section, bit for bit, as a full state of base + v_1
+        rec1 = res.trajectory.record_at(1.0)
+        full = relative_state(res.trajectory.initial, rec1.v)
+        assert res.smoothing.sandwich_lo_margin == float(full.ratio.min()) - 0.5
+        assert res.smoothing.sandwich_hi_margin == 1.0 - float(full.ratio.max())
         end = res.trajectory.endpoint()
         assert res.achieved == end.monitors.s_pinch
         assert res.calabi == end.monitors.calabi

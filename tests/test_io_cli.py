@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reebflow import cli, continuity, io, transverse
+from reebflow import cli, continuity, io, transverse, verification
 from reebflow import (
     BasicPotential,
     FunctionalLedger,
@@ -162,6 +162,22 @@ class TestCliCommands:
         for entry in man["artifacts"]:
             assert entry["sha256"] == io.content_hash(out / entry["name"])
         assert "residual" in capsys.readouterr().out
+
+    def test_verify_all_manifest_is_written_by_main(self, tmp_path, capsys):
+        # the library run writes the artifacts alone; the command writes
+        # the same artifacts and a manifest that lists every one of them
+        lib, out = tmp_path / "lib", tmp_path / "cli"
+        run = verification.verify_all(lib, seed=1, quick=True)
+        assert not (lib / "manifest.json").exists()
+        assert sorted(p.name for p in run.artifacts) == sorted(p.name for p in lib.iterdir())
+        assert cli.main(["verify-all", "--quick", "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"checks passed -> {out}\n")
+        man = json.loads((out / "manifest.json").read_text())
+        listed = {a["name"]: a["sha256"] for a in man["artifacts"]}
+        assert listed == {p.name: io.content_hash(p) for p in lib.iterdir()}
+        assert set(listed) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert man["extra"] == run.extra
+        assert man["wall_time_seconds"] > 0
 
     def test_scan_is_deterministic(self, tmp_path):
         outs = []
@@ -424,8 +440,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("eps", ["inf", "1e300", "1e-300", "5e-11"])
     def test_pinch_eps_out_of_range(self, tmp_path, capsys, counts, eps):
         # an eps whose Calabi bound is infinite, or overflows, or one below
-        # curvature._MIN_EPS, which could only miss its target after the
-        # whole run, is refused before the base state's Laplacian
+        # the floor 1e-15 n^4 (6.6e-11 at n = 16), which could only miss its
+        # target after the whole run, is refused before the base state's
+        # Laplacian
         out = tmp_path / "o"
         start = time.perf_counter()
         rc = cli.main(["pinch", "--n", "16", "--eps", eps, "--out", str(out)])
@@ -433,6 +450,20 @@ class TestCliExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
+        assert counts == {}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, eps", [(64, "2e-10"), (128, "2e-8"), (512, "5e-5")])
+    def test_pinch_eps_below_the_floor_at_n(self, tmp_path, capsys, counts, n, eps):
+        # the pinch the flow attains grows like n^4, so does the floor
+        # 1e-15 n^4: an eps below it is refused as input before any
+        # Laplacian.  At n = 64, 2e-10 lies below the pinch attained
+        # (3.6e-10) and ran the whole continuity stage and flow to exit 2
+        out = tmp_path / "o"
+        rc = cli.main(["pinch", "--n", str(n), "--eps", eps, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"at n = {n}" in err
         assert counts == {}
         assert not out.exists()
 

@@ -38,7 +38,7 @@ REMOVED = {
         "_state",
     ),
     "reebflow.continuity": ("gauss_record_ts", "_relative_ratio"),
-    "reebflow.curvature": ("q_norm_field", "pinch_estimates", "PinchEstimates"),
+    "reebflow.curvature": ("q_norm_field", "pinch_estimates", "PinchEstimates", "_MIN_EPS"),
     "reebflow.functionals": (
         "verify_ij_sandwich",
         "SandwichReport",
@@ -51,7 +51,7 @@ REMOVED = {
         "_mabuchi_report",
     ),
     "reebflow.errors": ("PreconditionError",),
-    "reebflow.flow": ("_prefix",),
+    "reebflow.flow": ("_prefix", "_record_march"),
 }
 
 # members of classes that no caller set and nothing read, or that one
@@ -84,6 +84,7 @@ REMOVED_MEMBERS = {
     ),
     ("reebflow.flow", "FlowPolicy"): ("ds_floor",),
     ("reebflow.flow", "PinchResult"): ("structure",),
+    ("reebflow.verification", "VerifyRun"): ("manifest", "wall_time"),
 }
 
 # parameters that no caller set, by the function that took them

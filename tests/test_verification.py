@@ -51,9 +51,8 @@ class TestCheckResult:
                 CheckResult("b", False, 2.0, 1.0),
             ),
             artifacts=(),
-            manifest=None,
+            extra={},
             passed=False,
-            wall_time=0.0,
         )
         assert [c.name for c in run.failures()] == ["b"]
 
