@@ -12,14 +12,18 @@ quotient of reference ratios) and h_base is the base Ricci potential.
 The solver is a damped Newton iteration with the exact Jacobian of the
 reduced equation.  Below t = 1 the linearization is invertible and each
 step is an LU solve.  At t = 1 it has the one-dimensional automorphism
-kernel (the Moebius direction, Laplacian eigenvalue -4(m+1)), so
-there the step is the minimum-norm least-squares solution, which never
-moves along that kernel.
+kernel (the Moebius direction, Laplacian eigenvalue -4(m+1)), so there
+each step is one LU solve of the system bordered by the Moebius tangent,
+on the slice orthogonal to it, which never moves along that kernel.
 
 Paths in t are marched adaptively by one stepper, ``_march``, the only
 place where a path solves: it solves at its first target from the zero
-potential, then marches with warm starts through the later targets,
-landing on each.  It tries t + dt, halves dt when Newton fails, doubles
+potential, then marches through the later targets, landing on each.
+Each solve starts from a prediction: the cubic Hermite extrapolant
+through the last two accepted (t, phi_t, phi_t'), the tangent phi_t'
+coming as a second column of the polishing step's LU solve (predictor-
+corrector continuation; Allgower and Georg, Numerical Continuation
+Methods, 1990).  It tries t + dt, halves dt when Newton fails, doubles
 it back up to _DT_INIT after each accepted step, and raises SolverError
 once dt would drop below _DT_FLOOR.  Both record modes of
 ``run_continuity_path`` and the continuity stage of
@@ -30,7 +34,8 @@ is what makes the t-integral identity relating F at the Einstein base to
 the path integral of I - J checkable to 1e-5 rather than to trapezoid
 accuracy.  Each record keeps the state of base + phi_t that its residual
 read, and phi_t the Laplacian of its last Newton evaluation, which the
-next solve, the ledger and ``path_diagnostics`` read again.
+ledger and ``path_diagnostics`` read again (and the next solve, when it
+falls back to phi_t).
 """
 
 from __future__ import annotations
@@ -130,6 +135,47 @@ def ma_jacobian(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.
     )
 
 
+def _kept_jacobian(base: MetricState) -> NDArray[np.float64]:
+    """The part Lap/(4 r_base) of ``ma_jacobian`` that depends on the base
+    alone, formed once per march."""
+    return base.grid.lap / (4.0 * base.ratio)[:, None]
+
+
+def _jacobian(kept: NDArray[np.float64], t: float, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``ma_jacobian`` at the iterate whose e^{h - t(m+1) phi} is rhs, bit
+    for bit: a copy of its kept part with the diagonal added in place."""
+    jac = kept.copy()
+    jac.flat[:: len(rhs) + 1] += t * (M_DIM + 1) * rhs
+    return jac
+
+
+def _mobius_tangent(
+    grid: Grid, u: NDArray[np.float64], ratio: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """The lambda-derivative at lambda = 1 of the dilation z -> lambda z
+    acting on the total potential u of volume ratio r: (1 - x^2) u' + x,
+    less its mean against r dmu_ref.  At a solution of the t = 1 equation
+    r is proportional to e^{-(m+1) u}, whose integral the dilations keep,
+    and this is the kernel of the linearization."""
+    k = (1.0 - grid.x**2) * grid.deriv(u) + grid.x
+    return k - np.average(k, weights=grid.w * ratio)
+
+
+def _bordered(
+    jac: NDArray[np.float64], k: NDArray[np.float64], base: MetricState
+) -> NDArray[np.float64]:
+    """[[J, l/|l|], [k^T/|k|, 0]] for the Moebius tangent k.  Its solution
+    x of J x + mu l/|l| = b has k.x = 0: the step stays on the slice, and
+    the left null vector l = w r_base k of J (diag(w r_base) J is
+    symmetric) takes up the part of b off J's range.  Nonsingular where J
+    has the one-dimensional kernel."""
+    ell = base.grid.w * base.ratio * k
+    return np.block([
+        [jac, (ell / np.linalg.norm(ell))[:, None]],
+        [k / np.linalg.norm(k), np.zeros(1)],
+    ])
+
+
 def solve_ma_at_t(
     t: float,
     base: MetricState,
@@ -138,31 +184,57 @@ def solve_ma_at_t(
 ) -> BasicPotential:
     """Damped Newton solve of the family at fixed t.
 
-    The Jacobian comes from ``ma_jacobian`` and is exact, so convergence
-    is quadratic once inside the basin. Steps are Armijo-damped on the
-    sup-norm of the defect and rejected outright if they push the total
-    potential's ratio margin below _MARGIN_FLOOR.  Each iterate is a
-    potential evaluated once, from the Laplacian it keeps, so a warm
-    start applies none for its guess; margins and defects stay in float64,
-    the rounding that fixes the iterates.  A guess whose margin is not
-    positive raises ConfigurationError; a residual that is not finite, or
-    a failed or non-finite linear solve (LU below t = 1, minimum-norm
-    least squares at the t = 1 kernel), raises SolverError.
+    The Jacobian is ``ma_jacobian``'s, exact, so convergence is quadratic
+    once inside the basin. Steps are Armijo-damped on the sup-norm of the
+    defect and rejected outright if they push the total potential's ratio
+    margin below _MARGIN_FLOOR.  Each iterate is a potential evaluated
+    once, from the Laplacian it keeps, so a warm start applies none for
+    its guess; margins and defects stay in float64, the rounding that
+    fixes the iterates.  Below t = 1 each step is an LU solve.  At t = 1,
+    where the linearization has the Moebius kernel, each step is one LU
+    solve of the system bordered by the Moebius tangent, on the slice
+    orthogonal to it, so no step moves along the kernel (``_bordered``).
+    A guess on another grid than the base's raises GridMismatchError, and
+    one whose margin is not positive ConfigurationError; a residual that
+    is not finite, or a failed or non-finite linear solve, raises
+    SolverError.
     """
     if not (0.0 < t <= 1.0):
         raise ConfigurationError(f"t must lie in (0, 1], got {t}")
-    grid = initial_guess.grid
+    base._check_grid(initial_guess)
+    return _newton(t, base, initial_guess, policy, _kept_jacobian(base))[0]
+
+
+def _newton(
+    t: float,
+    base: MetricState,
+    guess: BasicPotential,
+    policy: PathPolicy,
+    kept: NDArray[np.float64],
+    fallback: Optional[BasicPotential] = None,
+) -> tuple[BasicPotential, Optional[NDArray[np.float64]]]:
+    """``solve_ma_at_t`` from the kept Jacobian part of its base, with the
+    solution's tangent dphi/dt = -J^{-1} (m+1) phi e^{h - t(m+1) phi}
+    below t = 1 (None at t = 1), solved as a second column of the
+    polishing step's LU solve, where J is factorized at the converged
+    iterate.  A guess whose float64 margin is below _MARGIN_FLOOR gives
+    way to fallback, when there is one."""
+    grid = guess.grid
     mp1 = M_DIM + 1
 
-    def evaluate(phi: BasicPotential) -> tuple[float, NDArray[np.float64]]:
+    def evaluate(phi: BasicPotential):
+        """The float64 ratio of base + phi, the defect and e^{h - t(m+1) phi}."""
         lap = phi._lap_ld.astype(np.float64)
         rhs = np.exp(base.ricci_potential - t * mp1 * phi.values)
         defect = 1.0 + lap / (4.0 * base.ratio) - rhs
-        return float((base.ratio + lap / 4.0).min()), defect
+        return base.ratio + lap / 4.0, defect, rhs
 
-    phi = initial_guess
-    margin, defect = evaluate(phi)
-    if not (margin > 0.0):  # not the transverse rule: Newton's float64 margin
+    phi = guess
+    ratio, defect, rhs = evaluate(phi)
+    if fallback is not None and not ratio.min() >= _MARGIN_FLOOR:
+        phi = fallback
+        ratio, defect, rhs = evaluate(phi)
+    if not (ratio.min() > 0.0):  # not the transverse rule: Newton's float64 margin
         raise ConfigurationError("initial guess is not admissible over the base")
     res = float(np.abs(defect).max())
     if not np.isfinite(res):
@@ -170,32 +242,38 @@ def solve_ma_at_t(
     trace: list[float] = []
     for _ in range(_MAX_ITERATIONS):
         trace.append(res)
-        jac = ma_jacobian(phi, t, base)
+        jac = _jacobian(kept, t, rhs)
+        polish = res < policy.newton_tol
+        tangent = None
         try:
-            if t < 1.0:
-                step = np.linalg.solve(jac, -defect)
+            if t == 1.0:
+                k = _mobius_tangent(grid, base.potential.values + phi.values, ratio)
+                step = np.linalg.solve(_bordered(jac, k, base), np.append(-defect, 0.0))[:-1]
+            elif polish:
+                cols = np.linalg.solve(jac, np.stack((-defect, -mp1 * phi.values * rhs), axis=1))
+                step, tangent = cols[:, 0], cols[:, 1]
             else:
-                step = np.linalg.lstsq(jac, -defect, rcond=1e-10)[0]
+                step = np.linalg.solve(jac, -defect)
         except np.linalg.LinAlgError as err:
             raise SolverError(f"Newton step failed at t = {t:.6g}: {err}", trace=trace) from err
-        if not np.isfinite(step).all():
+        if not all(np.isfinite(col).all() for col in (step, tangent) if col is not None):
             raise SolverError(f"Newton step is not finite at t = {t:.6g}", trace=trace)
-        if res < policy.newton_tol:
+        if polish:
             # one polishing step: the quadratic tail typically buys several
             # digits, which the along-path curvature identity benefits from
             polished = BasicPotential(values=phi.values + step, grid=grid)
-            margin, defect = evaluate(polished)
-            if margin >= _MARGIN_FLOOR and float(np.abs(defect).max()) < res:
+            ratio, defect, _ = evaluate(polished)
+            if ratio.min() >= _MARGIN_FLOOR and float(np.abs(defect).max()) < res:
                 phi = polished
-            return phi
+            return phi, tangent
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             cand = BasicPotential(values=phi.values + alpha * step, grid=grid)
-            margin, cand_defect = evaluate(cand)
-            if margin >= _MARGIN_FLOOR:
+            cand_ratio, cand_defect, cand_rhs = evaluate(cand)
+            if cand_ratio.min() >= _MARGIN_FLOOR:
                 cand_res = float(np.abs(cand_defect).max())
                 if cand_res <= (1.0 - _ARMIJO_C * alpha) * res:
-                    phi, res, defect = cand, cand_res, cand_defect
+                    phi, res, ratio, defect, rhs = cand, cand_res, cand_ratio, cand_defect, cand_rhs
                     break
             alpha *= 0.5
         else:
@@ -258,6 +336,30 @@ class ContinuityPath:
         return self.records[-1]
 
 
+def _predicted(
+    t_next: float,
+    last: tuple[float, BasicPotential, NDArray[np.float64]],
+    before: Optional[tuple[float, BasicPotential, NDArray[np.float64]]],
+) -> BasicPotential:
+    """The guess for the solve at t_next from the last accepted (t, phi_t,
+    phi_t') and the one before it: the cubic Hermite extrapolant through
+    both, or the Euler tangent when there is only the last."""
+    t1, phi1, d1 = last
+    if before is None:
+        values = phi1.values + (t_next - t1) * d1
+    else:
+        t0, phi0, d0 = before
+        h = t1 - t0
+        s = (t_next - t0) / h
+        # the Hermite basis at s, summed in the textbook order: the path's
+        # last bits, and so its endpoint's place on the Moebius orbit to
+        # 1e-14, follow the rounding of this sum
+        h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
+        h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
+        values = h00 * phi0.values + h10 * h * d0 + h01 * phi1.values + h11 * h * d1
+    return BasicPotential(values=values, grid=phi1.grid)
+
+
 def _march(
     base: MetricState,
     targets: Sequence[float],
@@ -267,7 +369,12 @@ def _march(
 
     Solves at targets[0] from the zero potential (small t is the easy
     regime: the zeroth-order term dominates the Jacobian), then marches
-    with warm starts to each later target and lands on it exactly.
+    to each later target and lands on it exactly.  Each solve (``_newton``,
+    from the Jacobian part of the base formed once here) starts from the
+    cubic Hermite extrapolant through the last two accepted (t, phi_t,
+    phi_t'), or from the Euler tangent on the first step, and from phi_t
+    itself when that guess's float64 margin is below _MARGIN_FLOOR; at
+    t = 1 it steps on the slice bordered by the Moebius tangent.
     Yields (t, phi_t, on_target) for the start and after each accepted
     step.  Toward each target the first step is min(_DT_INIT, gap); a
     Newton failure halves dt, an accepted step doubles it up to _DT_INIT,
@@ -275,15 +382,18 @@ def _march(
     t, with the failed solve's trace.  A failed start solve raises its
     own SolverError.
     """
+    kept = _kept_jacobian(base)
     t = targets[0]
-    phi = solve_ma_at_t(t, base, BasicPotential.zero(base.grid), policy)
+    phi, dphi = _newton(t, base, BasicPotential.zero(base.grid), policy, kept)
     yield t, phi, True
+    last, before = (t, phi, dphi), None
     for target in targets[1:]:
         dt = min(_DT_INIT, target - t)
         while t < target:
             t_next = min(t + dt, target)
+            guess = _predicted(t_next, last, before)
             try:
-                phi = solve_ma_at_t(t_next, base, phi, policy)
+                phi, dphi = _newton(t_next, base, guess, policy, kept, fallback=phi)
             except SolverError as err:
                 dt *= 0.5
                 if dt < _DT_FLOOR:
@@ -293,6 +403,7 @@ def _march(
                     ) from err
                 continue
             t = t_next
+            last, before = (t, phi, dphi), last
             dt = min(dt * 2.0, _DT_INIT)
             yield t, phi, t == target
 
@@ -304,7 +415,7 @@ def run_continuity_path(
     policy: PathPolicy = PathPolicy(),
     records: Optional[int] = None,
 ) -> ContinuityPath:
-    """March the family in t with warm starts and adaptive steps.
+    """March the family in t with predicted starts and adaptive steps.
 
     With ``records=None`` the path records every accepted step of the
     march from t_start to t_end (``_march``: initial step _DT_INIT,

@@ -294,11 +294,12 @@ def _make_flow_records(
     block: list[tuple[float, NDArray, NDArray[np.longdouble]]],
     base: MetricState,
     h0_norm: float,
-    lap0_min: float,
+    lap0_min: Optional[float],
 ) -> list[FlowRecord]:
     """The records of base + v at the anchored steps (s, v, ratio_ld) of
     block, whose exact volume ratios the march has formed already, against
-    the bounds sup|h_0| = h0_norm and min Lap_0 h_0 = lap0_min.
+    the bounds sup|h_0| = h0_norm and min Lap_0 h_0 = lap0_min, which is
+    read off the block's first row when None (a block that starts at s = 0).
 
     Each field is formed for the whole block at once, as a (rows, n)
     array, by the formulas a metric state of base + v applies to one row
@@ -321,6 +322,9 @@ def _make_flow_records(
     growth_sq = np.array([g**2 for g in growth.tolist()])
     sup_vdot = np.abs(vdot).max(axis=1)
     c_s = np.vecdot(measure, h + vdot)
+    lap_h_min = lap_h.min(axis=1)
+    if lap0_min is None:
+        lap0_min = lap_h_min[0]
     columns = dict(
         sup_vdot=sup_vdot,
         sup_h=np.abs(h).max(axis=1),
@@ -332,7 +336,7 @@ def _make_flow_records(
         bound_c_min=(lap_h / growth[:, None]).min(axis=1) - lap0_min,
         bound_d_slack=growth * h0_norm - np.abs(c_s),
         s_pinch=np.abs(dev).max(axis=1),
-        lap_h_min=lap_h.min(axis=1),
+        lap_h_min=lap_h_min,
         calabi=np.vecdot(measure, dev**2),
     )
     h.flags.writeable = False
@@ -500,15 +504,16 @@ def _flow(
     """The march from v = 0 to s_end (``_steps``) with a record at each
     anchored step, and its last v.
 
-    The bounds sup|h_0| and min Lap_0 h_0 are read off base.  The
-    anchored steps are buffered and their records built _RECORD_BLOCK at
-    a time (``_make_flow_records``); the last, partial block is built
+    The bound sup|h_0| is read off base, and min Lap_0 h_0 off the s = 0
+    record, which the first block builds.  The anchored steps are
+    buffered and their records built _RECORD_BLOCK at a time
+    (``_make_flow_records``); the last, partial block is built
     when the march ends or stops at the step floor, so a stopped march
     keeps its records so far, with completed False and the failure
     marker set.
     """
     h0_norm = float(np.abs(base.ricci_potential).max())
-    lap0_min = float(base.laplacian(base.ricci_potential).min())
+    lap0_min = None
     records: list[FlowRecord] = []
     block: list[tuple[float, NDArray, NDArray[np.longdouble]]] = []
     failure = None
@@ -518,6 +523,7 @@ def _flow(
                 block.append((s, v, ratio_ld))
                 if len(block) == _RECORD_BLOCK:
                     records += _make_flow_records(block, base, h0_norm, lap0_min)
+                    lap0_min = records[0].monitors.lap_h_min
                     block = []
     except SolverError as err:
         failure = str(err)

@@ -80,7 +80,9 @@ def _gauss01(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
 
 def relative_state(base: MetricState, phi: BasicPotential) -> MetricState:
-    """State of the base deformed by phi (potentials compose additively)."""
+    """State of the base deformed by phi (potentials compose additively);
+    GridMismatchError unless phi lives on the base's grid."""
+    base._check_grid(phi)
     values = base.potential.values + phi.values
     return metric_state(BasicPotential(values=values, grid=phi.grid))
 
@@ -96,6 +98,7 @@ class _Ray:
     """
 
     def __init__(self, phi: BasicPotential, base: MetricState):
+        base._check_grid(phi)
         self.phi = phi
         self.base = base
         self.lap = phi._lap_ld.astype(np.float64)

@@ -400,6 +400,14 @@ class MetricState:
     def grid(self) -> Grid:
         return self.potential.grid
 
+    def _check_grid(self, phi: BasicPotential) -> None:
+        """GridMismatchError unless phi lives on this state's grid, where a
+        potential meets a base."""
+        if phi.grid != self.grid:
+            raise GridMismatchError(
+                f"potential on a {phi.grid.n}-node grid, base on a {self.grid.n}-node grid"
+            )
+
     @property
     def measure(self) -> NDArray[np.float64]:
         """Quadrature weights of the deformed (normalized) measure."""

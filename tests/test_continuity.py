@@ -1,7 +1,6 @@
 """Newton solver, continuity path, diagnostics, automorphism scans."""
 
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -12,10 +11,13 @@ from reebflow import (
     BasicPotential,
     ConfigurationError,
     FunctionalLedger,
+    GridMismatchError,
     InadmissibleError,
     PathPolicy,
     SolverError,
     epsilon_pinching,
+    eval_J,
+    flow_rhs,
     ma_defect,
     ma_jacobian,
     metric_state,
@@ -104,11 +106,12 @@ class TestNewtonSolve:
 
     def test_overflowing_guess_is_a_solver_error(self, grid96, monkeypatch):
         # e^{h - 2t(-400)} overflows: the residual is infinite, and Newton
-        # stops before any least-squares solve
-        def lstsq(*args, **kwargs):
-            raise AssertionError("lstsq called on a non-finite residual")
+        # stops before any linear solve
+        def solve(*args, **kwargs):
+            raise AssertionError("linear solve called on a non-finite residual")
 
-        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "lstsq", solve)
         guess = BasicPotential.from_callable(grid96, lambda x: np.full_like(x, -400.0))
         with np.errstate(over="ignore"), pytest.raises(SolverError) as info:
             solve_ma_at_t(1.0, reference_state(grid96), guess)
@@ -129,18 +132,23 @@ class TestNewtonSolve:
         assert len(info.value.trace) == 1
 
     def test_linalg_error_at_the_kernel_is_a_solver_error(self, base96, monkeypatch):
-        # at t = 1 the step is the minimum-norm least-squares solution
+        # at t = 1 the step is an LU solve of the system bordered by the
+        # Moebius tangent, one row and column larger than the Jacobian
+        shapes = []
+
+        def solve(a, b):
+            shapes.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
         def lstsq(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise AssertionError("lstsq called at t = 1")
 
-        def solve(*args, **kwargs):
-            raise AssertionError("LU solve called at t = 1")
-
-        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         monkeypatch.setattr(np.linalg, "solve", solve)
-        with pytest.raises(SolverError, match="Newton step failed at t = 1:") as info:
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        with pytest.raises(SolverError, match="Newton step failed at t = 1: Singular") as info:
             solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
         assert len(info.value.trace) == 1
+        assert shapes == [(97, 97)]
 
     def test_non_finite_step_is_a_solver_error(self, base96, monkeypatch):
         # an ill-conditioned LU solve may return NaN or inf without raising;
@@ -265,12 +273,13 @@ class TestOperatorCounts:
         assert counts == {"laplacian": solves + 1, "solve": solves}
         assert np.abs(ma_defect(phi, 0.5, base96)).max() < 1e-10
 
-    def test_newton_at_the_kernel_steps_by_lstsq(self, base96, counts):
+    def test_newton_at_the_kernel_steps_by_bordered_lu(self, base96, counts):
+        # one LU solve of the bordered system per step, and no lstsq
         counts.clear()
         phi = solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
-        solves = counts["lstsq"]
+        solves = counts["solve"]
         assert solves >= 3
-        assert counts == {"laplacian": solves + 1, "lstsq": solves}
+        assert counts == {"laplacian": solves + 1, "solve": solves}
         assert np.abs(ma_defect(phi, 1.0, base96)).max() < 1e-10
 
     def test_warm_start_reuses_the_guess_laplacian(self, base96, counts):
@@ -293,24 +302,23 @@ class TestOperatorCounts:
         assert counts == {}
 
     def test_path_newton_iterations_pinned(self, base128, counts, monkeypatch):
-        # the n = 128 path suite's two paths take 205 Newton iterations
-        # (one Jacobian each), a count the choice of linear solver must not
-        # raise; the steps at t = 1, and only those, are least squares
+        # the n = 128 path suite's two paths take 135 Newton iterations
+        # (one Jacobian and one LU solve each; 205 from warm starts alone),
+        # the steps at t = 1 among them, bordered; no lstsq
         ts = []
-        real_jacobian = continuity.ma_jacobian
+        real_jacobian = continuity._jacobian
 
-        def jacobian(phi, t, base):
+        def jacobian(kept, t, rhs):
             ts.append(t)
-            return real_jacobian(phi, t, base)
+            return real_jacobian(kept, t, rhs)
 
-        monkeypatch.setattr(continuity, "ma_jacobian", jacobian)
+        monkeypatch.setattr(continuity, "_jacobian", jacobian)
         for records in (None, 48):
             assert run_continuity_path(base128, records=records).completed
-        at_one = sum(t == 1.0 for t in ts)
-        assert len(ts) <= 205
-        assert at_one >= 2
-        assert counts["lstsq"] == at_one
-        assert counts["solve"] == len(ts) - at_one
+        assert len(ts) == 135
+        assert sum(t == 1.0 for t in ts) >= 2
+        assert counts["solve"] == len(ts)
+        assert "lstsq" not in counts
 
     def test_defect_reads_one_ratio(self, base96, counts):
         phi = BasicPotential.from_callable(base96.grid, lambda x: 0.05 * np.sin(2 * x))
@@ -344,23 +352,159 @@ class TestOperatorCounts:
             ma_defect(bad, 0.5, ref96)
 
 
+class TestPredictorAndKernel:
+    """The march's predicted guesses and the bordered step at t = 1."""
+
+    @staticmethod
+    def evaluate(phi, t, base):
+        """The float64 ratio of base + phi, the defect at t and its
+        e^{h - t(m+1) phi}, as Newton forms them."""
+        lap = phi._lap_ld.astype(np.float64)
+        rhs = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
+        return base.ratio + lap / 4.0, 1.0 + lap / (4.0 * base.ratio) - rhs, rhs
+
+    @pytest.mark.parametrize("t", [0.4, 1.0])
+    def test_kept_jacobian_part_is_bit_identical(self, base96, t):
+        phi = BasicPotential.from_callable(base96.grid, lambda x: 0.05 * np.sin(2 * x))
+        rhs = self.evaluate(phi, t, base96)[2]
+        jac = continuity._jacobian(continuity._kept_jacobian(base96), t, rhs)
+        assert np.array_equal(jac, ma_jacobian(phi, t, base96))
+
+    def test_tangent_matches_the_central_difference(self, base96):
+        # dphi/dt from the polishing solve's second column, against
+        # (phi(t+h) - phi(t-h)) / 2h, whose error falls like h^2
+        kept = continuity._kept_jacobian(base96)
+        phi, tangent = continuity._newton(
+            0.5, base96, BasicPotential.zero(base96.grid), PathPolicy(), kept
+        )
+        errors = []
+        for h in (0.02, 0.01):
+            up, dn = (solve_ma_at_t(0.5 + sign * h, base96, phi) for sign in (1, -1))
+            errors.append(np.abs((up.values - dn.values) / (2 * h) - tangent).max())
+        scale = np.abs(tangent).max()
+        assert errors[1] < 1e-4 * scale
+        assert 3.5 < errors[0] / errors[1] < 4.5
+
+    def test_no_tangent_at_the_kernel(self, base96):
+        kept = continuity._kept_jacobian(base96)
+        _, tangent = continuity._newton(
+            1.0, base96, BasicPotential.zero(base96.grid), PathPolicy(), kept
+        )
+        assert tangent is None
+
+    def test_hermite_prediction_is_exact_on_cubics(self, grid96):
+        # the extrapolant through two (t, phi_t, phi_t') reproduces a cubic
+        # in t; with one point it is the Euler step
+        coeffs = [np.cos(j * grid96.x) for j in range(4)]
+
+        def point(t):
+            phi = sum(c * t**j for j, c in enumerate(coeffs))
+            dphi = sum(j * c * t ** (j - 1) for j, c in enumerate(coeffs) if j)
+            return t, BasicPotential(values=phi, grid=grid96), dphi
+
+        t2, phi2, _ = point(0.7)
+        guess = continuity._predicted(0.7, point(0.55), point(0.45))
+        np.testing.assert_allclose(guess.values, phi2.values, rtol=0, atol=1e-13)
+        t1, phi1, dphi1 = point(0.55)
+        np.testing.assert_array_equal(
+            continuity._predicted(0.7, point(0.55), None).values,
+            phi1.values + (0.7 - t1) * dphi1,
+        )
+
+    def test_inadmissible_prediction_falls_back_to_the_warm_start(self, base96, monkeypatch):
+        kept = continuity._kept_jacobian(base96)
+        phi = solve_ma_at_t(0.5, base96, BasicPotential.zero(base96.grid))
+        bad = BasicPotential.from_callable(base96.grid, lambda x: 3.0 * (1 - x * x))
+        assert self.evaluate(bad, 0.55, base96)[0].min() < continuity._MARGIN_FLOOR
+        fell_back = continuity._newton(0.55, base96, bad, PathPolicy(), kept, fallback=phi)
+        warm = continuity._newton(0.55, base96, phi, PathPolicy(), kept)
+        np.testing.assert_array_equal(fell_back[0].values, warm[0].values)
+        np.testing.assert_array_equal(fell_back[1], warm[1])
+        # a march whose every prediction leaves the cone completes from
+        # its warm starts
+        predictions = []
+
+        def predicted(*args):
+            predictions.append(args[0])
+            return bad
+
+        monkeypatch.setattr(continuity, "_predicted", predicted)
+        path = run_continuity_path(base96)
+        assert path.completed and len(predictions) >= len(path.records) - 1
+        assert max(r.residual for r in path.records) < 1e-10
+
+    def test_bordered_step_is_lstsq_off_the_kernel(self, base128):
+        # at the first t = 1 iterate of the path, the bordered step and the
+        # minimum-norm least-squares step agree once each loses its part
+        # along the Moebius tangent k; the bordered one has none
+        grid = base128.grid
+        path = run_continuity_path(base128, t_end=0.95)
+        phi = path.endpoint().phi
+        ratio, defect, rhs = self.evaluate(phi, 1.0, base128)
+        jac = continuity._jacobian(continuity._kept_jacobian(base128), 1.0, rhs)
+        k = continuity._mobius_tangent(grid, base128.potential.values + phi.values, ratio)
+        step = np.linalg.solve(continuity._bordered(jac, k, base128), np.append(-defect, 0.0))
+        bordered, mu = step[:-1], step[-1]
+        least = np.linalg.lstsq(jac, -defect, rcond=1e-10)[0]
+        unit = k / np.linalg.norm(k)
+        off = least - (unit @ least) * unit
+        assert abs(unit @ bordered) < 1e-12 * np.linalg.norm(bordered)
+        assert np.linalg.norm(bordered - off) < 1e-10 * np.linalg.norm(off)
+        assert abs(mu) < 1e-10 * np.abs(defect).max()
+
+    @pytest.mark.parametrize("psi", [
+        lambda x: 0.3 * (1.0 - x * x),
+        lambda x: 0.1 * x,
+        lambda x: 0.05 * (x**3 - x) + 0.02,
+    ])
+    def test_mobius_tangent_is_the_kernel_at_the_endpoint(self, grid96, psi):
+        # at the Einstein endpoint k spans the right kernel of J and
+        # w r_base k the left one, also off the round structure
+        base = metric_state(BasicPotential.from_callable(grid96, psi))
+        phi = solve_ma_at_t(1.0, base, BasicPotential.zero(grid96))
+        ratio, _, rhs = self.evaluate(phi, 1.0, base)
+        jac = continuity._jacobian(continuity._kept_jacobian(base), 1.0, rhs)
+        k = continuity._mobius_tangent(grid96, base.potential.values + phi.values, ratio)
+        left = grid96.w * base.ratio * k
+        norm = np.linalg.norm(jac)
+        assert np.linalg.norm(jac @ k) < 1e-14 * norm * np.linalg.norm(k)
+        assert np.linalg.norm(left @ jac) < 1e-14 * norm * np.linalg.norm(left)
+
+
+class TestGridMismatch:
+    """A potential meeting a base on another grid raises GridMismatchError
+    before any arithmetic."""
+
+    ENTRY_POINTS = {
+        "solve_ma_at_t": lambda phi, base: solve_ma_at_t(0.5, base, phi),
+        "ma_defect": lambda phi, base: ma_defect(phi, 0.5, base),
+        "relative_state": lambda phi, base: relative_state(base, phi),
+        "flow_rhs": lambda phi, base: flow_rhs(phi, base),
+        "eval_J": lambda phi, base: eval_J(phi, base),
+        "FunctionalLedger.evaluate": lambda phi, base: FunctionalLedger.evaluate("phi", phi, base),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_potential_on_another_grid(self, base128, grid96, counts, entry):
+        counts.clear()
+        with pytest.raises(GridMismatchError, match="96-node grid, base on a 128-node grid"):
+            self.ENTRY_POINTS[entry](BasicPotential.zero(grid96), base128)
+        assert counts == {}
+
+
 STUB_TRACE = [1.0, 0.5, 0.25]
 
 
 def _newton_fails_past(t_fail, monkeypatch):
-    """Every binding of solve_ma_at_t raises SolverError for t > t_fail."""
-    real = continuity.solve_ma_at_t
+    """The solver the march calls raises SolverError for t > t_fail."""
+    real = continuity._newton
 
-    def solve(t, base, initial_guess, policy=PathPolicy()):
+    def solve(t, *args, **kwargs):
         if t > t_fail:
             raise SolverError(f"stub failure at t = {t}", trace=STUB_TRACE)
-        return real(t, base, initial_guess, policy)
+        return real(t, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "reebflow" and getattr(
-            module, "solve_ma_at_t", None
-        ) is real:
-            monkeypatch.setattr(module, "solve_ma_at_t", solve)
+    monkeypatch.setattr(continuity, "_newton", solve)
 
 
 @pytest.fixture

@@ -174,10 +174,10 @@ class TestRunFlow:
         # of each step's increment: no Laplacian per attempted step; each
         # record re-anchors the carried ratio (one Laplacian), and its
         # block applies one per row for the scalar curvature and one to
-        # h_s; the set-up applies one to h_0.  The record at s = 0 applies
-        # one fewer: its ratio is the one the base's potential keeps.  No
-        # record builds a state
-        laps_per_record, setup_laps = 3, 1
+        # h_s; min Lap_0 h_0 is read off the s = 0 row, so the set-up
+        # applies none.  The record at s = 0 applies one fewer: its ratio
+        # is the one the base's potential keeps.  No record builds a state
+        laps_per_record, setup_laps = 3, 0
         calls = Counter()
         real_lap = Grid._laplacian_ld
         real_state = transverse.MetricState.__init__
@@ -409,9 +409,10 @@ class TestCarriedRatio:
     def test_round_reference_applies_no_step_laplacian(self, ref128, counts):
         traj = run_flow(ref128, s_end=1.0, policy=FlowPolicy(record_stride=20))
         assert traj.completed and len(traj.records) == 11
-        # one Laplacian for h_0, three per record less the anchor at s = 0
-        # (the base's kept one), none per step
-        assert counts["laplacian"] == 1 + 3 * len(traj.records) - 1
+        # three Laplacians per record less the anchor at s = 0 (the base's
+        # kept one), none per step, and none for min Lap_0 h_0, which the
+        # s = 0 record holds
+        assert counts["laplacian"] == 3 * len(traj.records) - 1
         assert all(not r.v.values.any() for r in traj.records)
         assert all(not r.vdot.any() for r in traj.records)
 
@@ -847,20 +848,21 @@ class TestPinching:
         assert res.calabi == end.monitors.calabi
 
     def test_continuity_stage_reads_h_off_the_ratio(self, base96, counts, monkeypatch):
-        # Newton aside, each accepted t builds one state and applies one
-        # Laplacian (its ratio, which gives h); the state at the stop is
-        # the flow's base, whose scalar curvature is never read
+        # Newton aside (with the Laplacian of its predicted guess), each
+        # accepted t builds one state and applies one Laplacian (its
+        # ratio, which gives h); the state at the stop is the flow's base,
+        # whose scalar curvature is never read
         newton = Counter()
-        real_solve = continuity.solve_ma_at_t
+        real_solve = continuity._newton
 
-        def solve(t, base, guess, policy):
+        def solve(*args, **kwargs):
             before = counts["laplacian"]
             try:
-                phi = real_solve(t, base, guess, policy)
+                solved = real_solve(*args, **kwargs)
             finally:
                 newton["laplacian"] += counts["laplacian"] - before
             newton["accepted"] += 1
-            return phi
+            return solved
 
         class Stop(Exception):
             pass
@@ -871,7 +873,7 @@ class TestPinching:
             stage.update(counts, state=state)
             raise Stop
 
-        monkeypatch.setattr(continuity, "solve_ma_at_t", solve)
+        monkeypatch.setattr(continuity, "_newton", solve)
         monkeypatch.setattr(flow, "run_flow", stop)
         counts.clear()
         with pytest.raises(Stop):

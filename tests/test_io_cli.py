@@ -526,10 +526,10 @@ class TestCliExitCodes:
         )
 
     def test_path_failing_at_its_start(self, tmp_path, capsys, monkeypatch):
-        def failing_solve(t, base, initial_guess, policy):
+        def failing_solve(t, *args, **kwargs):
             raise SolverError(f"stub failure at t = {t}", trace=[1.0])
 
-        monkeypatch.setattr(continuity, "solve_ma_at_t", failing_solve)
+        monkeypatch.setattr(continuity, "_newton", failing_solve)
         out = tmp_path / "o"
         rc = cli.main(["path", "--n", "16", "--out", str(out)])
         assert rc == 2
