@@ -46,7 +46,8 @@ def table(records) -> np.ndarray:
 def euler(base, ds: float) -> np.ndarray:
     """The flow.csv rows of the linearly implicit Euler march at step ds:
     (I - ds Lap/(4r)) delta = ds rhs, the ratio carried as r + Lap(delta)/4
-    and re-anchored at each record, as ``flow._steps`` does with omega = 0;
+    and re-anchored at each record from the kept Laplacians of the base
+    and of v, as ``flow._steps`` does with omega = 0;
     the records are built as ``flow._flow`` builds them."""
     h0_norm = float(np.abs(base.ricci_potential).max())
     return table(_make_flow_records(list(_euler_steps(base, ds)), base, h0_norm, None))
@@ -62,7 +63,7 @@ def _euler_steps(base, ds: float):
     v, s = np.zeros(grid.n), 0.0
     for k in range(steps + 1):
         if k % stride == 0:
-            ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
+            ratio_ld = _ratio_ld(base.potential, BasicPotential(values=v, grid=grid))
             yield s, v, ratio_ld
         if k == steps:
             break

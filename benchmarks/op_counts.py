@@ -54,7 +54,7 @@ def _counting(calls: Counter, key: str, fn, weight=lambda *args, **kwargs: 1):
     return wrapped
 
 
-def _rows(grid, f) -> int:
+def _rows(grid, f, **kwargs) -> int:
     """The fields a Laplacian call applies to: the rows of a stack whose
     last axis is the grid, or one field."""
     return int(np.prod(np.shape(f)[:-1]))

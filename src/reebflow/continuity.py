@@ -32,10 +32,10 @@ can also be asked to place its records at Gauss nodes of (0, 1), which
 turns the recorded (I - J) values into a spectral quadrature rule; that
 is what makes the t-integral identity relating F at the Einstein base to
 the path integral of I - J checkable to 1e-5 rather than to trapezoid
-accuracy.  Each record keeps the state of base + phi_t that its residual
-read, and phi_t the Laplacian of its last Newton evaluation, which the
-ledger and ``path_diagnostics`` read again (and the next solve, when it
-falls back to phi_t).
+accuracy.  Newton's iterates, ``ma_defect`` and each record's residual
+read one evaluation of the family (``_evaluate``) off the Laplacian phi_t
+keeps; a record's ledger and state of base + phi_t read it and the base's,
+so a record applies one Laplacian, its scalar curvature's, when diagnosed.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .transverse import (
     BasicPotential,
     Grid,
     MetricState,
+    _admissible,
 )
 
 __all__ = [
@@ -108,18 +109,24 @@ class PathPolicy:
             )
 
 
-def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
-    """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi), from the
-    ratio of the state of base + phi alone (InadmissibleError if not positive)."""
-    return _defect(relative_state(base, phi), phi, t, base)
-
-
-def _defect(
-    state: MetricState, phi: BasicPotential, t: float, base: MetricState
-) -> NDArray[np.float64]:
-    """``ma_defect`` from the state of base + phi, built already."""
+def _evaluate(phi: BasicPotential, t: float, base: MetricState) -> tuple[NDArray, NDArray, NDArray]:
+    """The float64 ratio of base + phi, the defect r_base(phi) - e^{h_base -
+    t (m+1) phi} and that exponential, from the Laplacian phi keeps, as Newton,
+    ``ma_defect`` and each record's residual read them; GridMismatchError
+    unless phi lives on the base's grid."""
+    base._check_grid(phi)
+    lap = phi._lap_ld.astype(np.float64)
     rhs = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
-    return state.ratio / base.ratio - rhs
+    defect = 1.0 + lap / (4.0 * base.ratio) - rhs
+    return base.ratio + lap / 4.0, defect, rhs
+
+
+def ma_defect(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
+    """Pointwise defect r_base(phi) - exp(h_base - t (m+1) phi) as Newton
+    evaluates it (``_evaluate``); InadmissibleError unless base + phi is positive."""
+    ratio, defect, _ = _evaluate(phi, t, base)
+    _admissible(ratio)
+    return defect
 
 
 def ma_jacobian(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.float64]:
@@ -128,11 +135,8 @@ def ma_jacobian(phi: BasicPotential, t: float, base: MetricState) -> NDArray[np.
     The defect is linear in phi through the ratio term, so the matrix is
     Lap/(4 r_base) plus the diagonal t(m+1) e^{h - t(m+1) phi}.
     """
-    grid = phi.grid
     rhs_exp = np.exp(base.ricci_potential - t * (M_DIM + 1) * phi.values)
-    return grid.lap / (4.0 * base.ratio)[:, None] + np.diag(
-        t * (M_DIM + 1) * rhs_exp
-    )
+    return _jacobian(_kept_jacobian(base), t, rhs_exp)
 
 
 def _kept_jacobian(base: MetricState) -> NDArray[np.float64]:
@@ -142,8 +146,8 @@ def _kept_jacobian(base: MetricState) -> NDArray[np.float64]:
 
 
 def _jacobian(kept: NDArray[np.float64], t: float, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``ma_jacobian`` at the iterate whose e^{h - t(m+1) phi} is rhs, bit
-    for bit: a copy of its kept part with the diagonal added in place."""
+    """``ma_jacobian`` at the iterate whose e^{h - t(m+1) phi} is rhs: a
+    copy of its kept part with the diagonal added in place."""
     jac = kept.copy()
     jac.flat[:: len(rhs) + 1] += t * (M_DIM + 1) * rhs
     return jac
@@ -201,7 +205,6 @@ def solve_ma_at_t(
     """
     if not (0.0 < t <= 1.0):
         raise ConfigurationError(f"t must lie in (0, 1], got {t}")
-    base._check_grid(initial_guess)
     return _newton(t, base, initial_guess, policy, _kept_jacobian(base))[0]
 
 
@@ -221,19 +224,11 @@ def _newton(
     way to fallback, when there is one."""
     grid = guess.grid
     mp1 = M_DIM + 1
-
-    def evaluate(phi: BasicPotential):
-        """The float64 ratio of base + phi, the defect and e^{h - t(m+1) phi}."""
-        lap = phi._lap_ld.astype(np.float64)
-        rhs = np.exp(base.ricci_potential - t * mp1 * phi.values)
-        defect = 1.0 + lap / (4.0 * base.ratio) - rhs
-        return base.ratio + lap / 4.0, defect, rhs
-
     phi = guess
-    ratio, defect, rhs = evaluate(phi)
+    ratio, defect, rhs = _evaluate(phi, t, base)
     if fallback is not None and not ratio.min() >= _MARGIN_FLOOR:
         phi = fallback
-        ratio, defect, rhs = evaluate(phi)
+        ratio, defect, rhs = _evaluate(phi, t, base)
     if not (ratio.min() > 0.0):  # not the transverse rule: Newton's float64 margin
         raise ConfigurationError("initial guess is not admissible over the base")
     res = float(np.abs(defect).max())
@@ -262,14 +257,14 @@ def _newton(
             # one polishing step: the quadratic tail typically buys several
             # digits, which the along-path curvature identity benefits from
             polished = BasicPotential(values=phi.values + step, grid=grid)
-            ratio, defect, _ = evaluate(polished)
+            ratio, defect, _ = _evaluate(polished, t, base)
             if ratio.min() >= _MARGIN_FLOOR and float(np.abs(defect).max()) < res:
                 phi = polished
             return phi, tangent
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             cand = BasicPotential(values=phi.values + alpha * step, grid=grid)
-            cand_ratio, cand_defect, cand_rhs = evaluate(cand)
+            cand_ratio, cand_defect, cand_rhs = _evaluate(cand, t, base)
             if cand_ratio.min() >= _MARGIN_FLOOR:
                 cand_res = float(np.abs(cand_defect).max())
                 if cand_res <= (1.0 - _ARMIJO_C * alpha) * res:
@@ -297,8 +292,7 @@ HOLDER_ALPHA = 1.0 - 1.0 / (4 * M_DIM + 2)  # 5/6 at m = 1
 
 @dataclass(frozen=True, eq=False)
 class PathRecord:
-    """One accepted t of a path: phi_t, the state of base + phi_t (built
-    once, for the residual, and read again by ``path_diagnostics``), its
+    """One accepted t of a path: phi_t, the state of base + phi_t, its
     functionals and the sup-norm defect of the family at t."""
 
     t: float
@@ -471,8 +465,8 @@ def run_continuity_path(
                         f"(I-J) decreased along the path: {prev:.12g} -> {cur:.12g} "
                         f"at t = {t:.6g}"
                     )
+            residual = float(np.abs(_evaluate(phi, t, base)[1]).max())
             state = relative_state(base, phi)
-            residual = float(np.abs(_defect(state, phi, t, base)).max())
             recs.append(PathRecord(float(t), phi, state, ledger, residual, phi.sup()))
     except SolverError as err:
         failure = str(err)

@@ -62,15 +62,15 @@ from the carried one and a float64 matvec of the dense Laplacian with the
 step's mean-free increment, and casts and checks it as metric_state does.
 That ratio is the admissibility test of the candidate and, once the step
 is accepted, the carried ratio; the next step reuses the same matvec for
-the ratio at its extrapolated point.  No step applies an
-extended-precision Laplacian or builds a metric state.  The march
-(``_steps``) re-anchors the carried ratio to the exact one (one Laplacian)
-only at the steps that become records: s = 0, and each record time (the
-multiples of record_stride * Delta s) and the final time up to s_last.
-So the drift of the carry spans at most one record interval (about 1e-12
-relative at n = 128), or the tail, which no record reads (3e-10 over the
-flow suite's, where the growing constant mode of v rounds in each
-increment's mean).
+the ratio at its extrapolated point, and no step applies an
+extended-precision Laplacian or builds a metric state.  ``_steps``
+re-anchors the carried ratio to the exact one, from the base's kept ratio
+and a Laplacian of v (``transverse._ratio_ld``), only at the steps that
+become records: s = 0, each record time (the multiples of record_stride *
+Delta s) and the final time up to s_last.  So the drift of the carry
+spans at most one record interval (about 1e-12 relative at n = 128), or
+the tail, which no record reads (3e-10 over the flow suite's, where the
+growing constant mode of v rounds in each increment's mean).
 
 Monitor quantities are recomputed from scratch at every record, from its
 anchored ratio, never evolved, so the maximum-principle checks are
@@ -82,9 +82,9 @@ the whole block as (rows, n) arrays by the formulas a metric state uses
 (``transverse._ricci_potential``, ``_grad_norm_sq`` and
 ``_scalar_curvature``, which take a stack as they take one field), and
 no state is built.  Each record applies two Laplacians besides its
-anchor, for Lap_s h_s and for the scalar curvature, and keeps its
-float64 volume ratio, from which smoothing_monitors reads the metric
-sandwich at s = 1.  The monitors are
+anchor, for Lap_s h_s (whose forward transform of h_s gives dh_s too) and
+for the scalar curvature, and keeps its float64 volume ratio, from which
+smoothing_monitors reads the metric sandwich at s = 1.  The monitors are
 
     (a)  sup|dv/ds|  <=  e^{(m+1)s} sup|h_0|
     (b)  sup(h_s^2 + (s/2)|dh_s|_s^2)  <=  4 e^{2(m+1)s} sup|h_0|^2
@@ -181,11 +181,11 @@ MAX_FLOW_STEPS = 100_000
 # above s_end makes a single step of the whole run
 MAX_DS = 0.1
 _PINCH_T_START = 0.1  # the pinching path's first t
-# the least pinching eps is this times n^4: the achieved pinch stops near
-# the float64 roundoff of S^T, which grows like n^4.  From t = 1 it was at
-# most 2.35e-17 n^4 (6.3e-9 at n = 128, 1.6e-6 at 512) over n = 16 to 512
-# and the bases 0.3(1-x^2), 0.1x and 0.05(x^3-x)+0.02, so the floor is at
-# least 42 times the pinch attained; at MAX_GRID it is 1.1e-3
+# the least pinching eps is this times n^4, above the float64 roundoff of
+# S^T where the achieved pinch stops.  From t = 1 that was at most
+# 2.3e-19 n^4 (3.8e-12 at n = 128, 5.1e-11 at 512) over n = 16 to 512 and
+# the bases 0.3(1-x^2), 0.1x and 0.05(x^3-x)+0.02, so the floor is at
+# least 4,300 times the pinch attained; at MAX_GRID it is 1.1e-3
 _PINCH_EPS_PER_N4 = 1e-15
 # anchored steps whose records are built together, as (rows, n) arrays
 _RECORD_BLOCK = 32
@@ -313,8 +313,8 @@ def _make_flow_records(
     ratio = _admissible(ratio_ld)
     h, _ = _ricci_potential(grid, ratio, base.potential.values + v)
     vdot = _rhs(ratio, v, base)
-    dh2 = _grad_norm_sq(grid, ratio, h)
-    lap_h = grid.laplacian(h) / ratio
+    dh, lap_h = (field.astype(np.float64) for field in grid._laplacian_ld(h, with_deriv=True))
+    dh2, lap_h = _grad_norm_sq(grid, ratio, dh), lap_h / ratio
     dev = _scalar_curvature(grid, ratio_ld) - SCALAR_TARGET
     measure = grid.w * ratio
     growth = np.array([math.exp(MP1 * t) for t in s.tolist()])
@@ -429,8 +429,8 @@ def _steps(
     halves the step (the cap becomes half the rejected step, and a tail's
     hold starts over); reaching the step floor raises SolverError.  A
     step becomes a record, is yielded as anchored and has ratio_ld
-    re-anchored to the exact ratio of base + v (one Laplacian) only at
-    s = 0 and where it lands on a record time or s_end up to s_last; the
+    re-anchored to the exact ratio of base + v (one Laplacian, of v) only
+    at s = 0 and where it lands on a record time or s_end up to s_last; the
     tail's landing on s_end is not one.  More than MAX_FLOW_STEPS steps
     s_end / policy.ds raise ConfigurationError before the first.
     """
@@ -441,7 +441,7 @@ def _steps(
     v = np.zeros(grid.n)
     s = 0.0
     # at v = 0 the base's own ratio, checked when the base was built
-    ratio_ld = _ratio_ld(base.potential)
+    ratio_ld = base.potential._kept_ratio_ld
     yield s, v, ratio_ld, True
     # the step cap: a fraction of policy.ds at the start, grown on each
     # accepted step and halved with a rejected one
@@ -486,7 +486,7 @@ def _steps(
         else:
             s += step
         if anchored:
-            ratio_ld = _ratio_ld(BasicPotential(values=base.potential.values + v, grid=grid))
+            ratio_ld = _ratio_ld(base.potential, BasicPotential(values=v, grid=grid))
             _admissible(ratio_ld)
         last_step, d, lap_d = step, delta, lap_delta
         if not tail:
@@ -673,7 +673,7 @@ def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     PathPolicy), which solves at _PINCH_T_START from the zero potential
     and then marches; it stops at the first accepted t whose structure has
     sup|h| <= eps/2.  Each accepted t builds the state of base + phi_t,
-    whose h reads its ratio alone (one Laplacian); the state at the stop
+    whose h reads its ratio alone (no Laplacian); the state at the stop
     is the flow's base, and the flow runs with the default FlowPolicy.
     achieved and the Calabi energy are read off the last record.  Asserts
     achieved <= eps (the flow contracts far below the worst-case

@@ -8,18 +8,18 @@ finite and translation behavior explicit.
 
 The functionals read only volume ratios along the ray s -> psi + s phi,
 and those are affine in s: r(psi + s phi) = r(psi) + s Lap(phi)/4
-exactly.  Each evaluation therefore reads the one Laplacian phi keeps,
-and forms every ratio on the ray from the base ratio and that one field
-in extended precision.  A quadrature forms the ratios at all its nodes
-in one pass, as the rows of one (nodes, n) array; ``transverse`` casts
-it once and checks it row by row as it checks the ratio of
-``metric_state``, so a nonpositive row raises InadmissibleError with the
-margin of the first such node.  Each row's integral is its own dot
-product (one ``np.vecdot`` over the rows, with each row's 1-D bits) and
-the rule's sum runs node by node (``np.cumsum``), as a node-at-a-time
-loop sums them; one matrix-vector product over the rows would round
-differently in the last bits.  ``FunctionalLedger`` shares
-the one Laplacian, and the one ratio at s = 1, across I, J, F0, F and K.
+exactly.  Each evaluation forms every ratio on the ray in extended
+precision from the ratio psi keeps and the Laplacian phi keeps, as
+``relative_state`` forms that of psi + phi (``transverse._ratio_ld``), in
+one pass for all of a quadrature's nodes, as the rows of one (nodes, n)
+array, cast once and checked row by row, so a nonpositive row raises
+InadmissibleError with the margin of the first such node.  Each row's
+integral is its own dot product (one ``np.vecdot`` over the rows, with
+each row's 1-D bits) and the rule's sum runs node by node
+(``np.cumsum``), as a node-at-a-time loop sums them; one matrix-vector
+product over the rows would round differently in the last bits.
+``FunctionalLedger`` shares the Laplacian of phi, and the one ratio at
+s = 1, across I, J, F0, F and K.
 
 Quadrature choices: J integrates I(s phi)/s with a 32-node Gauss rule in
 s (the integrand is smooth, here in fact linear in s); the K-energy
@@ -51,6 +51,7 @@ from .transverse import (
     Grid,
     MetricState,
     _admissible,
+    _ratio_ld,
     _ricci_potential,
     admissibility,
     log_mean_exp,
@@ -80,42 +81,31 @@ def _gauss01(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
 
 def relative_state(base: MetricState, phi: BasicPotential) -> MetricState:
-    """State of the base deformed by phi (potentials compose additively);
-    GridMismatchError unless phi lives on the base's grid."""
+    """State of the base deformed by phi (``_ratio_ld``, no Laplacian of the
+    total); GridMismatchError unless phi lives on the base's grid."""
     base._check_grid(phi)
-    values = base.potential.values + phi.values
-    return metric_state(BasicPotential(values=values, grid=phi.grid))
+    return metric_state(base.potential._plus(phi))
 
 
 class _Ray:
-    """Volume ratios along s -> psi + s phi from the kept Laplacian of phi.
+    """Volume ratios along s -> psi + s phi, psi the base potential.
 
-    psi is the base potential.  r(psi + s phi) = r(psi) + s Lap(phi)/4,
-    summed in extended precision and cast, so no metric state is built
-    along the ray.  A quadrature forms the ratios at all its nodes as the
-    rows of one array; each row's integral is its own 1-D dot and the
-    rule's sum runs over the nodes in order (see the module docstring).
+    r(psi + s phi) is summed in extended precision and cast (``_ratio_ld``,
+    with the bits of ``relative_state`` at s = 1), so no metric state is
+    built along the ray.  A quadrature forms the ratios at all its nodes as
+    the rows of one array, checked row by row; each row's integral is its
+    own 1-D dot and the rule's sum runs over the nodes in order.
     """
 
     def __init__(self, phi: BasicPotential, base: MetricState):
         base._check_grid(phi)
         self.phi = phi
         self.base = base
-        self.lap = phi._lap_ld.astype(np.float64)
-        self._quarter_lap_ld = phi._lap_ld / 4.0
-        self._base_ratio_ld = base.ratio.astype(np.longdouble)
 
     @cached_property
     def ratio(self) -> NDArray[np.float64]:
         """Volume ratio of psi + phi; InadmissibleError if not positive."""
-        return _admissible(self._base_ratio_ld + self._quarter_lap_ld)
-
-    def _ratios(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Volume ratio of psi + s_j phi in row j; InadmissibleError with
-        the margin of the first nonpositive row."""
-        rows = s.astype(np.longdouble)[:, None] * self._quarter_lap_ld
-        rows += self._base_ratio_ld
-        return _admissible(rows)
+        return _admissible(_ratio_ld(self.base.potential, self.phi))
 
     def i_value(self) -> float:
         """I(phi) = int phi (dmu_base - dmu_phi)."""
@@ -125,7 +115,7 @@ class _Ray:
         s, w = _gauss01(32)
         # row j becomes the integrand s_j phi (r_base - r_j) of I(s_j phi),
         # in place to keep the (nodes, n) temporaries few
-        rows = self._ratios(s)
+        rows = _admissible(_ratio_ld(self.base.potential, self.phi, s))
         np.subtract(self.base.ratio, rows, out=rows)
         rows *= s[:, None] * self.phi.values
         # the rule's sum over the nodes in order, as a loop would add them
@@ -147,12 +137,12 @@ class _Ray:
         else:
             raise ConfigurationError(f"unknown path {path!r}")
         w, phi = self.phi.grid.w, self.phi.values
-        ratios = self._ratios(a)
+        ratios = _admissible(_ratio_ld(self.base.potential, self.phi, a))
         # int phidot (S_t - 4) dmu_t with phidot = adot * phi; the
         # Lap(log r_t) part of S_t r_t is moved onto phidot by
         # self-adjointness before quadrature.
         moved = np.log(ratios)
-        moved *= self.lap
+        moved *= self.phi._lap_ld.astype(np.float64)
         excess = np.subtract(1.0, ratios, out=ratios)
         excess *= phi
         terms = t_weights * (adot * (SCALAR_TARGET * np.vecdot(excess, w) - 0.5 * np.vecdot(moved, w)))
@@ -169,7 +159,7 @@ def eval_J(phi: BasicPotential, base: MetricState) -> float:
 
     I vanishes quadratically at s = 0, so the integrand extends smoothly.
     Each node's I(s phi) reads the ratio of psi + s phi off the affine
-    ray, from the one Laplacian of phi; the 32 nodes' ratios are formed
+    ray, from the Laplacian phi keeps; the 32 nodes' ratios are formed
     as one array and checked row by row.  The quadrature stays a real
     32-point rule, so J = I/2 at m = 1 is a computed identity, not
     a definition.  Admissibility along the ray follows from admissibility
@@ -205,8 +195,8 @@ def eval_K_energy(
     affine ray r(psi) + a(t) Lap(phi)/4, all 48 as one array checked row
     by row, and Lap(phi) is the same one field that carries the moved
     Laplacian of log r_t, so the whole quadrature reads one Laplacian,
-    the one phi keeps.  The first nonpositive r_t in t raises InadmissibleError with
-    its margin.
+    the one phi keeps.  The first nonpositive r_t in t raises
+    InadmissibleError with its margin.
     """
     return _Ray(phi, base).k_energy(path)
 

@@ -11,10 +11,10 @@ reference objects take fully explicit form:
 * reference measure: uniform, dmu_ref = dx/2 (normalized to mass 1);
 * basic Laplacian:   Lap f = 4 d/dx[(1 - x^2) f'(x)], with Legendre
   eigenfunctions P_k and eigenvalues -4k(k+1);
-* volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4, formed
-  from phi's kept Laplacian (``_ratio_ld``) and checked (``_admissible``)
-  here; the flow march alone carries a ratio between records, adding
-  Lap(delta)/4 of each step's increment to it, and checks it likewise;
+* volume ratio of a deformed structure: r(phi) = 1 + Lap(phi)/4, kept by
+  phi; r(psi + s phi) = r(psi) + s Lap(phi)/4 is formed (``_ratio_ld``) and
+  checked (``_admissible``) here, never from a Laplacian of the total; the
+  flow march carries a ratio between records in the same affine way;
 * normalized Ricci potential: h = -log r - (m+1) phi + c, read off the
   ratio with no further Laplacian (``_ricci_potential``);
 * transverse scalar curvature: S(phi) * r(phi) = 4 - Lap(log r)/2
@@ -231,18 +231,19 @@ class Grid:
     def laplacian(self, f: NDArray) -> NDArray[np.float64]:
         return self._laplacian_ld(f).astype(np.float64)
 
-    def _laplacian_ld(self, f: NDArray) -> NDArray[np.longdouble]:
-        # Large additive constants amplify roundoff through the top
-        # Legendre modes (the eigenvalue reaches -4n^2); subtracting the
-        # mean first is exact for the operator and keeps the noise floor
-        # at the O(1)-field level.  Chained applications (ratio, then
-        # curvature of the ratio) square the amplification, so callers
-        # that feed one Laplacian into another stay in longdouble
-        # between the two applications.
+    def _laplacian_ld(self, f: NDArray, with_deriv: bool = False) -> NDArray[np.longdouble]:
+        # with_deriv gives (f', Lap f) from one forward transform.  Large
+        # additive constants amplify roundoff through the top Legendre modes
+        # (the eigenvalue reaches -4n^2); subtracting the mean first is exact
+        # for the operator (and f': P_0' = 0) and keeps the noise floor at
+        # the O(1)-field level.  Chained applications (ratio, then its
+        # curvature) square the amplification, so callers feeding one
+        # Laplacian into another stay in longdouble between the two.
         f = self._field_ld(f)
         c_even, c_odd = self._forward_ld(f - np.dot(f, self._w_ld)[..., None])
         eigs = self._lap_eigs_ld
-        return self._synthesis_ld(eigs[0::2] * c_even, eigs[1::2] * c_odd)
+        lap = self._synthesis_ld(eigs[0::2] * c_even, eigs[1::2] * c_odd)
+        return (self._synthesis_ld(*_legder_ld(c_even, c_odd)), lap) if with_deriv else lap
 
 
 @lru_cache(maxsize=8)
@@ -326,6 +327,19 @@ class BasicPotential:
         lap.flags.writeable = False
         return lap
 
+    @cached_property
+    def _kept_ratio_ld(self) -> NDArray[np.longdouble]:
+        ratio = 1.0 + self._lap_ld / 4.0
+        ratio.flags.writeable = False
+        return ratio
+
+    def _plus(self, other: "BasicPotential") -> "BasicPotential":
+        """self + other, keeping Lap self + Lap other and r(self + other)."""
+        total = BasicPotential(values=self.values + other.values, grid=self.grid)
+        object.__setattr__(total, "_lap_ld", self._lap_ld + other._lap_ld)
+        object.__setattr__(total, "_kept_ratio_ld", _ratio_ld(self, other))
+        return total
+
     def shifted(self, c: float) -> "BasicPotential":
         return BasicPotential(values=self.values + float(c), grid=self.grid)
 
@@ -336,11 +350,13 @@ class BasicPotential:
         return float(np.abs(self.values).max())
 
 
-def _ratio_ld(phi: BasicPotential) -> NDArray[np.longdouble]:
-    """Volume ratio 1 + Lap(phi)/4 of a total potential, in extended
-    precision, from its kept Laplacian (a ray's r(psi) + s Lap(phi)/4 is
-    summed the same way, at all of a rule's nodes s at once)."""
-    return 1.0 + phi._lap_ld / 4.0
+def _ratio_ld(psi: BasicPotential, phi: BasicPotential, s=1.0) -> NDArray[np.longdouble]:
+    """r(psi + s phi) = r(psi) + s Lap(phi)/4 in extended precision, from the
+    ratio 1 + Lap(psi)/4 that psi keeps and the Laplacian phi keeps; one row
+    per s for an array s."""
+    rows = np.asarray(s, dtype=np.longdouble)[..., None] * (phi._lap_ld / 4.0)
+    rows += psi._kept_ratio_ld
+    return rows
 
 
 def _admissible(ratio_ld: NDArray[np.longdouble]) -> NDArray[np.float64]:
@@ -358,7 +374,7 @@ def _admissible(ratio_ld: NDArray[np.longdouble]) -> NDArray[np.float64]:
 def admissibility(phi: BasicPotential) -> tuple[bool, float]:
     """Whether the deformed structure is positive, and the margin min r(phi)."""
     try:
-        return True, float(_admissible(_ratio_ld(phi)).min())
+        return True, float(_admissible(phi._kept_ratio_ld).min())
     except InadmissibleError as exc:
         return False, exc.margin
 
@@ -394,7 +410,7 @@ class MetricState:
 
     @cached_property
     def scalar_curvature(self) -> NDArray[np.float64]:
-        return _lock(_scalar_curvature(self.grid, _ratio_ld(self.potential)))
+        return _lock(_scalar_curvature(self.grid, self.potential._kept_ratio_ld))
 
     @property
     def grid(self) -> Grid:
@@ -423,7 +439,7 @@ class MetricState:
 
     def grad_norm_sq(self, f: NDArray) -> NDArray[np.float64]:
         """|df|^2 in the deformed metric (``_grad_norm_sq``)."""
-        return _grad_norm_sq(self.grid, self.ratio, f)
+        return _grad_norm_sq(self.grid, self.ratio, self.grid.deriv(f))
 
 
 M_DIM = 1            # transverse complex dimension of the PDE model
@@ -466,9 +482,9 @@ def _scalar_curvature(grid: Grid, r: NDArray[np.longdouble]) -> NDArray[np.float
     return ((SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(r))) / r).astype(np.float64)
 
 
-def _grad_norm_sq(grid: Grid, ratio: NDArray[np.float64], f: NDArray) -> NDArray[np.float64]:
+def _grad_norm_sq(grid: Grid, ratio: NDArray[np.float64], df: NDArray) -> NDArray[np.float64]:
     """|df|^2 in the deformed metric of volume ratio r: 4 (1-x^2) f'^2 / r."""
-    return 4.0 * (1.0 - grid.x**2) * grid.deriv(f) ** 2 / ratio
+    return 4.0 * (1.0 - grid.x**2) * df**2 / ratio
 
 
 def metric_state(phi: BasicPotential) -> MetricState:
@@ -477,7 +493,7 @@ def metric_state(phi: BasicPotential) -> MetricState:
 
     Raises InadmissibleError when the deformed structure is not positive.
     """
-    return MetricState(potential=phi, ratio=_lock(_admissible(_ratio_ld(phi))))
+    return MetricState(potential=phi, ratio=_lock(_admissible(phi._kept_ratio_ld)))
 
 
 def reference_state(grid: Grid) -> MetricState:

@@ -74,18 +74,26 @@ def rows(f) -> int:
     return int(np.prod(np.shape(f)[:-1]))
 
 
+def count_laplacians(monkeypatch, calls: Counter) -> None:
+    """Counts each longdouble Laplacian application in calls["laplacian"],
+    one per row of a stack."""
+    real = Grid._laplacian_ld
+
+    def lap(self, f, **kwargs):
+        calls["laplacian"] += rows(f)
+        return real(self, f, **kwargs)
+
+    monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Counts Laplacian applications, dense solves and lstsq calls, and
     metric states.  A stacked Laplacian applies the operator to each of
     its rows, and counts one application per row."""
     calls = Counter()
-    real_lap, real_state = Grid._laplacian_ld, transverse.metric_state
+    real_state = transverse.metric_state
     real_solve, real_lstsq = np.linalg.solve, np.linalg.lstsq
-
-    def lap(self, f):
-        calls["laplacian"] += rows(f)
-        return real_lap(self, f)
 
     def solve(*args, **kwargs):
         calls["solve"] += 1
@@ -99,7 +107,7 @@ def counts(monkeypatch):
         calls["metric_state"] += 1
         return real_state(phi)
 
-    monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+    count_laplacians(monkeypatch, calls)
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     monkeypatch.setattr(transverse, "metric_state", state)

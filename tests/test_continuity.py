@@ -321,23 +321,32 @@ class TestOperatorCounts:
         assert "lstsq" not in counts
 
     def test_defect_reads_one_ratio(self, base96, counts):
+        # the defect Newton evaluates, bit for bit, from the one Laplacian
+        # phi keeps; no state is built.  It is the ratio of the state of
+        # base + phi over the base's ratio, less e^{h - t(m+1) phi}, to
+        # rounding
         phi = BasicPotential.from_callable(base96.grid, lambda x: 0.05 * np.sin(2 * x))
-        expected = relative_state(base96, phi).ratio / base96.ratio - np.exp(
-            base96.ricci_potential - 0.4 * 2 * phi.values
-        )
         counts.clear()
-        np.testing.assert_array_equal(ma_defect(phi, 0.4, base96), expected)
-        # the state of base + phi, of which only the ratio is read
-        assert counts == {"laplacian": 1, "metric_state": 1}
+        defect = ma_defect(phi, 0.4, base96)
+        assert counts == {"laplacian": 1}
+        np.testing.assert_array_equal(defect, TestPredictorAndKernel.evaluate(phi, 0.4, base96)[1])
+        rhs = np.exp(base96.ricci_potential - 0.4 * 2 * phi.values)
+        np.testing.assert_allclose(
+            defect, relative_state(base96, phi).ratio / base96.ratio - rhs, rtol=0, atol=1e-14
+        )
 
     def test_diagnostics_read_the_records_states(self, base96, counts):
-        # each record keeps the state of base + phi_t its residual read; the
+        # each record keeps the state of base + phi_t, built from the kept
+        # ratio of the base and Lap(phi_t) with no Laplacian; the
         # diagnostics build no state and apply one Laplacian per record, for
         # its scalar curvature, which the state keeps; Lap(phi_t) is the one
         # phi_t kept from its Newton solve
         path = run_continuity_path(base96)
         end = path.endpoint()
         np.testing.assert_array_equal(end.state.ratio, relative_state(base96, end.phi).ratio)
+        # the residual is the sup of the defect Newton evaluates at phi_t
+        _, defect, _ = TestPredictorAndKernel.evaluate(end.phi, end.t, base96)
+        assert end.residual == float(np.abs(defect).max())
         assert len(path.records) == 19
         counts.clear()
         path_diagnostics(path, base96)
@@ -347,9 +356,12 @@ class TestOperatorCounts:
         assert counts == {}
 
     def test_defect_of_inadmissible_potential_raises(self, ref96):
+        # with the margin of the float64 ratio Newton evaluates
         bad = BasicPotential.from_callable(ref96.grid, lambda x: 3.0 * (1 - x * x))
-        with pytest.raises(InadmissibleError):
+        with pytest.raises(InadmissibleError) as exc:
             ma_defect(bad, 0.5, ref96)
+        ratio = TestPredictorAndKernel.evaluate(bad, 0.5, ref96)[0]
+        assert exc.value.margin == float(ratio.min()) < 0.0
 
 
 class TestPredictorAndKernel:
@@ -365,10 +377,15 @@ class TestPredictorAndKernel:
 
     @pytest.mark.parametrize("t", [0.4, 1.0])
     def test_kept_jacobian_part_is_bit_identical(self, base96, t):
+        # Lap/(4 r_base) plus the diagonal t(m+1) e^{h - t(m+1) phi}, each
+        # entry one sum, as the kept part plus the diagonal forms it
         phi = BasicPotential.from_callable(base96.grid, lambda x: 0.05 * np.sin(2 * x))
         rhs = self.evaluate(phi, t, base96)[2]
+        grid = base96.grid
+        expected = grid.lap / (4.0 * base96.ratio)[:, None] + np.diag(t * (M_DIM + 1) * rhs)
         jac = continuity._jacobian(continuity._kept_jacobian(base96), t, rhs)
-        assert np.array_equal(jac, ma_jacobian(phi, t, base96))
+        assert np.array_equal(jac, expected)
+        assert np.array_equal(ma_jacobian(phi, t, base96), expected)
 
     def test_tangent_matches_the_central_difference(self, base96):
         # dphi/dt from the polishing solve's second column, against

@@ -21,8 +21,8 @@ from reebflow import (
     run_flow,
     smoothing_monitors,
 )
-from reebflow.transverse import M_DIM, SCALAR_TARGET, Grid
-from tests.conftest import rows
+from reebflow.transverse import M_DIM, SCALAR_TARGET
+from tests.conftest import count_laplacians
 
 MP1 = M_DIM + 1
 
@@ -179,13 +179,8 @@ class TestRunFlow:
         # is the one the base's potential keeps.  No record builds a state
         laps_per_record, setup_laps = 3, 0
         calls = Counter()
-        real_lap = Grid._laplacian_ld
         real_state = transverse.MetricState.__init__
         real_step = flow._ChordSolver.__call__
-
-        def lap(self, f):
-            calls["laplacian"] += rows(f)
-            return real_lap(self, f)
 
         def state(self, *args, **kwargs):
             calls["state"] += 1
@@ -195,7 +190,7 @@ class TestRunFlow:
             calls["step"] += 1
             return real_step(self, q, b)
 
-        monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+        count_laplacians(monkeypatch, calls)
         monkeypatch.setattr(transverse.MetricState, "__init__", state)
         monkeypatch.setattr(flow._ChordSolver, "__call__", step)
         traj = run_flow(base96, s_end=0.2, policy=FlowPolicy(record_stride=stride))
@@ -208,22 +203,28 @@ class TestRunFlow:
         assert calls["laplacian"] == laps_per_record * len(traj.records) - 1 + setup_laps
 
     def test_records_carry_lap_h_min(self, base96, traj96):
-        grid = base96.potential.grid
+        # Lap_s h_s of the state of base + v, whose ratio the record keeps;
+        # |dh_s|^2 shares its forward transform of h_s, and agrees with the
+        # state's derivative of h_s from a transform of its own to rounding
         for rec in traj96.records[:: len(traj96.records) // 3]:
-            state = metric_state(
-                BasicPotential(values=base96.potential.values + rec.v.values, grid=grid)
-            )
+            state = relative_state(base96, rec.v)
+            np.testing.assert_array_equal(rec.ratio, state.ratio)
             assert rec.monitors.lap_h_min == float(state.laplacian(rec.h).min())
+            dh2 = state.grad_norm_sq(rec.h).max()
+            assert abs(rec.monitors.sup_dh2 - dh2) <= 1e-13 * dh2
 
 
 def reference_record(base, s, v_values):
     """h, vdot and the monitors of the record at (s, v) as one metric state
-    of base + v gives them, record by record."""
+    of base + v gives them, record by record; h's derivative and Laplacian
+    from one forward transform of h, as the records take them."""
     grid = base.potential.grid
-    state = metric_state(BasicPotential(values=base.potential.values + v_values, grid=grid))
+    v = BasicPotential(values=v_values, grid=grid)
+    state = relative_state(base, v)
     h = state.ricci_potential
-    vdot = flow_rhs(BasicPotential(values=v_values, grid=grid), base)
-    dh2 = state.grad_norm_sq(h)
+    vdot = flow_rhs(v, base)
+    dh = grid._laplacian_ld(h, with_deriv=True)[0].astype(np.float64)
+    dh2 = 4.0 * (1.0 - grid.x**2) * dh**2 / state.ratio
     lap_h = state.laplacian(h)
     c_s = state.integrate(h + vdot)
     growth = math.exp(MP1 * s)
@@ -356,8 +357,9 @@ class TestCarriedRatio:
 
     def _exact(self, base, v_values):
         grid = base.potential.grid
-        total = BasicPotential(values=base.potential.values + v_values, grid=grid)
-        return transverse._admissible(transverse._ratio_ld(total))
+        # a fresh Laplacian of the total psi + v
+        total = base.potential.values + v_values
+        return transverse._admissible(1.0 + grid._laplacian_ld(total) / 4.0)
 
     def test_drift_is_bounded(self, base96, linearized):
         # each step linearizes about its extrapolated point v + omega d,
@@ -400,8 +402,7 @@ class TestCarriedRatio:
                 continue
             r, v, _ = linearized[k]
             omega, d = (1.0, deltas[k - 1]) if k else (0.0, np.zeros(grid.n))
-            total = BasicPotential(values=base96.potential.values + rec.v.values, grid=grid)
-            exact = transverse._ratio_ld(total)
+            exact = transverse._ratio_ld(base96.potential, rec.v)
             lap_d = grid.lap @ (d - grid.w @ d)
             assert np.array_equal(v, rec.v.values + omega * d)
             assert np.array_equal(r, transverse._admissible(exact + omega * lap_d / 4.0))
@@ -506,8 +507,7 @@ class TestBDF2Step:
         run_flow(base96, s_end=h)
         (_, _, x), = step_log["steps"]
         grid = base96.potential.grid
-        fresh = BasicPotential(values=base96.potential.values, grid=grid)
-        ratio = transverse._admissible(transverse._ratio_ld(fresh))
+        ratio = transverse._admissible(1.0 + grid._laplacian_ld(base96.potential.values) / 4.0)
         a = np.eye(grid.n) - (h / (4.0 * ratio))[:, None] * grid.lap
         rhs = flow_rhs(BasicPotential.zero(grid), base96)
         exact = step_log["exact"](a, h * rhs)
@@ -811,9 +811,9 @@ class TestPinching:
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_eps_at_the_floor_is_attained(self, n):
-        # the floor grows like the roundoff of S^T, n^4, and lies at least
-        # 42 times above the pinch measured (2.35e-17 n^4); a tenth leaves
-        # room for the last bits that vary with the BLAS threads
+        # the floor grows like n^4 and lies at least 4,300 times above the
+        # pinch measured (2.3e-19 n^4); a tenth leaves room for the last
+        # bits that vary with the BLAS threads
         eps = flow._PINCH_EPS_PER_N4 * n**4
         grid = transverse.make_grid(n)
         base = transverse.metric_state(
@@ -849,9 +849,10 @@ class TestPinching:
 
     def test_continuity_stage_reads_h_off_the_ratio(self, base96, counts, monkeypatch):
         # Newton aside (with the Laplacian of its predicted guess), each
-        # accepted t builds one state and applies one Laplacian (its
-        # ratio, which gives h); the state at the stop is the flow's base,
-        # whose scalar curvature is never read
+        # accepted t builds one state, whose ratio (which gives h) is
+        # formed from the ratio the base keeps and the Laplacian phi_t
+        # keeps, and applies none; the state at the stop is the flow's
+        # base, whose scalar curvature is never read
         newton = Counter()
         real_solve = continuity._newton
 
@@ -880,5 +881,5 @@ class TestPinching:
             epsilon_pinching(base96, eps=0.1)
         assert newton["accepted"] > 2
         assert stage["metric_state"] == newton["accepted"]
-        assert stage["laplacian"] - newton["laplacian"] == newton["accepted"]
+        assert stage["laplacian"] == newton["laplacian"]
         assert np.abs(stage["state"].ricci_potential).max() <= 0.05

@@ -25,7 +25,8 @@ from reebflow import (
     verify_mabuchi_f_relation,
 )
 from reebflow.functionals import MabuchiReport
-from reebflow.transverse import M_DIM, SCALAR_TARGET, log_mean_exp
+from reebflow.transverse import M_DIM, SCALAR_TARGET, _ratio_ld, log_mean_exp
+from tests.conftest import psi_bump
 
 # Frozen reference values for phi = 0.1 x on the round base.  I and J
 # have closed forms (I = 2 eps^2 / 3, J = I / 2 for eps x); F and K were
@@ -240,11 +241,11 @@ def _functionals_from_full_states(phi, base):
 
 
 def _node_ratio(phi, base):
-    """The ratio of psi + s phi at one node s, formed and cast on its own,
-    the way the ray first formed each Gauss node's ratio."""
+    """The ratio r(psi) + s Lap(phi)/4 of psi + s phi at one node s, formed
+    and cast on its own from fresh Laplacians of psi and phi."""
+    ratio_psi = 1.0 + phi.grid._laplacian_ld(base.potential.values) / 4.0
     quarter_ld = phi.grid._laplacian_ld(phi.values) / 4.0
-    base_ld = base.ratio.astype(np.longdouble)
-    return lambda s: (base_ld + np.longdouble(s) * quarter_ld).astype(np.float64)
+    return lambda s: (ratio_psi + np.longdouble(s) * quarter_ld).astype(np.float64)
 
 
 def _per_node_ray(phi, base):
@@ -298,6 +299,39 @@ class TestAffineRay:
             assert eval_J(phi, base) == j_ref
             assert eval_K_energy(phi, base, path="linear") == k_lin_ref
             assert eval_K_energy(phi, base, path="quadratic") == k_quad_ref
+
+    @pytest.mark.parametrize("deformed", [False, True], ids=["ref128", "base128"])
+    def test_relative_state_has_the_ledgers_ratio(self, deformed, ref128, base128, grid128, counts):
+        # the state of psi + phi and the ledger's ray at s = 1 read one
+        # ratio, bit for bit; with phi's Laplacian kept, the state applies
+        # none
+        base = base128 if deformed else ref128
+        phi = random_potential(grid128, np.random.default_rng(7), amplitude=0.05)
+        led = FunctionalLedger.evaluate("phi", phi, base)
+        counts.clear()
+        state = relative_state(base, phi)
+        assert counts == {"metric_state": 1}
+        np.testing.assert_array_equal(state.ratio, led._ratio)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_ratio_matches_the_laplacian_of_the_total(self, n):
+        # r(psi + phi) from the ratio psi keeps and the Laplacian phi keeps,
+        # against a fresh Laplacian of the float64 total: they differ by the
+        # Laplacian of the sum's rounding, at most the top eigenvalue 4 n^2
+        # times eps |psi + phi| (measured 5.6e-14, 2.4e-13 and 1.1e-12 at
+        # n = 64, 128 and 256, against bounds of 1.1e-12, 4.4e-12 and 1.7e-11)
+        grid = make_grid(n)
+        base = metric_state(psi_bump(grid))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            phi = random_potential(grid, rng, amplitude=0.05)
+            total = base.potential.values + phi.values
+            exact = 1.0 + grid._laplacian_ld(total) / 4.0
+            tol = 4 * n**2 * np.finfo(np.float64).eps * np.abs(total).max()
+            assert np.abs(_ratio_ld(base.potential, phi) - exact).max() <= tol
+            state = relative_state(base, phi)
+            assert np.abs(state.ratio - exact.astype(np.float64)).max() <= tol
+            np.testing.assert_array_equal(state.potential.values, total)
 
     def test_first_nonpositive_node_sets_the_margin(self, ref128, grid128):
         # the ray of 0.8 (1 - x^2) turns nonpositive partway, at s > 0.625:

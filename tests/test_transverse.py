@@ -275,7 +275,7 @@ class TestMetricState:
         np.testing.assert_array_equal(h, expected_h)
         assert c == expected_c
         # a fresh potential applies its own Laplacian, not the one psi128 keeps
-        ratio_ld = transverse._ratio_ld(BasicPotential(values=psi128.values, grid=grid))
+        ratio_ld = 1.0 + grid._laplacian_ld(psi128.values) / 4.0
         expected_s = (
             (SCALAR_TARGET - grid._laplacian_ld(np.log(ratio_ld)) / 2) / ratio_ld
         ).astype(np.float64)

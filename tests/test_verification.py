@@ -70,14 +70,16 @@ class TestIdentitySuite:
     def test_reports_are_read_off_the_ledgers(self, counts, monkeypatch):
         # the Laplacian each draw keeps from its admissibility test serves
         # its ledger and Mabuchi report, and the cocycle reuses both
-        # samples' F: the reference state, two draws, two translations, and
-        # the cocycle's middle state with its two relative F values, 1 each;
-        # neither state's scalar curvature is read, so neither applies a
-        # Laplacian for it.
+        # samples' F: the reference state, two draws, two translations and
+        # the cocycle's two relative F values, 1 each.  The cocycle's middle
+        # state applies none: its ratio is formed from the ratio the
+        # reference keeps and the Laplacian the first draw keeps.  Neither
+        # state's scalar curvature is read, so neither applies a Laplacian
+        # for it.
         mabuchi = _recording(monkeypatch, "verify_mabuchi_f_relation")
         cocycle = _recording(monkeypatch, "verify_cocycle")
         _, ledgers = functional_identity_suite(n=64, samples=2, seed=1)
-        assert counts["laplacian"] == 8
+        assert counts["laplacian"] == 7
         # the same reports, bit for bit, as ledgers evaluated afresh give
         ref = reference_state(make_grid(64))
         fresh = [FunctionalLedger.evaluate(led.tag, led.potential, ref) for led in ledgers]
