@@ -49,8 +49,7 @@ def euler(base, ds: float) -> np.ndarray:
     and re-anchored at each record from the kept Laplacians of the base
     and of v, as ``flow._steps`` does with omega = 0;
     the records are built as ``flow._flow`` builds them."""
-    h0_norm = float(np.abs(base.ricci_potential).max())
-    return table(_make_flow_records(list(_euler_steps(base, ds)), base, h0_norm, None))
+    return table(_make_flow_records(list(_euler_steps(base, ds)), base, None))
 
 
 def _euler_steps(base, ds: float):

@@ -389,8 +389,9 @@ def _cmd_verify_all(args):
     run = verify_all(args.out, seed=args.seed, quick=args.quick)
     for check in run.checks:
         mark = "PASS" if check.passed else "FAIL"
+        detail = f"  {check.detail}" if check.detail else ""
         print(f"[{mark}] {check.name:32s} value {check.value:.3e}  "
-              f"tol {check.tolerance:.1e}")
+              f"tol {check.tolerance:.1e}{detail}")
     n_pass = sum(c.passed for c in run.checks)
     print(f"verify-all: {n_pass}/{len(run.checks)} checks passed -> {args.out}")
     failure = None if run.passed else (

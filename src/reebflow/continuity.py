@@ -493,18 +493,14 @@ class PathDiagnostics:
     curvature_identity_residual: float
 
 
-def path_diagnostics(
-    path: ContinuityPath,
-    base: MetricState,
-    reference: Optional[MetricState] = None,
-) -> PathDiagnostics:
+def path_diagnostics(path: ContinuityPath, base: MetricState) -> PathDiagnostics:
     """Along-path report: monotonicity, the t = 1 energy identity against
     F at the Einstein base, and the curvature identity
     S_t = 4 - (1-t) Lap_t(phi_t), read off each record's state and phi_t:
     one Laplacian per record, for its scalar curvature (kept on the
     state), and no new state.  The energy residual is None unless
-    the path completed to t = 1 with Gauss weights and the Einstein base
-    is given as ``reference``."""
+    the path completed to t = 1 with Gauss weights; the Einstein base is
+    then the state of its last record."""
     recs = path.records
     if len(recs) < 3:
         raise ConfigurationError("diagnostics need at least 3 path records")
@@ -513,8 +509,8 @@ def path_diagnostics(
 
     energy_residual = None
     at_one = path.completed and np.isclose(recs[-1].t, 1.0)
-    if at_one and reference is not None and path.record_weights is not None:
-        _, f_se = eval_F(base.potential, reference)
+    if at_one and path.record_weights is not None:
+        _, f_se = eval_F(base.potential, recs[-1].state)
         energy_residual = f_se - float(path.record_weights @ imj)
 
     worst_420 = 0.0

@@ -16,11 +16,9 @@ class GridMismatchError(ReebflowError):
 class InadmissibleError(ReebflowError):
     """Potential leaves the admissible cone; carries the offending margin."""
 
-    def __init__(self, margin, message=None):
+    def __init__(self, margin):
         self.margin = float(margin)
-        super().__init__(
-            message or f"potential not admissible (margin {self.margin:.6e})"
-        )
+        super().__init__(f"potential not admissible (margin {self.margin:.6e})")
 
 
 class ResolutionError(ReebflowError):

@@ -110,7 +110,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -185,8 +184,9 @@ _PINCH_T_START = 0.1  # the pinching path's first t
 # S^T where the achieved pinch stops.  From t = 1 that was at most
 # 2.3e-19 n^4 (3.8e-12 at n = 128, 5.1e-11 at 512) over n = 16 to 512 and
 # the bases 0.3(1-x^2), 0.1x and 0.05(x^3-x)+0.02, so the floor is at
-# least 4,300 times the pinch attained; at MAX_GRID it is 1.1e-3
-_PINCH_EPS_PER_N4 = 1e-15
+# least 40 times the pinch attained (43 at n = 16, 278 from n = 64 up);
+# at MAX_GRID it is 1.1e-5
+_PINCH_EPS_PER_N4 = 1e-17
 # anchored steps whose records are built together, as (rows, n) arrays
 _RECORD_BLOCK = 32
 
@@ -205,25 +205,14 @@ def flow_rhs(v: BasicPotential, base: MetricState) -> NDArray[np.float64]:
     return _rhs(relative_state(base, v).ratio, v.values, base)
 
 
-@lru_cache(maxsize=8)
-def _holder_distances(grid, k: float) -> tuple[NDArray[np.bool_], NDArray[np.float64]]:
-    """The pairs of distinct nodes and their distances to the power k,
-    per grid size and k."""
-    theta = np.arccos(np.clip(-np.asarray(grid.x), -1.0, 1.0))
-    d = np.abs(theta[:, None] - theta[None, :]) / 2.0
-    mask = d > 0
-    dk = d[mask] ** k
-    mask.flags.writeable = False
-    dk.flags.writeable = False
-    return mask, dk
-
-
 def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
     """Discrete C^{0,k} seminorm with the geodesic distance of the round
     quotient (a sphere of radius 1/2): d = |theta_i - theta_j| / 2."""
-    mask, dk = _holder_distances(grid, k)
+    theta = np.arccos(np.clip(-np.asarray(grid.x), -1.0, 1.0))
+    d = np.abs(theta[:, None] - theta[None, :]) / 2.0
+    mask = d > 0
     df = np.abs(np.asarray(f)[:, None] - np.asarray(f)[None, :])
-    return float((df[mask] / dk).max())
+    return float((df[mask] / d[mask] ** k).max())
 
 
 @dataclass(frozen=True)
@@ -293,13 +282,13 @@ class FlowTrajectory:
 def _make_flow_records(
     block: list[tuple[float, NDArray, NDArray[np.longdouble]]],
     base: MetricState,
-    h0_norm: float,
     lap0_min: Optional[float],
 ) -> list[FlowRecord]:
     """The records of base + v at the anchored steps (s, v, ratio_ld) of
     block, whose exact volume ratios the march has formed already, against
-    the bounds sup|h_0| = h0_norm and min Lap_0 h_0 = lap0_min, which is
-    read off the block's first row when None (a block that starts at s = 0).
+    the bounds sup|h_0|, read off base, and min Lap_0 h_0 = lap0_min, which
+    is read off the block's first row when None (a block that starts at
+    s = 0).
 
     Each field is formed for the whole block at once, as a (rows, n)
     array, by the formulas a metric state of base + v applies to one row
@@ -309,6 +298,7 @@ def _make_flow_records(
     along the rows.
     """
     grid = base.potential.grid
+    h0_norm = float(np.abs(base.ricci_potential).max())
     s, v, ratio_ld = (np.array(column) for column in zip(*block))
     ratio = _admissible(ratio_ld)
     h, _ = _ricci_potential(grid, ratio, base.potential.values + v)
@@ -512,7 +502,6 @@ def _flow(
     keeps its records so far, with completed False and the failure
     marker set.
     """
-    h0_norm = float(np.abs(base.ricci_potential).max())
     lap0_min = None
     records: list[FlowRecord] = []
     block: list[tuple[float, NDArray, NDArray[np.longdouble]]] = []
@@ -522,13 +511,13 @@ def _flow(
             if anchored:
                 block.append((s, v, ratio_ld))
                 if len(block) == _RECORD_BLOCK:
-                    records += _make_flow_records(block, base, h0_norm, lap0_min)
+                    records += _make_flow_records(block, base, lap0_min)
                     lap0_min = records[0].monitors.lap_h_min
                     block = []
     except SolverError as err:
         failure = str(err)
     if block:
-        records += _make_flow_records(block, base, h0_norm, lap0_min)
+        records += _make_flow_records(block, base, lap0_min)
     trajectory = FlowTrajectory(
         initial=base,
         records=tuple(records),

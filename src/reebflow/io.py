@@ -11,6 +11,7 @@ beyond the inputs: the BLAS thread settings and the longdouble epsilon.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -145,7 +146,6 @@ def write_spectrum_csv(path: Path, result) -> Path:
 
 
 def write_pinch_json(path: Path, result) -> Path:
-    sm = result.smoothing
     payload = {
         "eps": result.eps,
         "achieved": result.achieved,
@@ -156,19 +156,7 @@ def write_pinch_json(path: Path, result) -> Path:
         "flow_h_slack": result.flow_h_slack,
         "flow_dh2_slack": result.flow_dh2_slack,
         "flow_lap_h_min": result.flow_lap_h_min,
-        "smoothing": {
-            "worst_a_slack": sm.worst_a_slack,
-            "worst_b_slack": sm.worst_b_slack,
-            "worst_c_min": sm.worst_c_min,
-            "worst_d_slack": sm.worst_d_slack,
-            "max_constancy_dev": sm.max_constancy_dev,
-            "u_bound_slack": sm.u_bound_slack,
-            "sandwich_lo_margin": sm.sandwich_lo_margin,
-            "sandwich_hi_margin": sm.sandwich_hi_margin,
-            "sandwich_held": sm.sandwich_held,
-            "c1_fit": sm.c1_fit,
-            "c7_fit": sm.c7_fit,
-        },
+        "smoothing": dataclasses.asdict(result.smoothing),
     }
     return _write_json(path, payload)
 

@@ -14,7 +14,9 @@ can be cross-checked:
 * the deformed scalar curvature comes from the metric components
   E = r/4, G = r sin^2(theta)/4 through the general curvature formula
   for an orthogonal metric - no conformal shortcut, so it is an
-  independent route.
+  independent route;
+* the squared gradient of the potential in the deformed metric is
+  (d_theta phi)^2 / E = 4 (d_theta phi)^2 / r.
 
 Stencils are 6th-order central on a staggered theta grid (poles fall
 between nodes); ghost values use the smooth even reflection across the
@@ -118,11 +120,12 @@ class OracleFields:
     ratio: NDArray[np.float64]             # axisymmetric profiles on theta
     lap_phi: NDArray[np.float64]
     scalar_curvature: NDArray[np.float64]
+    grad_norm_sq: NDArray[np.float64]
 
 
 def oracle_fields(grid: SphereGrid, phi_x: Callable[[NDArray], NDArray]) -> OracleFields:
-    """Ratio, Laplacian and deformed scalar curvature of a potential,
-    computed purely with 2-D finite differences."""
+    """Ratio, Laplacian, deformed scalar curvature and squared gradient
+    |dphi|^2 of a potential, computed purely with 2-D finite differences."""
     phi2 = lift(grid, phi_x)
     lap_phi2 = laplacian_2d(grid, phi2)
     ratio2 = 1.0 + lap_phi2 / 4.0
@@ -142,12 +145,14 @@ def oracle_fields(grid: SphereGrid, phi_x: Callable[[NDArray], NDArray]) -> Orac
     rp = _d_theta(r[:, None], grid.h)[:, 0]
     inner = sin * rp / r + 2.0 * np.cos(grid.theta)
     k_curv = -2.0 * _d_theta(inner[:, None], grid.h)[:, 0] / (r * sin)
+    dphi = _d_theta(phi2[:, :1], grid.h)[:, 0]
 
     return OracleFields(
         grid=grid,
         ratio=r.astype(np.float64),
         lap_phi=lap_phi2[:, 0].astype(np.float64),
         scalar_curvature=k_curv.astype(np.float64),
+        grad_norm_sq=(4.0 * dphi**2 / r).astype(np.float64),
     )
 
 
@@ -177,7 +182,12 @@ def sample_profile(grid: SphereGrid, profile: NDArray, x: NDArray) -> NDArray[np
 
 
 def compare_profiles(
-    fields: OracleFields, x: NDArray, ratio: NDArray, lap_phi: NDArray, scalar_curvature: NDArray
+    fields: OracleFields,
+    x: NDArray,
+    ratio: NDArray,
+    lap_phi: NDArray,
+    scalar_curvature: NDArray,
+    grad_norm_sq: NDArray,
 ) -> dict[str, float]:
     """Max-abs mismatch of each oracle profile against reference values
     given at moment-coordinate points x."""
@@ -186,6 +196,7 @@ def compare_profiles(
         ("ratio", fields.ratio, ratio),
         ("lap_phi", fields.lap_phi, lap_phi),
         ("scalar_curvature", fields.scalar_curvature, scalar_curvature),
+        ("grad_norm_sq", fields.grad_norm_sq, grad_norm_sq),
     ):
         vals = sample_profile(fields.grid, prof, x)
         out[name] = float(np.abs(vals - np.asarray(ref)).max())

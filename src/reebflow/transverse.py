@@ -70,39 +70,37 @@ def _lock(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return a
 
 
-def _legendre_pair_ld(n: int, x: NDArray) -> tuple[NDArray, NDArray]:
-    """P_n and P_n' by the three-term recurrence, in extended precision."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 def _nodes_weights_ld(n: int) -> tuple[NDArray, NDArray]:
     """Gauss-Legendre nodes/weights, Newton-refined in extended precision.
 
     Differentiating through the Legendre transform multiplies coefficient
     roundoff by up to 8 n^3; float64 node tables leave visible noise
     (~1e-6 at n = 256), so the grid data are built in longdouble and cast.
+    P_n and P_{n-1} are the last two columns of ``_vander_ld(n + 1, x)``,
+    and P_n' = n (x P_n - P_{n-1}) / (x^2 - 1).
     """
+
+    def legendre_pair(x: NDArray) -> tuple[NDArray, NDArray]:
+        p_prev, p = _vander_ld(n + 1, x)[:, -2:].T
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
     x = npleg.leggauss(n)[0].astype(np.longdouble)
     for _ in range(3):
-        p, dp = _legendre_pair_ld(n, x)
+        p, dp = legendre_pair(x)
         x = x - p / dp
-    _, dp = _legendre_pair_ld(n, x)
+    _, dp = legendre_pair(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return x, w
 
 
 def _vander_ld(n: int, x: NDArray) -> NDArray:
-    v = np.empty((len(x), n), dtype=np.longdouble)
-    v[:, 0] = 1.0
-    v[:, 1] = x
+    # built degree by degree as contiguous rows, returned as (len(x), n)
+    v = np.empty((n, len(x)), dtype=np.longdouble)
+    v[0] = 1.0
+    v[1] = x
     for k in range(2, n):
-        v[:, k] = ((2 * k - 1) * x * v[:, k - 1] - (k - 1) * v[:, k - 2]) / k
-    return v
+        v[k] = ((2 * k - 1) * x * v[k - 1] - (k - 1) * v[k - 2]) / k
+    return v.T
 
 
 def _legder_ld(

@@ -800,7 +800,7 @@ class TestPinching:
 
     def test_invalid_eps(self, base96, counts):
         # an eps whose Calabi bound is not a finite positive number, or
-        # one below the floor _PINCH_EPS_PER_N4 n^4 (8.5e-8 at n = 96), is
+        # one below the floor _PINCH_EPS_PER_N4 n^4 (8.5e-10 at n = 96), is
         # refused before the continuity stage starts
         counts.clear()
         floor = flow._PINCH_EPS_PER_N4 * 96**4
@@ -811,9 +811,9 @@ class TestPinching:
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_eps_at_the_floor_is_attained(self, n):
-        # the floor grows like n^4 and lies at least 4,300 times above the
-        # pinch measured (2.3e-19 n^4); a tenth leaves room for the last
-        # bits that vary with the BLAS threads
+        # the floor grows like n^4 and lies at least 40 times above the
+        # pinch measured (2.3e-19 n^4; 43 times at n = 16); a tenth leaves
+        # room for the last bits that vary with the BLAS threads
         eps = flow._PINCH_EPS_PER_N4 * n**4
         grid = transverse.make_grid(n)
         base = transverse.metric_state(

@@ -179,6 +179,19 @@ class TestCliCommands:
         assert man["extra"] == run.extra
         assert man["wall_time_seconds"] > 0
 
+    def test_verify_all_prints_each_check_detail(self, tmp_path, capsys):
+        # a lower-bound check stores its violation, 0 when it holds, so its
+        # slack shows only in the detail at the end of its line
+        assert cli.main(["verify-all", "--quick", "--seed", "1", "--out", str(tmp_path)]) == 0
+        lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()[:-1]}
+        assert len(lines) == 35
+        assert lines["flow-monitor-b"] == (
+            "[PASS] flow-monitor-b                   value 0.000e+00  tol 1.0e-06  margin 7.500e-01"
+        )
+        assert lines["pinch-achieved"].endswith("tol 5.0e-02  path stopped at t = 0.95")
+        # a check without a detail ends at its tolerance
+        assert lines["flow-constancy"].endswith("tol 1.0e-10")
+
     def test_scan_is_deterministic(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -437,10 +450,10 @@ class TestCliExitCodes:
             assert "invalid input" in capsys.readouterr().err
             assert not (out / "flow.csv").exists()
 
-    @pytest.mark.parametrize("eps", ["inf", "1e300", "1e-300", "5e-11"])
+    @pytest.mark.parametrize("eps", ["inf", "1e300", "1e-300", "5e-13"])
     def test_pinch_eps_out_of_range(self, tmp_path, capsys, counts, eps):
         # an eps whose Calabi bound is infinite, or overflows, or one below
-        # the floor 1e-15 n^4 (6.6e-11 at n = 16), which could only miss its
+        # the floor 1e-17 n^4 (6.6e-13 at n = 16), which could only miss its
         # target after the whole run, is refused before the base state's
         # Laplacian
         out = tmp_path / "o"
@@ -453,12 +466,12 @@ class TestCliExitCodes:
         assert counts == {}
         assert not out.exists()
 
-    @pytest.mark.parametrize("n, eps", [(64, "2e-10"), (128, "2e-8"), (512, "5e-5")])
+    @pytest.mark.parametrize("n, eps", [(64, "1e-10"), (128, "2e-9"), (512, "5e-7")])
     def test_pinch_eps_below_the_floor_at_n(self, tmp_path, capsys, counts, n, eps):
         # the pinch the flow attains grows like n^4, so does the floor
-        # 1e-15 n^4: an eps below it is refused as input before any
-        # Laplacian.  At n = 64, 2e-10 lies below the pinch attained
-        # (3.6e-10) and ran the whole continuity stage and flow to exit 2
+        # 1e-17 n^4: an eps below it is refused as input before any
+        # Laplacian.  The floor keeps at least 40 times the worst pinch
+        # measured from t = 1 (6.0e-13 at n = 64) as room for other bases
         out = tmp_path / "o"
         rc = cli.main(["pinch", "--n", str(n), "--eps", eps, "--out", str(out)])
         assert rc == 1
@@ -466,6 +479,14 @@ class TestCliExitCodes:
         assert "invalid input" in err and f"at n = {n}" in err
         assert counts == {}
         assert not out.exists()
+
+    def test_pinch_eps_near_the_attained_pinch(self, tmp_path, capsys):
+        # 1e-12 at n = 16 lies above the floor (6.6e-13) and 66 times above
+        # the pinch the run attains
+        out = tmp_path / "o"
+        rc = cli.main(["pinch", "--n", "16", "--eps", "1e-12", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads((out / "pinch.json").read_text())["achieved"] <= 1e-12
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "1e-300", "1e-16"])
     def test_newton_tol_out_of_range(self, tmp_path, capsys, tol):

@@ -77,10 +77,12 @@ class TestOracleFields:
             state.ratio,
             grid128.laplacian(phi.values),
             state.scalar_curvature,
+            state.grad_norm_sq(phi.values),
         )
         assert dev["ratio"] < 1e-10
         assert dev["lap_phi"] < 1e-10
         assert dev["scalar_curvature"] < 1e-6
+        assert dev["grad_norm_sq"] < 1e-10
 
     def test_inadmissible_rejected(self, sphere256):
         with pytest.raises(ValueError):

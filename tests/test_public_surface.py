@@ -17,7 +17,8 @@ MODULES = sorted(
     f"reebflow.{info.name}" for info in pkgutil.iter_modules(reebflow.__path__)
 )
 
-# API that no computation used, deleted rather than kept in step with the rest
+# API that no computation used, or that repeated another routine or cached
+# what nothing reused, deleted rather than kept in step with the rest
 REMOVED = {
     "reebflow": (
         "Model",
@@ -36,6 +37,7 @@ REMOVED = {
         "integrate",
         "_check_same_grid",
         "_state",
+        "_legendre_pair_ld",
     ),
     "reebflow.continuity": ("gauss_record_ts", "_relative_ratio"),
     "reebflow.curvature": ("q_norm_field", "pinch_estimates", "PinchEstimates", "_MIN_EPS"),
@@ -51,7 +53,7 @@ REMOVED = {
         "_mabuchi_report",
     ),
     "reebflow.errors": ("PreconditionError",),
-    "reebflow.flow": ("_prefix", "_record_march"),
+    "reebflow.flow": ("_prefix", "_record_march", "_holder_distances"),
 }
 
 # members of classes that no caller set and nothing read, or that one
@@ -87,7 +89,8 @@ REMOVED_MEMBERS = {
     ("reebflow.verification", "VerifyRun"): ("manifest", "wall_time"),
 }
 
-# parameters that no caller set, by the function that took them
+# parameters that no caller set, or whose value the function reads off its
+# other arguments, by the function that took them
 REMOVED_PARAMETERS = {
     ("reebflow.functionals", "eval_J"): ("s_nodes",),
     ("reebflow.functionals", "eval_K_energy"): ("path_nodes",),
@@ -101,6 +104,9 @@ REMOVED_PARAMETERS = {
     ("reebflow.flow", "epsilon_pinching"): ("t_start", "path_policy", "flow_policy"),
     ("reebflow.verification", "mobius_scan_suite"): ("lambdas",),
     ("reebflow.curvature", "calabi_functional"): ("state",),
+    ("reebflow.continuity", "path_diagnostics"): ("reference",),
+    ("reebflow.flow", "_make_flow_records"): ("h0_norm",),
+    ("reebflow.errors", "InadmissibleError.__init__"): ("message",),
 }
 
 
@@ -141,6 +147,12 @@ def test_removed_parameters_are_gone(owner):
     for attr in owner[1].split("."):
         fn = getattr(fn, attr)
     assert not set(inspect.signature(fn).parameters) & set(REMOVED_PARAMETERS[owner])
+
+
+def test_flow_suite_needs_the_path_endpoint():
+    # every caller passes the continuity endpoint; none runs the path again
+    with pytest.raises(TypeError, match="path_endpoint"):
+        reebflow.verification.flow_suite(64)
 
 
 def test_import_loads_no_scipy():

@@ -10,6 +10,7 @@ from reebflow import (
     FunctionalLedger,
     make_grid,
     reference_state,
+    transverse,
     verification,
     verify_cocycle,
     verify_mabuchi_f_relation,
@@ -123,3 +124,14 @@ class TestSmallSuites:
         assert {c.name for c in checks} == {
             "oracle-profiles", "oracle-jacobian-fd", "oracle-spectrum",
         }
+
+    def test_oracle_profiles_check_the_gradient(self, monkeypatch):
+        # |dphi|^2 feeds flow bound (b) and pinch-flow-dh2-slack; the 2-D
+        # oracle is the one check that a wrong factor in it fails
+        real = transverse._grad_norm_sq
+        monkeypatch.setattr(
+            transverse, "_grad_norm_sq", lambda grid, ratio, df: 2.0 * real(grid, ratio, df)
+        )
+        profiles = {c.name: c for c in oracle_suite(n=96, n_theta=256)}["oracle-profiles"]
+        assert not profiles.passed
+        assert profiles.detail.endswith("/grad_norm_sq")
