@@ -8,11 +8,16 @@ the operations that iteration made:
 
     laplacians  longdouble Laplacian applications (``Grid._laplacian_ld``),
                 one per field: a stacked call counts its rows
+    derivs      longdouble derivatives (``Grid._deriv_ld``), one per field;
+                each costs the forward transform and synthesis of a
+                Laplacian
     solve       ``np.linalg.solve`` calls (dense LU solves)
     lstsq       ``np.linalg.lstsq`` calls
     steps       flow steps (``flow._ChordSolver.__call__`` calls): one
                 per accepted step, and one per step whose candidate is
                 rejected after its solve
+    sweeps      products with the inverse a ``flow._ChordSolver`` keeps,
+                the start product of each call included
 
 Counts are exact and compare across machines, where seconds do not.  The
 ``ledger`` body draws its random potentials from a seed of its own per
@@ -43,7 +48,7 @@ import workloads  # noqa: E402
 
 SEED = 1
 ITERATIONS = {"ledger": range(5)}
-COLUMNS = ("laplacians", "solve", "lstsq", "steps")
+COLUMNS = ("laplacians", "derivs", "solve", "lstsq", "steps", "sweeps")
 
 
 def _counting(calls: Counter, key: str, fn, weight=lambda *args, **kwargs: 1):
@@ -55,9 +60,24 @@ def _counting(calls: Counter, key: str, fn, weight=lambda *args, **kwargs: 1):
 
 
 def _rows(grid, f, **kwargs) -> int:
-    """The fields a Laplacian call applies to: the rows of a stack whose
-    last axis is the grid, or one field."""
+    """The fields a Laplacian or derivative call applies to: the rows of a
+    stack whose last axis is the grid, or one field."""
     return int(np.prod(np.shape(f)[:-1]))
+
+
+def _counted_inverse(calls: Counter) -> property:
+    """An ``inverse`` attribute for the chord solver that keeps its array
+    as a view counting each product with it in calls["sweeps"]."""
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            calls["sweeps"] += 1
+            return np.asarray(self) @ other
+
+    def set_inverse(solver, value):
+        solver.__dict__["inverse"] = None if value is None else value.view(Counted)
+
+    return property(lambda solver: solver.__dict__["inverse"], set_inverse)
 
 
 def count(name: str) -> list[Counter]:
@@ -65,12 +85,15 @@ def count(name: str) -> list[Counter]:
     ctx = workloads.setup(name, SEED)
     grid_cls = ctx.mod["transverse"].Grid
     chord_cls = ctx.mod["flow"]._ChordSolver
-    originals = (grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq, chord_cls.__call__)
+    originals = (grid_cls._laplacian_ld, grid_cls._deriv_ld, np.linalg.solve, np.linalg.lstsq,
+                 chord_cls.__call__)
     calls: Counter = Counter()
     grid_cls._laplacian_ld = _counting(calls, "laplacians", originals[0], _rows)
-    np.linalg.solve = _counting(calls, "solve", originals[1])
-    np.linalg.lstsq = _counting(calls, "lstsq", originals[2])
-    chord_cls.__call__ = _counting(calls, "steps", originals[3])
+    grid_cls._deriv_ld = _counting(calls, "derivs", originals[1], _rows)
+    np.linalg.solve = _counting(calls, "solve", originals[2])
+    np.linalg.lstsq = _counting(calls, "lstsq", originals[3])
+    chord_cls.__call__ = _counting(calls, "steps", originals[4])
+    chord_cls.inverse = _counted_inverse(calls)
     per_iteration = []
     try:
         for i in ITERATIONS.get(name, range(1)):
@@ -81,7 +104,9 @@ def count(name: str) -> list[Counter]:
                 raise workloads.BodyFailed(f"{name} iteration {i} failed {failed}")
             per_iteration.append(Counter(calls))
     finally:
-        grid_cls._laplacian_ld, np.linalg.solve, np.linalg.lstsq, chord_cls.__call__ = originals
+        (grid_cls._laplacian_ld, grid_cls._deriv_ld, np.linalg.solve, np.linalg.lstsq,
+         chord_cls.__call__) = originals
+        del chord_cls.inverse
     return per_iteration
 
 

@@ -43,17 +43,20 @@ The step matrix I - Delta s Lap/(4 a r), with a = 3/2 at a constant step
 the march keeps one inverse of it and reuses it by defect correction (the
 chord method): each step starts from the kept inverse applied to the
 right-hand side and makes at most five sweeps x += P (b - A x), two
-float64 matvecs each, until the correction is at most 1e-11 of the
-solution's sup.  As stiff solvers stop their simplified Newton
-iterations at a small fraction of the local error (Hairer and Wanner,
-Solving Ordinary Differential Equations II, IV.8), this stop lies far
-below the step's own time error, 5e-4 of a column's sup: the records
-differ from those of a stop at 1e-13 by at most 3e-10 of it.  When
-the sweeps do not get there (the growing steps of the graded start, a
-halving or doubling of the step, the fast early transient) the inverse
-is refreshed from this step's matrix and the step is redone from it.
-The march of the psi = 0.3(1-x^2) base to s = 2 at n = 128 makes 18
-factorizations in its 422 steps, the last on the step from s = 0.605.
+float64 matvecs each.  As stiff solvers stop their simplified Newton
+iterations (Hairer and Wanner, Solving Ordinary Differential Equations
+II, IV.8), the sweeps stop on their measured contraction rate theta, the
+ratio of the last two corrections: once the error left, predicted as
+theta/(1 - theta) times the last correction, is at most 1e-9 of the
+solution's sup, far below the step's own time error, 5e-4 of a column's
+sup.  The records of the march below differ from those of a stop at
+1e-11 by at most 4.5e-9 of a column's sup.  As soon as the rate reaches
+1 or predicts that the sweeps left end above the stop (the growing steps
+of the graded start, a halving or doubling of the step, the fast early
+transient) the inverse is refreshed from this step's matrix and the step
+is redone from it.  The march of the psi = 0.3(1-x^2) base to s = 2 at
+n = 128 makes 6 factorizations in its 422 steps, the last on the step
+from s = 0.46.
 
 Between anchors the march carries only the volume ratio r_base(v), in
 extended precision.  The ratio is affine in the potential, r(v + delta) =
@@ -77,21 +80,27 @@ anchored ratio, never evolved, so the maximum-principle checks are
 independent of stepper error.  One function (``_flow``) marches and
 records every recorded flow: run_flow's and the flow suite's.  It builds
 the records a block of _RECORD_BLOCK anchored steps at a time: h_s,
-dv/ds, |dh_s|^2, Lap_s h_s, c_s and the scalar curvature are formed for
-the whole block as (rows, n) arrays by the formulas a metric state uses
+dv/ds, |dh_s|^2, c_s and the scalar curvature are formed for the whole
+block as (rows, n) arrays by the formulas a metric state uses
 (``transverse._ricci_potential``, ``_grad_norm_sq`` and
 ``_scalar_curvature``, which take a stack as they take one field), and
-no state is built.  Each record applies two Laplacians besides its
-anchor, for Lap_s h_s (whose forward transform of h_s gives dh_s too) and
-for the scalar curvature, and keeps its float64 volume ratio, from which
-smoothing_monitors reads the metric sandwich at s = 1.  The monitors are
+no state is built.  Lap_s h_s is read off the scalar curvature: at m = 1,
+r = 1 + Lap(psi + v)/4 and S^T r = 4 - Lap(log r)/2 give
+
+    Lap_s h_s = Lap(-log r - 2(psi + v))/r = 2 (S^T - 4)
+
+exactly.  So each record applies two Laplacians, its anchor and the
+scalar curvature's, and one derivative, of h_s for |dh_s|^2, and keeps
+its float64 volume ratio, from which smoothing_monitors reads the metric
+sandwich at s = 1.  The monitors are
 
     (a)  sup|dv/ds|  <=  e^{(m+1)s} sup|h_0|
     (b)  sup(h_s^2 + (s/2)|dh_s|_s^2)  <=  4 e^{2(m+1)s} sup|h_0|^2
     (c)  min e^{-(m+1)s} Lap_s h_s  >=  min Lap_0 h_0
     (d)  |c_s|  <=  e^{(m+1)s} sup|h_0|,  where  h_s = -dv/ds + c_s
 
-Bound (c) is the minimum-principle form: e^{-(m+1)s} Lap_s h_s is a
+Bound (c) is the minimum-principle form, here the minimum principle for
+S^T: e^{-(m+1)s} Lap_s h_s = 2 e^{-(m+1)s} (S^T - 2m(m+1)) is a
 supersolution of the flow's heat operator, so its spatial minimum is
 nondecreasing in s; comparing values at a fixed grid point would be
 strictly stronger than what holds.
@@ -155,12 +164,12 @@ MP1 = M_DIM + 1
 S_END_MAX = math.log(sys.float_info.max) / (2 * MP1)
 # the march stops once s is within this of s_end
 _S_TOL = 1e-12
-# the chord step: sweeps from a kept inverse before it is refreshed, and
-# the sup of the last correction relative to the sup of the solution, far
-# below the step's own time error (about 5e-4 of a column's sup at the
-# default ds, benchmarks/FLOW_ACCURACY.md)
+# the chord step: the most sweeps from a kept inverse, and the error left
+# that the sweeps' rate predicts, relative to the sup of the solution, at
+# which they stop: far below the step's own time error (about 5e-4 of a
+# column's sup at the default ds, benchmarks/FLOW_ACCURACY.md)
 _CHORD_SWEEPS = 5
-_CHORD_TOL = 1e-11
+_CHORD_TOL = 1e-9
 # the graded start: the first step is this fraction of FlowPolicy.ds, and
 # each accepted step lets the next grow by _GROWTH, up to FlowPolicy.ds
 _START_FRACTION = 1.0 / 16.0
@@ -292,10 +301,12 @@ def _make_flow_records(
 
     Each field is formed for the whole block at once, as a (rows, n)
     array, by the formulas a metric state of base + v applies to one row
-    (``transverse``), and no state is built.  The integrals stay one
-    float64 dot of the weights with each row (one ``np.vecdot`` over the
-    block), the rounding of a state's; each monitor is one reduction
-    along the rows.
+    (``transverse``), and no state is built: one Laplacian per row, of
+    log r for the scalar curvature S^T, and one derivative, of h_s, the
+    route of ``MetricState.grad_norm_sq``.  Lap_s h_s is 2 (S^T - 4).  The
+    integrals stay one float64 dot of the weights with each row (one
+    ``np.vecdot`` over the block), the rounding of a state's; each monitor
+    is one reduction along the rows.
     """
     grid = base.potential.grid
     h0_norm = float(np.abs(base.ricci_potential).max())
@@ -303,9 +314,10 @@ def _make_flow_records(
     ratio = _admissible(ratio_ld)
     h, _ = _ricci_potential(grid, ratio, base.potential.values + v)
     vdot = _rhs(ratio, v, base)
-    dh, lap_h = (field.astype(np.float64) for field in grid._laplacian_ld(h, with_deriv=True))
-    dh2, lap_h = _grad_norm_sq(grid, ratio, dh), lap_h / ratio
+    dh2 = _grad_norm_sq(grid, ratio, grid.deriv(h))
     dev = _scalar_curvature(grid, ratio_ld) - SCALAR_TARGET
+    # Lap_s h_s = 2 (S^T - 4) at m = 1 (the module docstring)
+    lap_h = 2.0 * dev
     measure = grid.w * ratio
     growth = np.array([math.exp(MP1 * t) for t in s.tolist()])
     # squared by float pow, whose last bit differs from numpy's x * x
@@ -348,36 +360,57 @@ class _ChordSolver:
     """Solves the step system (I - diag(q) Lap) x = b, q = step/(4 a r), by
     defect correction from one kept inverse P of an earlier step matrix.
 
-    A call starts from x = P b and makes at most _CHORD_SWEEPS sweeps
-    x += P (b - x + q Lap x), stopping once the sup of the correction is
-    at most _CHORD_TOL times the sup of x: a small fraction of the step's
-    time error, not the float64 roundoff of the solve.  If they have not
-    converged, P is refreshed from this call's matrix (one dense
-    factorization) and the call is redone from it; the sweeps from a
-    fresh P are taken as they end.
+    A call starts from x = P b, the correction of x = 0, and makes at most
+    _CHORD_SWEEPS sweeps dx = P (b - x + q Lap x).  Each sweep measures the
+    contraction rate theta = sup|dx| / sup|dx'|, dx' the correction before
+    it, and the call ends once the error left, predicted as theta/(1 -
+    theta) sup|dx|, is at most _CHORD_TOL times the sup of x; the first
+    sweep predicts it with the larger of theta and the rate at which the
+    last call ended (Hairer and Wanner's eta_0, Solving ODEs II, IV.8).
+    As soon as theta >= 1 (or NaN), or theta^k, k the sweeps left,
+    predicts that they end above the stop, P is refreshed from this call's
+    matrix (one dense factorization, with the rate set back to 0) and the
+    call is redone from it; the sweeps from a fresh P are taken as they
+    end.  A correction after a zero one (the zero right-hand side of a
+    round reference) has rate 0.
     """
 
     def __init__(self, lap: NDArray[np.float64]):
         self.lap = lap
         self.inverse: Optional[NDArray[np.float64]] = None
+        self.rate = 0.0
 
-    def _sweeps(self, q: NDArray, b: NDArray) -> tuple[NDArray[np.float64], bool]:
+    def _sweeps(self, q: NDArray, b: NDArray, fresh: bool) -> Optional[NDArray[np.float64]]:
+        """x from P, or None once the rate predicts a miss from a kept P."""
         x = self.inverse @ b
-        for _ in range(_CHORD_SWEEPS):
+        last, rate = np.abs(x).max(), self.rate
+        for left in reversed(range(_CHORD_SWEEPS)):
             dx = self.inverse @ (b - x + q * (self.lap @ x))
             x = x + dx
-            if np.abs(dx).max() <= _CHORD_TOL * np.abs(x).max():
-                return x, True
-        return x, False
+            size = np.abs(dx).max()
+            theta = size / last if last > 0.0 else 0.0
+            tol = _CHORD_TOL * np.abs(x).max()
+            # the first sweep's stop takes the last call's rate too
+            rate = max(rate, theta)
+            # rate/(1 - rate) sup|dx| against tol, with no division; a NaN
+            # compares False, refreshes from a kept P and ends a fresh one
+            if rate * size <= (1.0 - rate) * tol:
+                self.rate = rate
+                return x
+            if not (theta < 1.0 and theta**left * theta * size <= (1.0 - theta) * tol):
+                break
+            last, rate = size, 0.0
+        return x if fresh else None
 
     def __call__(self, q: NDArray, b: NDArray) -> NDArray[np.float64]:
         if self.inverse is not None:
-            x, converged = self._sweeps(q, b)
-            if converged:
+            x = self._sweeps(q, b, fresh=False)
+            if x is not None:
                 return x
         eye = np.eye(len(b))
         self.inverse = np.linalg.solve(eye - q[:, None] * self.lap, eye)
-        return self._sweeps(q, b)[0]
+        self.rate = 0.0
+        return self._sweeps(q, b, fresh=True)
 
 
 def _steps(
@@ -411,17 +444,17 @@ def _steps(
     ratio and is checked like a candidate.  The system (I - q Lap) delta
     = b, q = h/(4 a r*), is solved by defect correction from a kept
     inverse of an earlier step matrix (``_ChordSolver``), refreshed by one
-    dense factorization at the first step and whenever a few sweeps do
-    not converge, as when omega or the step changes or in the fast early
-    transient.  The candidate's ratio is the carried one plus Lap(delta)/4,
-    a float64 matvec; it is the admissibility test.  A candidate or
-    extrapolated ratio that is not positive everywhere (NaN included)
-    halves the step (the cap becomes half the rejected step, and a tail's
-    hold starts over); reaching the step floor raises SolverError.  A
-    step becomes a record, is yielded as anchored and has ratio_ld
+    dense factorization at the first step and whenever the sweeps' rate
+    predicts that they miss their stop, as when omega or the step changes
+    or in the fast early transient.  The candidate's ratio is the carried
+    one plus Lap(delta)/4, a float64 matvec; it is the admissibility test.
+    A candidate or extrapolated ratio that is not positive everywhere (NaN
+    included) halves the step (the cap becomes half the rejected step, and
+    a tail's hold starts over); reaching the step floor raises SolverError.
+    A step becomes a record, is yielded as anchored and has ratio_ld
     re-anchored to the exact ratio of base + v (one Laplacian, of v) only
-    at s = 0 and where it lands on a record time or s_end up to s_last; the
-    tail's landing on s_end is not one.  More than MAX_FLOW_STEPS steps
+    at s = 0 and where it lands on a record time or s_end up to s_last;
+    the tail's landing on s_end is not one.  More than MAX_FLOW_STEPS steps
     s_end / policy.ds raise ConfigurationError before the first.
     """
     if s_end / policy.ds > MAX_FLOW_STEPS:

@@ -229,19 +229,17 @@ class Grid:
     def laplacian(self, f: NDArray) -> NDArray[np.float64]:
         return self._laplacian_ld(f).astype(np.float64)
 
-    def _laplacian_ld(self, f: NDArray, with_deriv: bool = False) -> NDArray[np.longdouble]:
-        # with_deriv gives (f', Lap f) from one forward transform.  Large
-        # additive constants amplify roundoff through the top Legendre modes
-        # (the eigenvalue reaches -4n^2); subtracting the mean first is exact
-        # for the operator (and f': P_0' = 0) and keeps the noise floor at
-        # the O(1)-field level.  Chained applications (ratio, then its
-        # curvature) square the amplification, so callers feeding one
-        # Laplacian into another stay in longdouble between the two.
+    def _laplacian_ld(self, f: NDArray) -> NDArray[np.longdouble]:
+        # Large additive constants amplify roundoff through the top Legendre
+        # modes (the eigenvalue reaches -4n^2); subtracting the mean first is
+        # exact for the operator and keeps the noise floor at the O(1)-field
+        # level.  Chained applications (ratio, then its curvature) square
+        # the amplification, so callers feeding one Laplacian into another
+        # stay in longdouble between the two.
         f = self._field_ld(f)
         c_even, c_odd = self._forward_ld(f - np.dot(f, self._w_ld)[..., None])
         eigs = self._lap_eigs_ld
-        lap = self._synthesis_ld(eigs[0::2] * c_even, eigs[1::2] * c_odd)
-        return (self._synthesis_ld(*_legder_ld(c_even, c_odd)), lap) if with_deriv else lap
+        return self._synthesis_ld(eigs[0::2] * c_even, eigs[1::2] * c_odd)
 
 
 @lru_cache(maxsize=8)

@@ -75,22 +75,29 @@ def rows(f) -> int:
 
 
 def count_laplacians(monkeypatch, calls: Counter) -> None:
-    """Counts each longdouble Laplacian application in calls["laplacian"],
-    one per row of a stack."""
-    real = Grid._laplacian_ld
+    """Counts each longdouble Laplacian application in calls["laplacian"]
+    and each longdouble derivative in calls["deriv"], one per row of a
+    stack: both cost a forward transform and a synthesis."""
+    real_lap, real_deriv = Grid._laplacian_ld, Grid._deriv_ld
 
-    def lap(self, f, **kwargs):
+    def lap(self, f):
         calls["laplacian"] += rows(f)
-        return real(self, f, **kwargs)
+        return real_lap(self, f)
+
+    def deriv(self, f):
+        calls["deriv"] += rows(f)
+        return real_deriv(self, f)
 
     monkeypatch.setattr(Grid, "_laplacian_ld", lap)
+    monkeypatch.setattr(Grid, "_deriv_ld", deriv)
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts Laplacian applications, dense solves and lstsq calls, and
-    metric states.  A stacked Laplacian applies the operator to each of
-    its rows, and counts one application per row."""
+    """Counts Laplacian and derivative applications, dense solves and
+    lstsq calls, and metric states.  A stacked Laplacian or derivative
+    applies the operator to each of its rows, and counts one application
+    per row."""
     calls = Counter()
     real_state = transverse.metric_state
     real_solve, real_lstsq = np.linalg.solve, np.linalg.lstsq

@@ -280,12 +280,13 @@ class TestOperatorCounts:
         assert np.abs(ma_defect(phi, 0.5, base96)).max() < 1e-10
 
     def test_newton_at_the_kernel_steps_by_bordered_lu(self, base96, counts):
-        # one LU solve of the bordered system per step, and no lstsq
+        # one LU solve of the bordered system per step, and no lstsq; each
+        # step's Moebius tangent takes one derivative
         counts.clear()
         phi = solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
         solves = counts["solve"]
         assert solves >= 3
-        assert counts == {"laplacian": solves + 1, "solve": solves}
+        assert counts == {"laplacian": solves + 1, "solve": solves, "deriv": solves}
         assert np.abs(ma_defect(phi, 1.0, base96)).max() < 1e-10
 
     def test_warm_start_reuses_the_guess_laplacian(self, base96, counts):
