@@ -8,9 +8,13 @@ the operations that iteration made:
 
     laplacians  longdouble Laplacian applications (``Grid._laplacian_ld``),
                 one per field: a stacked call counts its rows
-    derivs      longdouble derivatives (``Grid._deriv_ld``), one per field;
-                each costs the forward transform and synthesis of a
-                Laplacian
+    derivs      longdouble derivatives (``Grid._deriv_ld``, on a tree that
+                has one), one per field; each costs the forward transform
+                and synthesis of a Laplacian
+    lap64       float64 Laplacian applications (``Grid._laplacian_64``, on
+                a tree that has one), one per field
+    deriv64     float64 derivatives (``Grid.deriv`` on a tree with no
+                ``Grid._deriv_ld``), one per field
     solve       ``np.linalg.solve`` calls (dense LU solves)
     lstsq       ``np.linalg.lstsq`` calls
     steps       flow steps (``flow._ChordSolver.__call__`` calls): one
@@ -48,7 +52,7 @@ import workloads  # noqa: E402
 
 SEED = 1
 ITERATIONS = {"ledger": range(5)}
-COLUMNS = ("laplacians", "derivs", "solve", "lstsq", "steps", "sweeps")
+COLUMNS = ("laplacians", "derivs", "lap64", "deriv64", "solve", "lstsq", "steps", "sweeps")
 
 
 def _counting(calls: Counter, key: str, fn, weight=lambda *args, **kwargs: 1):
@@ -85,14 +89,20 @@ def count(name: str) -> list[Counter]:
     ctx = workloads.setup(name, SEED)
     grid_cls = ctx.mod["transverse"].Grid
     chord_cls = ctx.mod["flow"]._ChordSolver
-    originals = (grid_cls._laplacian_ld, grid_cls._deriv_ld, np.linalg.solve, np.linalg.lstsq,
-                 chord_cls.__call__)
+    # the transform each column counts, by the methods this tree has: its
+    # derivative is float64 only where no longdouble one is left
+    transforms = {"laplacians": "_laplacian_ld", "lap64": "_laplacian_64",
+                  "derivs" if hasattr(grid_cls, "_deriv_ld") else "deriv64":
+                  "_deriv_ld" if hasattr(grid_cls, "_deriv_ld") else "deriv"}
+    transforms = {col: method for col, method in transforms.items() if hasattr(grid_cls, method)}
+    grid_originals = {method: getattr(grid_cls, method) for method in transforms.values()}
+    originals = (np.linalg.solve, np.linalg.lstsq, chord_cls.__call__)
     calls: Counter = Counter()
-    grid_cls._laplacian_ld = _counting(calls, "laplacians", originals[0], _rows)
-    grid_cls._deriv_ld = _counting(calls, "derivs", originals[1], _rows)
-    np.linalg.solve = _counting(calls, "solve", originals[2])
-    np.linalg.lstsq = _counting(calls, "lstsq", originals[3])
-    chord_cls.__call__ = _counting(calls, "steps", originals[4])
+    for col, method in transforms.items():
+        setattr(grid_cls, method, _counting(calls, col, grid_originals[method], _rows))
+    np.linalg.solve = _counting(calls, "solve", originals[0])
+    np.linalg.lstsq = _counting(calls, "lstsq", originals[1])
+    chord_cls.__call__ = _counting(calls, "steps", originals[2])
     chord_cls.inverse = _counted_inverse(calls)
     per_iteration = []
     try:
@@ -104,8 +114,9 @@ def count(name: str) -> list[Counter]:
                 raise workloads.BodyFailed(f"{name} iteration {i} failed {failed}")
             per_iteration.append(Counter(calls))
     finally:
-        (grid_cls._laplacian_ld, grid_cls._deriv_ld, np.linalg.solve, np.linalg.lstsq,
-         chord_cls.__call__) = originals
+        for method, original in grid_originals.items():
+            setattr(grid_cls, method, original)
+        np.linalg.solve, np.linalg.lstsq, chord_cls.__call__ = originals
         del chord_cls.inverse
     return per_iteration
 

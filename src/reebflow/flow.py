@@ -46,17 +46,25 @@ right-hand side and makes at most five sweeps x += P (b - A x), two
 float64 matvecs each.  As stiff solvers stop their simplified Newton
 iterations (Hairer and Wanner, Solving Ordinary Differential Equations
 II, IV.8), the sweeps stop on their measured contraction rate theta, the
-ratio of the last two corrections: once the error left, predicted as
-theta/(1 - theta) times the last correction, is at most 1e-9 of the
-solution's sup, far below the step's own time error, 5e-4 of a column's
-sup.  The records of the march below differ from those of a stop at
-1e-11 by at most 4.5e-9 of a column's sup.  As soon as the rate reaches
-1 or predicts that the sweeps left end above the stop (the growing steps
-of the graded start, a halving or doubling of the step, the fast early
-transient) the inverse is refreshed from this step's matrix and the step
-is redone from it.  The march of the psi = 0.3(1-x^2) base to s = 2 at
-n = 128 makes 6 factorizations in its 422 steps, the last on the step
-from s = 0.46.
+ratio of the last two corrections (grown once more by its own growth
+while it grows): once the error left, predicted as theta/(1 - theta)
+times the last correction, is at most 1e-9 of the solution's sup, far
+below the step's own time error, 5e-4 of a column's sup.  The records of
+the march below differ from those of a stop at 1e-11 by at most 4.9e-9
+of a column's sup.  As soon as the rate reaches 1 or predicts that the
+sweeps left end above the stop (the growing steps of the graded start,
+the fast early transient) the inverse is refreshed from this step's
+matrix and the step is redone from it.  The measured rate cannot see the
+top Laplacian modes while their share of the error is small, and the
+sweeps contract those by only about max|q/q0 - 1|, q and q0 the
+diagonals Delta s/(4 a r) of this step's matrix and the kept one's (not
+at all from 1: the pinching flow's solves kept through such steps drift
+up to 8.5e-9 from a dense solve); so the inverse is also refreshed
+before any sweep once that drift reaches 1/2 (a doubling or a double
+halving of the step, or the ratio falling by a third).  The march of the
+psi = 0.3(1-x^2) base to s = 2 at n = 128 makes 7 factorizations in its
+422 steps, the last on the step from s = 1.235, and each step is within
+1e-9 of a dense solve.
 
 Between anchors the march carries only the volume ratio r_base(v), in
 extended precision.  The ratio is affine in the potential, r(v + delta) =
@@ -92,7 +100,14 @@ r = 1 + Lap(psi + v)/4 and S^T r = 4 - Lap(log r)/2 give
 exactly.  So each record applies two Laplacians, its anchor and the
 scalar curvature's, and one derivative, of h_s for |dh_s|^2, and keeps
 its float64 volume ratio, from which smoothing_monitors reads the metric
-sandwich at s = 1.  The monitors are
+sandwich at s = 1.  The anchor runs in extended precision, since the
+scalar curvature differentiates its ratio twice more; the Laplacian of
+log r and the derivative end their chains, so they run as float64 BLAS
+matrix products over the block (the precision rule of ``transverse``).
+A state of the same base + v takes them as matrix-vector products, whose
+last bits differ: S^T, |dh_s|^2 and the monitors read off them agree
+with the state's to rounding, and every other field bit for bit.  The
+monitors are
 
     (a)  sup|dv/ds|  <=  e^{(m+1)s} sup|h_0|
     (b)  sup(h_s^2 + (s/2)|dh_s|_s^2)  <=  4 e^{2(m+1)s} sup|h_0|^2
@@ -140,7 +155,6 @@ from .transverse import (
     MetricState,
     _admissible,
     _grad_norm_sq,
-    _ratio_ld,
     _ricci_potential,
     _scalar_curvature,
 )
@@ -170,6 +184,9 @@ _S_TOL = 1e-12
 # column's sup at the default ds, benchmarks/FLOW_ACCURACY.md)
 _CHORD_SWEEPS = 5
 _CHORD_TOL = 1e-9
+# the drift max|q/q0 - 1| of the step matrix from the kept inverse's at
+# which it is refreshed (``_ChordSolver``)
+_CHORD_DRIFT = 0.5
 # the graded start: the first step is this fraction of FlowPolicy.ds, and
 # each accepted step lets the next grow by _GROWTH, up to FlowPolicy.ds
 _START_FRACTION = 1.0 / 16.0
@@ -190,12 +207,13 @@ MAX_FLOW_STEPS = 100_000
 MAX_DS = 0.1
 _PINCH_T_START = 0.1  # the pinching path's first t
 # the least pinching eps is this times n^4, above the float64 roundoff of
-# S^T where the achieved pinch stops.  From t = 1 that was at most
-# 2.3e-19 n^4 (3.8e-12 at n = 128, 5.1e-11 at 512) over n = 16 to 512 and
-# the bases 0.3(1-x^2), 0.1x and 0.05(x^3-x)+0.02, so the floor is at
-# least 40 times the pinch attained (43 at n = 16, 278 from n = 64 up);
-# at MAX_GRID it is 1.1e-5
-_PINCH_EPS_PER_N4 = 1e-17
+# S^T where the achieved pinch stops.  From t = 1, with S^T's Laplacian of
+# log r in float64, that was at most 5.2e-19 n^4 (3.4e-14 at n = 16,
+# 4.3e-12 at 128, 7.0e-11 at 512) over n = 16 to 512 and the bases
+# 0.3(1-x^2), 0.1x and 0.05(x^3-x)+0.02, so the floor is at least 40
+# times the pinch attained (58 at n = 16, 513 from n = 64 up); at
+# MAX_GRID it is 3.3e-5
+_PINCH_EPS_PER_N4 = 3e-17
 # anchored steps whose records are built together, as (rows, n) arrays
 _RECORD_BLOCK = 32
 
@@ -301,9 +319,10 @@ def _make_flow_records(
 
     Each field is formed for the whole block at once, as a (rows, n)
     array, by the formulas a metric state of base + v applies to one row
-    (``transverse``), and no state is built: one Laplacian per row, of
-    log r for the scalar curvature S^T, and one derivative, of h_s, the
-    route of ``MetricState.grad_norm_sq``.  Lap_s h_s is 2 (S^T - 4).  The
+    (``transverse``), and no state is built: one float64 Laplacian per
+    row, of log r for the scalar curvature S^T, and one float64
+    derivative, of h_s, the route of ``MetricState.grad_norm_sq``, each a
+    matrix product over the block.  Lap_s h_s is 2 (S^T - 4).  The
     integrals stay one float64 dot of the weights with each row (one
     ``np.vecdot`` over the block), the rounding of a state's; each monitor
     is one reduction along the rows.
@@ -315,7 +334,7 @@ def _make_flow_records(
     h, _ = _ricci_potential(grid, ratio, base.potential.values + v)
     vdot = _rhs(ratio, v, base)
     dh2 = _grad_norm_sq(grid, ratio, grid.deriv(h))
-    dev = _scalar_curvature(grid, ratio_ld) - SCALAR_TARGET
+    dev = _scalar_curvature(grid, ratio) - SCALAR_TARGET
     # Lap_s h_s = 2 (S^T - 4) at m = 1 (the module docstring)
     lap_h = 2.0 * dev
     measure = grid.w * ratio
@@ -327,6 +346,8 @@ def _make_flow_records(
     lap_h_min = lap_h.min(axis=1)
     if lap0_min is None:
         lap0_min = lap_h_min[0]
+    # in the order of FlowMonitors' fields, which each record takes
+    # positionally from the columns' floats
     columns = dict(
         sup_vdot=sup_vdot,
         sup_h=np.abs(h).max(axis=1),
@@ -350,48 +371,59 @@ def _make_flow_records(
             h=h[i],
             vdot=vdot[i],
             ratio=ratio[i],
-            monitors=FlowMonitors(**{name: float(col[i]) for name, col in columns.items()}),
+            monitors=FlowMonitors(*row),
         )
-        for i, t in enumerate(s.tolist())
+        for i, (t, row) in enumerate(zip(s.tolist(), zip(*(c.tolist() for c in columns.values()))))
     ]
 
 
 class _ChordSolver:
     """Solves the step system (I - diag(q) Lap) x = b, q = step/(4 a r), by
-    defect correction from one kept inverse P of an earlier step matrix.
+    defect correction from one kept inverse P of an earlier step matrix,
+    that of q0.
 
     A call starts from x = P b, the correction of x = 0, and makes at most
     _CHORD_SWEEPS sweeps dx = P (b - x + q Lap x).  Each sweep measures the
     contraction rate theta = sup|dx| / sup|dx'|, dx' the correction before
-    it, and the call ends once the error left, predicted as theta/(1 -
-    theta) sup|dx|, is at most _CHORD_TOL times the sup of x; the first
-    sweep predicts it with the larger of theta and the rate at which the
-    last call ended (Hairer and Wanner's eta_0, Solving ODEs II, IV.8).
-    As soon as theta >= 1 (or NaN), or theta^k, k the sweeps left,
-    predicts that they end above the stop, P is refreshed from this call's
-    matrix (one dense factorization, with the rate set back to 0) and the
-    call is redone from it; the sweeps from a fresh P are taken as they
-    end.  A correction after a zero one (the zero right-hand side of a
-    round reference) has rate 0.
+    it, and the call ends once the error left, predicted as rate/(1 -
+    rate) sup|dx|, is at most _CHORD_TOL times the sup of the start P b,
+    which the sweeps move by about a rate's share of it.  The rate is
+    theta, or, while theta still grows from one sweep to the next, theta
+    grown once more by the same factor; the first sweep takes the larger
+    of it and the rate at which the last call ended (Hairer and Wanner's
+    eta_0, Solving ODEs II, IV.8).  As soon as theta >= 1 (or NaN), or
+    theta^k, k the sweeps left, predicts that they end above the stop, P
+    is refreshed from this call's matrix (one dense factorization, with
+    the rate set back to 0) and the call is redone from it; the sweeps
+    from a fresh P are taken as they end.  A correction after a zero one
+    (the zero right-hand side of a round reference) has rate 0.
+
+    The measured rate sees only the modes the corrections carry.  On the
+    top Laplacian modes the sweeps contract by about max|q/q0 - 1|, the
+    spectral radius of I - P A there, whatever their share of b: so P is
+    refreshed before any sweep once q has drifted from q0 by
+    _CHORD_DRIFT, and those modes contract at least twofold per sweep.
     """
 
     def __init__(self, lap: NDArray[np.float64]):
         self.lap = lap
         self.inverse: Optional[NDArray[np.float64]] = None
+        self.kept_q: Optional[NDArray[np.float64]] = None
         self.rate = 0.0
 
     def _sweeps(self, q: NDArray, b: NDArray, fresh: bool) -> Optional[NDArray[np.float64]]:
         """x from P, or None once the rate predicts a miss from a kept P."""
         x = self.inverse @ b
-        last, rate = np.abs(x).max(), self.rate
+        last, rate, theta_last = np.abs(x).max(), self.rate, math.inf
+        tol = _CHORD_TOL * last
         for left in reversed(range(_CHORD_SWEEPS)):
             dx = self.inverse @ (b - x + q * (self.lap @ x))
             x = x + dx
             size = np.abs(dx).max()
             theta = size / last if last > 0.0 else 0.0
-            tol = _CHORD_TOL * np.abs(x).max()
-            # the first sweep's stop takes the last call's rate too
-            rate = max(rate, theta)
+            # a rate that grew from the last sweep is taken to grow as much
+            # again; the first sweep's stop takes the last call's rate too
+            rate = max(rate, theta * theta / theta_last if theta > theta_last else theta)
             # rate/(1 - rate) sup|dx| against tol, with no division; a NaN
             # compares False, refreshes from a kept P and ends a fresh one
             if rate * size <= (1.0 - rate) * tol:
@@ -399,16 +431,21 @@ class _ChordSolver:
                 return x
             if not (theta < 1.0 and theta**left * theta * size <= (1.0 - theta) * tol):
                 break
-            last, rate = size, 0.0
+            last, rate, theta_last = size, 0.0, theta
         return x if fresh else None
 
     def __call__(self, q: NDArray, b: NDArray) -> NDArray[np.float64]:
         if self.inverse is not None:
-            x = self._sweeps(q, b, fresh=False)
-            if x is not None:
-                return x
+            growth = q / self.kept_q
+            # past the drift only a zero b, which any inverse solves
+            # exactly, keeps it
+            if max(growth.max() - 1.0, 1.0 - growth.min()) < _CHORD_DRIFT or not b.any():
+                x = self._sweeps(q, b, fresh=False)
+                if x is not None:
+                    return x
         eye = np.eye(len(b))
         self.inverse = np.linalg.solve(eye - q[:, None] * self.lap, eye)
+        self.kept_q = q
         self.rate = 0.0
         return self._sweeps(q, b, fresh=True)
 
@@ -444,10 +481,12 @@ def _steps(
     ratio and is checked like a candidate.  The system (I - q Lap) delta
     = b, q = h/(4 a r*), is solved by defect correction from a kept
     inverse of an earlier step matrix (``_ChordSolver``), refreshed by one
-    dense factorization at the first step and whenever the sweeps' rate
-    predicts that they miss their stop, as when omega or the step changes
-    or in the fast early transient.  The candidate's ratio is the carried
-    one plus Lap(delta)/4, a float64 matvec; it is the admissibility test.
+    dense factorization at the first step, whenever the sweeps' rate
+    predicts that they miss their stop (the growing steps of the graded
+    start, the fast early transient) and before any sweep once q has
+    drifted by half from the kept inverse's.  The candidate's ratio is
+    the carried one plus Lap(delta)/4, a float64 matvec; it is the
+    admissibility test.
     A candidate or extrapolated ratio that is not positive everywhere (NaN
     included) halves the step (the cap becomes half the rejected step, and
     a tail's hold starts over); reaching the step floor raises SolverError.
@@ -509,7 +548,8 @@ def _steps(
         else:
             s += step
         if anchored:
-            ratio_ld = _ratio_ld(base.potential, BasicPotential(values=v, grid=grid))
+            # r(base + v) as _ratio_ld forms it, with no potential built for v
+            ratio_ld = grid._laplacian_ld(v) / 4.0 + base.potential._kept_ratio_ld
             _admissible(ratio_ld)
         last_step, d, lap_d = step, delta, lap_delta
         if not tail:

@@ -26,21 +26,34 @@ on Legendre coefficients, so its matrix is exact on the resolved
 polynomial space and the discrete spectrum reproduces -4k(k+1) to
 rounding.  Both poles of the sphere sit off the grid; no boundary
 handling is needed.  Pointwise Laplacians and derivatives go through the
-Legendre transform in extended precision, for one field or for a stack
-of fields with the grid on the last axis (the flow's record blocks).
+Legendre transform, for one field or for a stack of fields with the grid
+on the last axis (the flow's record blocks).
 The grid is symmetric under x -> -x and P_k has the parity of k, so each
 transform folds the grid values into their even and odd parts on half
 the nodes and makes two half-size products, as the equatorial-symmetry
 split of spherical harmonic transforms does: a Laplacian costs n^2
 multiply-adds where full matrices took 2n^2.  d/dx acts on the
 coefficients in O(n), by suffix sums.
+
+Precision follows one rule.  A transform in float64 errs by about eps_64
+times |table| |field| (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 3.1); that matters only where the result feeds
+another Laplacian, which amplifies it by up to 4 n^2.  So a Laplacian
+whose result feeds another runs in extended precision (``_laplacian_ld``):
+the Laplacian a potential keeps, and so every volume ratio, which
+``_ratio_ld`` forms and the flow re-anchors to.  A transform that ends the
+chain runs as float64 BLAS products (``_laplacian_64``, ``Grid.deriv``):
+the Laplacian of log r in the scalar curvature, read off the float64
+ratio, and every derivative.  Both precisions share one implementation
+and differ only in the tables they are handed; benchmarks/PRECISION.md
+gives each check's value over its tolerance under the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -55,11 +68,13 @@ from .errors import (
 )
 
 MIN_GRID = 8
-# the dense operators and tables take about 60 n^2 bytes: 64 MB at 1024
+# the dense operators and tables take about 60 n^2 bytes, the float64
+# copies of the transform halves 8 n^2 more: 71 MB at 1024
 MAX_GRID = 1024
-# the grid data and pointwise derivatives assume an 80-bit (or wider)
-# longdouble: the check margins were measured with one, and roundoff
-# floors that grow like n^4 eps would near their tolerances in float64
+# the grid data and the Laplacians that feed another assume an 80-bit
+# (or wider) longdouble: the check margins were measured with one, and
+# roundoff floors that grow like n^4 eps would near their tolerances in
+# float64
 _LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 _LONGDOUBLE_EPS_MAX = 1e-18
 
@@ -103,9 +118,7 @@ def _vander_ld(n: int, x: NDArray) -> NDArray:
     return v.T
 
 
-def _legder_ld(
-    c_even: NDArray[np.longdouble], c_odd: NDArray[np.longdouble]
-) -> tuple[NDArray[np.longdouble], NDArray[np.longdouble]]:
+def _legder(c_even: NDArray, c_odd: NDArray) -> tuple[NDArray, NDArray]:
     """Legendre coefficients of f' from those of f, split by parity as the
     grid's transforms are (a stack of fields takes the coefficients on its
     last axis): P_j' is the sum of (2k+1) P_k over k < j with j - k odd,
@@ -124,6 +137,21 @@ def _legder_ld(
     return d_even, d_odd
 
 
+class _Transforms(NamedTuple):
+    """The parity halves of the Legendre transform in one precision, with
+    the weights of dx/2 and the Laplacian's eigenvalues.  Columns and rows
+    run over the nodes x_i <= 0 (the middle node x = 0 of an odd grid is
+    the last, with half its weight, since the fold doubles it); the even
+    tables hold k = 0, 2, ..., the odd ones k = 1, 3, ..."""
+
+    w: NDArray           # w_i/2 on all n nodes
+    fwd_even: NDArray    # (2k+1) w_i/2 P_k(x_i), even k
+    fwd_odd: NDArray     # the same, odd k
+    syn_even: NDArray    # P_k(x_i), even k
+    syn_odd: NDArray     # P_k(x_i), odd k
+    lap_eigs: NDArray    # -4k(k+1), all k
+
+
 @dataclass(frozen=True)
 class Grid:
     """Gauss-Legendre collocation grid on [-1, 1] with cached operators.
@@ -135,8 +163,10 @@ class Grid:
     polynomial space, and keeps the discrete spectrum exactly -4k(k+1).
     ``lap`` is the assembled dense matrix for linear solves (Newton
     steps, implicit flow steps, eigenproblems); pointwise applications
-    go through the Legendre transform in extended precision, which
-    carries less roundoff.
+    go through the Legendre transform, which carries less roundoff: in
+    extended precision where the result feeds another Laplacian
+    (``_laplacian_ld``), in float64 where it ends the chain
+    (``_laplacian_64`` and ``deriv``; the module docstring).
 
     The nodes are symmetric, x_{n-1-i} = -x_i, with symmetric weights,
     and P_k(-x) = (-1)^k P_k(x), all exactly.  So the even coefficients
@@ -152,18 +182,11 @@ class Grid:
     w: NDArray[np.float64]
     vander: NDArray[np.float64]      # P_k(x_i), shape (n, n)
     lap: NDArray[np.float64]
-    # the transform halves, in extended precision; pointwise derivative
-    # and Laplacian applications run through these so that the 8 n^3
-    # roundoff amplification lands on the longdouble epsilon.  Columns
-    # and rows run over the nodes x_i <= 0 (the middle node x = 0 of an
-    # odd grid is the last, with half its weight, since the fold doubles
-    # it); the even tables hold k = 0, 2, ..., the odd ones k = 1, 3, ...
-    _w_ld: NDArray[np.longdouble]
-    _fwd_even_ld: NDArray[np.longdouble]   # (2k+1) w_i/2 P_k(x_i), even k
-    _fwd_odd_ld: NDArray[np.longdouble]    # the same, odd k
-    _syn_even_ld: NDArray[np.longdouble]   # P_k(x_i), even k
-    _syn_odd_ld: NDArray[np.longdouble]    # P_k(x_i), odd k
-    _lap_eigs_ld: NDArray[np.longdouble]
+    # the transform halves in extended precision, so that the 8 n^3
+    # roundoff amplification of a chained Laplacian lands on the
+    # longdouble epsilon, and the same tables cast to float64
+    _ld: _Transforms
+    _f64: _Transforms
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n == other.n
@@ -180,38 +203,49 @@ class Grid:
         return self.vander @ c
 
     # The transforms take one field or a stack of them, with the grid on
-    # the last axis.  The half-size products go through np.dot with the
-    # table transposed: its longdouble kernel forms each output entry as
-    # one dot of a field row with a table row, in the order a 1-D matrix-
-    # vector product (and the matmul operator) sums it, so a row of a
-    # stacked transform has the bits of that row's own transform, and a
-    # stack costs one call where a loop over rows took one per row.
+    # the last axis, and the tables of one precision, in which they run.
+    # The half-size products go through np.dot with the table transposed.
+    # Its longdouble kernel forms each output entry as one dot of a field
+    # row with a table row, in the order a 1-D matrix-vector product (and
+    # the matmul operator) sums it, so a row of a stacked transform has
+    # the bits of that row's own transform, and a stack costs one call
+    # where a loop over rows took one per row.  In float64 a stack is one
+    # BLAS matrix product, whose rows may differ from a matrix-vector
+    # product's in the last bits.
 
-    def _field_ld(self, f: NDArray) -> NDArray[np.longdouble]:
-        """f in extended precision; GridMismatchError unless its last axis
-        is the grid's."""
-        f = np.asarray(f, dtype=np.longdouble)
+    def _field(self, f: NDArray, dtype) -> NDArray:
+        """f as dtype; GridMismatchError unless its last axis is the
+        grid's."""
+        f = np.asarray(f, dtype=dtype)
         # the fold alone would take any last axis at least ceil(n/2) long
         if f.ndim == 0 or f.shape[-1] != self.n:
             raise GridMismatchError(f"field has shape {f.shape}, grid expects (..., {self.n})")
         return f
 
-    def _forward_ld(self, f: NDArray[np.longdouble]) -> tuple[NDArray, NDArray]:
+    def _forward(self, f: NDArray, t: _Transforms) -> tuple[NDArray, NDArray]:
         """Even and odd Legendre coefficients of grid values f, checked by
-        ``_field_ld``."""
-        h = len(self._syn_even_ld)
+        ``_field`` in the precision of the tables t."""
+        h = len(t.syn_even)
         head = f[..., :h]
         mirror = f[..., : -h - 1 : -1]    # f(-x_i) on the nodes x_i <= 0
-        return (np.dot(head + mirror, self._fwd_even_ld.T),
-                np.dot(head - mirror, self._fwd_odd_ld.T))
+        return (np.dot(head + mirror, t.fwd_even.T),
+                np.dot(head - mirror, t.fwd_odd.T))
 
-    def _synthesis_ld(self, c_even: NDArray, c_odd: NDArray) -> NDArray[np.longdouble]:
+    def _synthesis(self, c_even: NDArray, c_odd: NDArray, t: _Transforms) -> NDArray:
         """Grid values of the Legendre series with the given even and odd
         coefficients."""
-        even = np.dot(c_even, self._syn_even_ld.T)
-        odd = np.dot(c_odd, self._syn_odd_ld.T)
+        even = np.dot(c_even, t.syn_even.T)
+        odd = np.dot(c_odd, t.syn_odd.T)
         mirror = (even - odd)[..., self.n - even.shape[-1] - 1 :: -1]
         return np.concatenate((even + odd, mirror), axis=-1)
+
+    def _laplacian(self, f: NDArray, t: _Transforms) -> NDArray:
+        # Large additive constants amplify roundoff through the top Legendre
+        # modes (the eigenvalue reaches -4n^2); subtracting the mean first is
+        # exact for the operator and keeps the noise floor at the O(1)-field
+        # level.
+        c_even, c_odd = self._forward(f - np.dot(f, t.w)[..., None], t)
+        return self._synthesis(t.lap_eigs[0::2] * c_even, t.lap_eigs[1::2] * c_odd, t)
 
     # -- calculus --------------------------------------------------------
 
@@ -220,26 +254,21 @@ class Grid:
         return float(self.w @ np.asarray(f, dtype=np.float64))
 
     def deriv(self, f: NDArray) -> NDArray[np.float64]:
-        return self._deriv_ld(f).astype(np.float64)
-
-    def _deriv_ld(self, f: NDArray) -> NDArray[np.longdouble]:
-        c_even, c_odd = self._forward_ld(self._field_ld(f))
-        return self._synthesis_ld(*_legder_ld(c_even, c_odd))
+        """d/dx in float64: no derivative feeds a Laplacian."""
+        c_even, c_odd = self._forward(self._field(f, np.float64), self._f64)
+        return self._synthesis(*_legder(c_even, c_odd), self._f64)
 
     def laplacian(self, f: NDArray) -> NDArray[np.float64]:
         return self._laplacian_ld(f).astype(np.float64)
 
     def _laplacian_ld(self, f: NDArray) -> NDArray[np.longdouble]:
-        # Large additive constants amplify roundoff through the top Legendre
-        # modes (the eigenvalue reaches -4n^2); subtracting the mean first is
-        # exact for the operator and keeps the noise floor at the O(1)-field
-        # level.  Chained applications (ratio, then its curvature) square
-        # the amplification, so callers feeding one Laplacian into another
-        # stay in longdouble between the two.
-        f = self._field_ld(f)
-        c_even, c_odd = self._forward_ld(f - np.dot(f, self._w_ld)[..., None])
-        eigs = self._lap_eigs_ld
-        return self._synthesis_ld(eigs[0::2] * c_even, eigs[1::2] * c_odd)
+        """The Laplacian in extended precision, for a result that feeds
+        another Laplacian (a ratio, then its curvature)."""
+        return self._laplacian(self._field(f, np.longdouble), self._ld)
+
+    def _laplacian_64(self, f: NDArray) -> NDArray[np.float64]:
+        """The Laplacian in float64, for a result that feeds none."""
+        return self._laplacian(self._field(f, np.float64), self._f64)
 
 
 @lru_cache(maxsize=8)
@@ -270,18 +299,24 @@ def make_grid(n: int = 256) -> Grid:
     vander = np.concatenate((half, (-1.0) ** k * half[n - h - 1 :: -1]))
     lam = -4.0 * k * (k + 1.0)
     lap = (vander * (lam * (2 * k + 1))[None, :]) @ (vander.T * w[None, :])
+    tables_ld = _Transforms(
+        w=w_raw_ld / 2,
+        fwd_even=np.ascontiguousarray(fwd_ld[0::2]),
+        fwd_odd=np.ascontiguousarray(fwd_ld[1::2]),
+        syn_even=np.ascontiguousarray(half_ld[:, 0::2]),
+        syn_odd=np.ascontiguousarray(half_ld[:, 1::2]),
+        lap_eigs=k.astype(np.longdouble) * (k + 1) * -4,
+    )
     return Grid(
         n=n,
         x=_lock(x),
         w=_lock(w),
         vander=_lock(vander),
         lap=_lock(lap),
-        _w_ld=w_raw_ld / 2,
-        _fwd_even_ld=np.ascontiguousarray(fwd_ld[0::2]),
-        _fwd_odd_ld=np.ascontiguousarray(fwd_ld[1::2]),
-        _syn_even_ld=np.ascontiguousarray(half_ld[:, 0::2]),
-        _syn_odd_ld=np.ascontiguousarray(half_ld[:, 1::2]),
-        _lap_eigs_ld=k.astype(np.longdouble) * (k + 1) * -4,
+        _ld=tables_ld,
+        # each the float64 rounding of the longdouble table; the weights
+        # are w, and the eigenvalues integers, exact in float64
+        _f64=_Transforms(*(_lock(table) for table in tables_ld)),
     )
 
 
@@ -406,7 +441,7 @@ class MetricState:
 
     @cached_property
     def scalar_curvature(self) -> NDArray[np.float64]:
-        return _lock(_scalar_curvature(self.grid, self.potential._kept_ratio_ld))
+        return _lock(_scalar_curvature(self.grid, self.ratio))
 
     @property
     def grid(self) -> Grid:
@@ -472,10 +507,10 @@ def _ricci_potential(
     return z - np.log(ratio) + c[..., None], c
 
 
-def _scalar_curvature(grid: Grid, r: NDArray[np.longdouble]) -> NDArray[np.float64]:
-    """S from the volume ratio r in extended precision: S r = 4 - Lap(log r)/2,
-    in longdouble between the two Laplacians."""
-    return ((SCALAR_TARGET - 0.5 * grid._laplacian_ld(np.log(r))) / r).astype(np.float64)
+def _scalar_curvature(grid: Grid, r: NDArray[np.float64]) -> NDArray[np.float64]:
+    """S from the checked float64 volume ratio r: S r = 4 - Lap(log r)/2,
+    whose Laplacian feeds no other and so runs in float64."""
+    return (SCALAR_TARGET - 0.5 * grid._laplacian_64(np.log(r))) / r
 
 
 def _grad_norm_sq(grid: Grid, ratio: NDArray[np.float64], df: NDArray) -> NDArray[np.float64]:

@@ -75,29 +75,25 @@ def rows(f) -> int:
 
 
 def count_laplacians(monkeypatch, calls: Counter) -> None:
-    """Counts each longdouble Laplacian application in calls["laplacian"]
-    and each longdouble derivative in calls["deriv"], one per row of a
-    stack: both cost a forward transform and a synthesis."""
-    real_lap, real_deriv = Grid._laplacian_ld, Grid._deriv_ld
+    """Counts the transform rows, one per row of a stack: each longdouble
+    Laplacian in calls["laplacian"], each float64 one in
+    calls["laplacian64"] and each derivative, all float64, in
+    calls["deriv64"].  Each costs a forward transform and a synthesis."""
+    for name, key in (("_laplacian_ld", "laplacian"), ("_laplacian_64", "laplacian64"),
+                      ("deriv", "deriv64")):
+        def counted(self, f, real=getattr(Grid, name), key=key):
+            calls[key] += rows(f)
+            return real(self, f)
 
-    def lap(self, f):
-        calls["laplacian"] += rows(f)
-        return real_lap(self, f)
-
-    def deriv(self, f):
-        calls["deriv"] += rows(f)
-        return real_deriv(self, f)
-
-    monkeypatch.setattr(Grid, "_laplacian_ld", lap)
-    monkeypatch.setattr(Grid, "_deriv_ld", deriv)
+        monkeypatch.setattr(Grid, name, counted)
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts Laplacian and derivative applications, dense solves and
-    lstsq calls, and metric states.  A stacked Laplacian or derivative
-    applies the operator to each of its rows, and counts one application
-    per row."""
+    """Counts Laplacian and derivative applications (``count_laplacians``),
+    dense solves and lstsq calls, and metric states.  A stacked Laplacian
+    or derivative applies the operator to each of its rows, and counts one
+    application per row."""
     calls = Counter()
     real_state = transverse.metric_state
     real_solve, real_lstsq = np.linalg.solve, np.linalg.lstsq

@@ -286,7 +286,7 @@ class TestOperatorCounts:
         phi = solve_ma_at_t(1.0, base96, BasicPotential.zero(base96.grid))
         solves = counts["solve"]
         assert solves >= 3
-        assert counts == {"laplacian": solves + 1, "solve": solves, "deriv": solves}
+        assert counts == {"laplacian": solves + 1, "solve": solves, "deriv64": solves}
         assert np.abs(ma_defect(phi, 1.0, base96)).max() < 1e-10
 
     def test_warm_start_reuses_the_guess_laplacian(self, base96, counts):
@@ -345,9 +345,9 @@ class TestOperatorCounts:
     def test_diagnostics_read_the_records_states(self, base96, counts):
         # each record keeps the state of base + phi_t, built from the kept
         # ratio of the base and Lap(phi_t) with no Laplacian; the
-        # diagnostics build no state and apply one Laplacian per record, for
-        # its scalar curvature, which the state keeps; Lap(phi_t) is the one
-        # phi_t kept from its Newton solve
+        # diagnostics build no state and apply one Laplacian per record, a
+        # float64 one of log r for its scalar curvature, which the state
+        # keeps; Lap(phi_t) is the one phi_t kept from its Newton solve
         path = run_continuity_path(base96)
         end = path.endpoint()
         np.testing.assert_array_equal(end.state.ratio, relative_state(base96, end.phi).ratio)
@@ -357,7 +357,7 @@ class TestOperatorCounts:
         assert len(path.records) == 19
         counts.clear()
         path_diagnostics(path, base96)
-        assert counts == {"laplacian": len(path.records)}
+        assert counts == {"laplacian64": len(path.records)}
         counts.clear()
         path_diagnostics(path, base96)
         assert counts == {}

@@ -453,7 +453,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("eps", ["inf", "1e300", "1e-300", "5e-13"])
     def test_pinch_eps_out_of_range(self, tmp_path, capsys, counts, eps):
         # an eps whose Calabi bound is infinite, or overflows, or one below
-        # the floor 1e-17 n^4 (6.6e-13 at n = 16), which could only miss its
+        # the floor 3e-17 n^4 (2.0e-12 at n = 16), which could only miss its
         # target after the whole run, is refused before the base state's
         # Laplacian
         out = tmp_path / "o"
@@ -469,9 +469,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("n, eps", [(64, "1e-10"), (128, "2e-9"), (512, "5e-7")])
     def test_pinch_eps_below_the_floor_at_n(self, tmp_path, capsys, counts, n, eps):
         # the pinch the flow attains grows like n^4, so does the floor
-        # 1e-17 n^4: an eps below it is refused as input before any
+        # 3e-17 n^4: an eps below it is refused as input before any
         # Laplacian.  The floor keeps at least 40 times the worst pinch
-        # measured from t = 1 (6.0e-13 at n = 64) as room for other bases
+        # measured from t = 1 (9.8e-13 at n = 64) as room for other bases
         out = tmp_path / "o"
         rc = cli.main(["pinch", "--n", str(n), "--eps", eps, "--out", str(out)])
         assert rc == 1
@@ -481,12 +481,12 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_pinch_eps_near_the_attained_pinch(self, tmp_path, capsys):
-        # 1e-12 at n = 16 lies above the floor (6.6e-13) and 66 times above
-        # the pinch the run attains
+        # 3e-12 at n = 16 lies above the floor (2.0e-12) and 120 times
+        # above the pinch the run attains
         out = tmp_path / "o"
-        rc = cli.main(["pinch", "--n", "16", "--eps", "1e-12", "--out", str(out)])
+        rc = cli.main(["pinch", "--n", "16", "--eps", "3e-12", "--out", str(out)])
         assert rc == 0, capsys.readouterr().err
-        assert json.loads((out / "pinch.json").read_text())["achieved"] <= 1e-12
+        assert json.loads((out / "pinch.json").read_text())["achieved"] <= 3e-12
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "1e-300", "1e-16"])
     def test_newton_tol_out_of_range(self, tmp_path, capsys, tol):

@@ -8,6 +8,7 @@ from numpy.polynomial import legendre
 from reebflow import (
     BasicPotential,
     ConfigurationError,
+    FlowPolicy,
     GridMismatchError,
     InadmissibleError,
     InvariantViolation,
@@ -15,6 +16,8 @@ from reebflow import (
     make_grid,
     metric_state,
     reference_state,
+    relative_state,
+    run_flow,
     spectrum,
 )
 from reebflow import transverse
@@ -28,6 +31,20 @@ def legendre_values(k, x):
     c = np.zeros(k + 1)
     c[k] = 1.0
     return legendre.legval(x, c)
+
+
+def longdouble_deriv(grid, f):
+    """d/dx through the longdouble transform halves: the route of the
+    float64 Grid.deriv, handed the extended-precision tables."""
+    tables = grid._ld
+    c_even, c_odd = grid._forward(np.asarray(f, dtype=np.longdouble), tables)
+    return grid._synthesis(*transverse._legder(c_even, c_odd), tables)
+
+
+def longdouble_scalar_curvature(grid, ratio_ld):
+    """S r = 4 - Lap(log r)/2 with r, log r and the Laplacian all in
+    extended precision."""
+    return (SCALAR_TARGET - grid._laplacian_ld(np.log(ratio_ld)) / 2) / ratio_ld
 
 
 class TestGrid:
@@ -69,7 +86,7 @@ class TestGrid:
         for j in range(n):
             c = np.zeros(n, dtype=np.longdouble)
             c[j] = 1.0
-            d_even, d_odd = transverse._legder_ld(c[0::2], c[1::2])
+            d_even, d_odd = transverse._legder(c[0::2], c[1::2])
             d = np.empty(n, dtype=np.longdouble)
             d[0::2], d[1::2] = d_even, d_odd
             expected = np.zeros(n)
@@ -83,7 +100,7 @@ class TestGrid:
         grid = make_grid(n)
         assert np.array_equal(grid.x[::-1], -grid.x)
         assert np.array_equal(grid.w[::-1], grid.w)
-        assert np.array_equal(grid._w_ld[::-1], grid._w_ld)
+        assert np.array_equal(grid._ld.w[::-1], grid._ld.w)
         x, _ = transverse._nodes_weights_ld(n)
         v = transverse._vander_ld(n, x)
         assert np.array_equal(v[::-1], v * (-1.0) ** np.arange(n))
@@ -106,39 +123,54 @@ class TestGrid:
             lap = v @ (lam * (fwd @ (f - (w / 2) @ f)))
             df = v @ (dcoef @ (fwd @ f))
             assert np.abs(grid._laplacian_ld(f) - lap).max() <= 1e-17 * np.abs(lap).max()
-            assert np.abs(grid._deriv_ld(f) - df).max() <= 1e-17 * np.abs(df).max()
+            # the longdouble tables give the derivative to 1e-17 too (the
+            # reference of TestFloat64Transforms); the float64 route of
+            # Grid.deriv to float64 rounding, at most 1.2e-15 of the sup
+            # measured (n = 128)
+            assert np.abs(longdouble_deriv(grid, f) - df).max() <= 1e-17 * np.abs(df).max()
+            assert np.abs(grid.deriv(f) - df).max() <= 1e-14 * np.abs(df).max()
 
     @pytest.mark.parametrize("rows", [1, 3, 33])
     @pytest.mark.parametrize("n", PARITY_SIZES)
     def test_stacked_transforms_match_each_row(self, n, rows):
         # a stack of fields, grid on the last axis, gives each row the bits
-        # of its own 1-D Laplacian and derivative
+        # of its own 1-D longdouble Laplacian; in float64 a stack is one
+        # BLAS matrix product and a row one matrix-vector product, which
+        # differ in the last bits (at most 1.4e-15 of the sup measured)
         grid = make_grid(n)
         rng = np.random.default_rng(n * 100 + rows)
-        stack = (3.0 * rng.standard_normal((rows, n)) + 5.0).astype(np.longdouble)
-        for op in (grid._laplacian_ld, grid._deriv_ld):
+        stack = 3.0 * rng.standard_normal((rows, n)) + 5.0
+        out = grid._laplacian_ld(stack)
+        assert out.shape == (rows, n) and out.dtype == np.longdouble
+        assert np.array_equal(out, np.array([grid._laplacian_ld(f) for f in stack]))
+        for op in (grid._laplacian_64, grid.deriv):
             out = op(stack)
-            assert out.shape == (rows, n) and out.dtype == np.longdouble
-            assert np.array_equal(out, np.array([op(f) for f in stack]))
+            assert out.shape == (rows, n) and out.dtype == np.float64
+            each = np.array([op(f) for f in stack])
+            assert np.abs(out - each).max() <= 1e-14 * np.abs(each).max()
 
     @pytest.mark.parametrize("shape", [(3, 95), (96, 3), (2, 3, 97), ()])
     def test_stacked_transforms_refuse_another_last_axis(self, grid96, shape):
-        for op in (grid96._laplacian_ld, grid96._deriv_ld):
+        for op in (grid96._laplacian_ld, grid96._laplacian_64, grid96.deriv):
             with pytest.raises(GridMismatchError):
                 op(np.zeros(shape))
 
     @pytest.mark.parametrize("n", PARITY_SIZES)
     def test_no_full_longdouble_table(self, n):
+        # the transform halves, in longdouble and their float64 roundings
         grid = make_grid(n)
-        tables = [
-            value
-            for value in vars(grid).values()
-            if isinstance(value, np.ndarray) and value.dtype == np.longdouble
-        ]
-        assert all(t.shape != (n, n) for t in tables)
-        # a Laplacian makes one multiply-add per entry of the 2-D tables:
-        # 2 n ceil(n/2), which is n^2 for even n
-        assert sum(t.size for t in tables if t.ndim == 2) == 2 * n * ((n + 1) // 2)
+        for tables, dtype in ((grid._ld, np.longdouble), (grid._f64, np.float64)):
+            assert all(t.dtype == dtype and t.shape != (n, n) for t in tables)
+            # a Laplacian makes one multiply-add per entry of the 2-D
+            # tables: 2 n ceil(n/2), which is n^2 for even n
+            assert sum(t.size for t in tables if t.ndim == 2) == 2 * n * ((n + 1) // 2)
+        for t64, t in zip(grid._f64, grid._ld):
+            assert np.array_equal(t64, t.astype(np.float64))
+        # the float64 synthesis halves are those of vander, and w the grid's
+        h = (n + 1) // 2
+        assert np.array_equal(grid._f64.syn_even, grid.vander[:h, 0::2])
+        assert np.array_equal(grid._f64.syn_odd, grid.vander[:h, 1::2])
+        assert np.array_equal(grid._f64.w, grid.w)
 
     @pytest.mark.parametrize("shape", [(95,), (97,), (96, 2)])
     def test_deriv_refuses_a_field_of_another_shape(self, grid96, shape):
@@ -181,6 +213,36 @@ class TestGrid:
         coeffs = np.random.default_rng(seed).standard_normal(12) * 0.1
         f = legendre.legval(grid.x, coeffs)
         assert abs(grid.integrate(grid.laplacian(f))) < 1e-10
+
+
+class TestFloat64Transforms:
+    """The transforms that end a chain run in float64: the Laplacian of
+    log r in the scalar curvature, read off the float64 ratio, and every
+    derivative.  Against a longdouble reference on flow records, both err
+    by float64 rounding amplified like n^2: at most 1.0e-11 of the sup for
+    the derivative of h_s (0.3(1 - x^2), n = 256) and 4.4e-12 for S (0.1x,
+    n = 256), under 1.6e-16 n^2 at each n measured.  The bound is
+    1e-15 n^2."""
+
+    @pytest.mark.parametrize("n", [33, 64, 128, 256])
+    @pytest.mark.parametrize("psi", [
+        lambda x: 0.3 * (1.0 - x * x),
+        lambda x: 0.1 * x,
+        lambda x: 0.05 * (x**3 - x) + 0.02,
+    ], ids=["bump", "odd", "cubic"])
+    def test_against_a_longdouble_reference(self, n, psi):
+        grid = make_grid(n)
+        base = metric_state(BasicPotential.from_callable(grid, psi))
+        traj = run_flow(base, s_end=1.0, policy=FlowPolicy(record_stride=20))
+        assert traj.completed and len(traj.records) == 11
+        bound = 1e-15 * n**2
+        for rec in traj.records:
+            state = relative_state(base, rec.v)
+            dh = longdouble_deriv(grid, rec.h)
+            assert np.abs(grid.deriv(rec.h) - dh).max() <= bound * np.abs(dh).max()
+            scalar = longdouble_scalar_curvature(grid, state.potential._kept_ratio_ld)
+            err = np.abs(state.scalar_curvature - scalar).max()
+            assert err <= bound * np.abs(scalar).max()
 
 
 class TestPotentials:
@@ -257,28 +319,28 @@ class TestMetricState:
         assert c == state.norm_constant
 
     def test_fields_are_computed_on_first_read(self, psi128, counts):
-        # construction forms and checks the ratio (one Laplacian, which the
-        # potential keeps); h and c are read off it, and S applies one more
-        # Laplacian, once.  A fresh potential: psi128 may keep its own.
+        # construction forms and checks the ratio (one longdouble
+        # Laplacian, which the potential keeps); h and c are read off it,
+        # and S applies one float64 Laplacian, of log r, once.  A fresh
+        # potential: psi128 may keep its own.
         grid = psi128.grid
         counts.clear()
         state = metric_state(BasicPotential(values=psi128.values, grid=grid))
         assert counts["laplacian"] == 1
         h, c = state.ricci_potential, state.norm_constant
-        assert counts["laplacian"] == 1
+        assert counts == {"laplacian": 1}
         scalar = state.scalar_curvature
-        assert counts["laplacian"] == 2
+        assert counts == {"laplacian": 1, "laplacian64": 1}
         assert state.scalar_curvature is scalar
-        assert counts["laplacian"] == 2
+        assert counts == {"laplacian": 1, "laplacian64": 1}
         # the same bits as the formulas applied directly
         expected_h, expected_c = transverse._ricci_potential(grid, state.ratio, psi128.values)
         np.testing.assert_array_equal(h, expected_h)
         assert c == expected_c
         # a fresh potential applies its own Laplacian, not the one psi128 keeps
-        ratio_ld = 1.0 + grid._laplacian_ld(psi128.values) / 4.0
-        expected_s = (
-            (SCALAR_TARGET - grid._laplacian_ld(np.log(ratio_ld)) / 2) / ratio_ld
-        ).astype(np.float64)
+        ratio = (1.0 + grid._laplacian_ld(psi128.values) / 4.0).astype(np.float64)
+        np.testing.assert_array_equal(state.ratio, ratio)
+        expected_s = (SCALAR_TARGET - grid._laplacian_64(np.log(ratio)) / 2) / ratio
         np.testing.assert_array_equal(scalar, expected_s)
         for field in (state.ratio, h, scalar):
             assert not field.flags.writeable
