@@ -29,9 +29,6 @@ from .transverse import (
 from .functionals import (
     FunctionalLedger,
     eval_F,
-    eval_I,
-    eval_J,
-    eval_K_energy,
     random_potential,
     relative_state,
     verify_cocycle,
@@ -51,14 +48,11 @@ from .continuity import (
 from .flow import (
     FlowPolicy,
     epsilon_pinching,
-    flow_rhs,
-    holder_seminorm,
     run_flow,
     smoothing_monitors,
 )
 from .curvature import (
     calabi_bound,
-    calabi_functional,
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
@@ -85,14 +79,8 @@ __all__ = [
     "SolverError",
     "admissibility",
     "calabi_bound",
-    "calabi_functional",
     "epsilon_pinching",
     "eval_F",
-    "eval_I",
-    "eval_J",
-    "eval_K_energy",
-    "flow_rhs",
-    "holder_seminorm",
     "ma_defect",
     "ma_jacobian",
     "make_grid",

@@ -320,9 +320,6 @@ class ContinuityPath:
     # not part of the s-integration rule, e.g. the t = 1 endpoint)
     record_weights: Optional[NDArray[np.float64]] = None
 
-    def ts(self) -> NDArray[np.float64]:
-        return np.array([r.t for r in self.records])
-
     def i_minus_j(self) -> NDArray[np.float64]:
         return np.array([r.ledger.I - r.ledger.J for r in self.records])
 
@@ -536,9 +533,13 @@ def mobius_potential(lam: float, grid: Grid) -> BasicPotential:
     """Potential of the round structure pulled back by the dilation
     z -> lam z of the quotient, normalized to mean zero.  At lam = 1 it
     vanishes; the family has unbounded J but F identically zero, which
-    is the properness obstruction carried by the automorphisms."""
-    if not (lam > 0):
-        raise ConfigurationError(f"Moebius parameter must be positive, got {lam}")
+    is the properness obstruction carried by the automorphisms.  A lam
+    that is not positive, or whose lam^2 (1 + x) overflows (1 + x nears 2
+    at the last node), raises ConfigurationError."""
+    if not (lam > 0 and math.isfinite(2.0 * lam * lam)):
+        raise ConfigurationError(
+            f"Moebius parameter lam must be positive with 2 lam^2 finite, got lam = {lam}"
+        )
     raw = np.log(lam * lam * (1.0 + grid.x) + (1.0 - grid.x))
     phi = raw - grid.integrate(raw)
     return BasicPotential(values=phi, grid=grid)

@@ -29,14 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .transverse import BasicPotential, SCALAR_TARGET, metric_state
 
 __all__ = [
     "RoundCurvatureModel",
     "CharacteristicIntegrandReport",
     "round_tensor_contractions",
     "verify_round_characteristic_integrand",
-    "calabi_functional",
     "calabi_bound",
 ]
 
@@ -166,13 +164,6 @@ def verify_round_characteristic_integrand(
         sign=int(np.sign(integrand)) if abs(integrand) > 1e-12 else 0,
         model=model,
     )
-
-
-def calabi_functional(phi: BasicPotential) -> float:
-    """Integral of (S^T - 2m(m+1))^2 against the deformed measure."""
-    state = metric_state(phi)
-    dev = state.scalar_curvature - SCALAR_TARGET
-    return float(state.measure @ dev**2)
 
 
 def calabi_bound(eps: float, m: int = 1) -> float:

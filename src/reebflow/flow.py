@@ -124,9 +124,11 @@ plus the achieved scalar-curvature pinching max|S^T - 2m(m+1)| and the
 Calabi energy int (S^T - 2m(m+1))^2 dmu_s, which epsilon_pinching reads
 off its last record; an eps below the pinch the flow can attain at n
 nodes, _PINCH_EPS_PER_N4 n^4, is refused before any work.
-smoothing_monitors adds a discrete C^{1/2} seminorm of h_1 (geodesic
-distance of the round quotient), which feeds the fitted smoothing
-constants when the flow starts from a continuity-path state.
+smoothing_monitors aggregates the bounds over the records and adds, from
+the record at s = 1, the time-one bound on sup|v_1| and the one-sided
+metric sandwich 1/2 <= r <= 1.  The right-hand side at each record is
+its vdot, and the Calabi energy its calabi monitor; nothing else
+evaluates either.
 """
 
 from __future__ import annotations
@@ -166,9 +168,7 @@ __all__ = [
     "FlowTrajectory",
     "SmoothingReport",
     "PinchResult",
-    "flow_rhs",
     "run_flow",
-    "holder_seminorm",
     "smoothing_monitors",
     "epsilon_pinching",
 ]
@@ -221,25 +221,6 @@ _RECORD_BLOCK = 32
 def _rhs(ratio: NDArray, v_values: NDArray, base: MetricState) -> NDArray[np.float64]:
     """log r_base(v) + (m+1) v - h_base from the volume ratio r of base + v."""
     return np.log(ratio / base.ratio) + MP1 * v_values - base.ricci_potential
-
-
-def flow_rhs(v: BasicPotential, base: MetricState) -> NDArray[np.float64]:
-    """Right-hand side log r_base(v) + (m+1) v - h_base, pointwise, from
-    the ratio of the state of base + v alone.
-
-    Raises InadmissibleError when base + v is not positive.
-    """
-    return _rhs(relative_state(base, v).ratio, v.values, base)
-
-
-def holder_seminorm(grid, f: NDArray, k: float = 0.5) -> float:
-    """Discrete C^{0,k} seminorm with the geodesic distance of the round
-    quotient (a sphere of radius 1/2): d = |theta_i - theta_j| / 2."""
-    theta = np.arccos(np.clip(-np.asarray(grid.x), -1.0, 1.0))
-    d = np.abs(theta[:, None] - theta[None, :]) / 2.0
-    mask = d > 0
-    df = np.abs(np.asarray(f)[:, None] - np.asarray(f)[None, :])
-    return float((df[mask] / d[mask] ** k).max())
 
 
 @dataclass(frozen=True)
@@ -638,51 +619,30 @@ class SmoothingReport:
     sandwich_lo_margin: Optional[float]  # min(r_total at s=1) - 1/2
     sandwich_hi_margin: Optional[float]  # 1 - max(r_total at s=1)
     sandwich_held: Optional[bool]
-    c1_fit: Optional[float]
-    c7_fit: Optional[float]
 
 
-def smoothing_monitors(
-    trajectory: FlowTrajectory, one_minus_t: Optional[float] = None
-) -> SmoothingReport:
+def smoothing_monitors(trajectory: FlowTrajectory) -> SmoothingReport:
     """Aggregate the per-record monitor bounds and, from the record at
-    s = 1, the time-one potential bound, the one-sided metric sandwich
-    (reported, never assumed), and the fitted smoothing constants.  The
-    sandwich and the centring of h_1 read the volume ratio the record at
-    s = 1 keeps, so no state is built and no Laplacian applied.  The
-    time-one section is None when no record lies within _S_TOL of s = 1.
-
-    The two fitted constants follow the shapes the smoothing estimates
-    take for a flow started from a continuity-path state at parameter t
-    (supply one_minus_t):  sup|h_1| against (1-t)^{1/3} sup|h_0|^{2/3},
-    and the C^{0,1/2} norm of h_1 against (1-t)^{1/6}(1+sup|h_0|)^{5/6}.
-    They are fitted, not asserted.
+    s = 1, the time-one potential bound and the one-sided metric sandwich
+    (reported, never assumed).  The sandwich reads the volume ratio the
+    record at s = 1 keeps, so no state is built and no Laplacian applied.
+    The time-one section is None when no record lies within _S_TOL of
+    s = 1.
     """
     if len(trajectory.records) < 2:
         raise ConfigurationError("smoothing monitors need at least 2 records")
-    recs = trajectory.records
-    mons = [r.monitors for r in recs]
-    base = trajectory.initial
-    h0_norm = float(np.abs(base.ricci_potential).max())
+    mons = [r.monitors for r in trajectory.records]
+    h0_norm = float(np.abs(trajectory.initial.ricci_potential).max())
 
     u_slack = None
     lo = hi = None
     held = None
-    c1 = c7 = None
     rec1 = trajectory.record_at(1.0)
     if abs(rec1.s - 1.0) <= _S_TOL:
         u_slack = (math.exp(MP1) / MP1) * h0_norm - rec1.v.sup()
         lo = float(rec1.ratio.min()) - 0.5
         hi = 1.0 - float(rec1.ratio.max())
         held = bool(lo >= 0.0 and hi >= 0.0)
-        if one_minus_t is not None and h0_norm > 0:
-            h1 = rec1.h
-            h1_centered = h1 - float((base.grid.w * rec1.ratio) @ h1)
-            denom = one_minus_t ** (1.0 / 3.0) * h0_norm ** (2.0 / 3.0)
-            c1 = float(np.abs(h1_centered).max() / denom) if denom > 0 else None
-            holder_norm = float(np.abs(h1).max()) + holder_seminorm(base.grid, h1)
-            denom7 = one_minus_t ** (1.0 / 6.0) * (1.0 + h0_norm) ** (5.0 / 6.0)
-            c7 = holder_norm / denom7 if denom7 > 0 else None
 
     return SmoothingReport(
         worst_a_slack=min(m.bound_a_slack for m in mons),
@@ -694,8 +654,6 @@ def smoothing_monitors(
         sandwich_lo_margin=lo,
         sandwich_hi_margin=hi,
         sandwich_held=held,
-        c1_fit=c1,
-        c7_fit=c7,
     )
 
 
@@ -778,7 +736,7 @@ def epsilon_pinching(base: MetricState, eps: float) -> PinchResult:
     late = [r for r in trajectory.records if r.s >= 1.0]
     dh2_slack = 8.0 * growth**2 * h_norm**2 - max(r.monitors.sup_dh2 for r in late)
     lap_min = min(r.monitors.lap_h_min for r in trajectory.records)
-    smoothing = smoothing_monitors(trajectory, one_minus_t=1.0 - t)
+    smoothing = smoothing_monitors(trajectory)
     return PinchResult(
         achieved=achieved,
         eps=float(eps),

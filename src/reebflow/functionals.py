@@ -23,9 +23,9 @@ s = 1, across I, J, F0, F and K.
 
 Quadrature choices: J integrates I(s phi)/s with a 32-node Gauss rule in
 s (the integrand is smooth, here in fact linear in s); the K-energy
-integrates over the path parameter with 48 Gauss nodes and accepts a
-quadratic reparametrization of the same ray, which serves as the
-path-independence cross-check.
+integrates over the path parameter of the linear ray with 48 Gauss nodes.
+``FunctionalLedger.evaluate`` is the one route to I, J, K and the margin,
+``eval_F`` to F0 and F alone.
 
 The K-energy integrand is evaluated after moving the Laplacian off the
 log-ratio field by self-adjointness: int f Lap(log r) dmu equals
@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError, SolverError
+from .errors import SolverError
 from .transverse import (
     M_DIM,
     SCALAR_TARGET,
@@ -63,10 +63,7 @@ __all__ = [
     "CocycleReport",
     "MabuchiReport",
     "relative_state",
-    "eval_I",
-    "eval_J",
     "eval_F",
-    "eval_K_energy",
     "verify_cocycle",
     "verify_mabuchi_f_relation",
     "random_potential",
@@ -112,6 +109,16 @@ class _Ray:
         return float(self.phi.grid.w @ (self.phi.values * (self.base.ratio - self.ratio)))
 
     def j_value(self) -> float:
+        """J(phi) = int_0^1 I(s phi)/s ds by a 32-node Gauss rule in s.
+
+        I vanishes quadratically at s = 0, so the integrand extends
+        smoothly.  The rule stays a real 32-point quadrature, so J = I/2 at
+        m = 1 is a computed identity, not a definition.  Admissibility of
+        phi gives it along the ray (the ratios are affine in s, so positive
+        at both ends means positive between); still each node's ratio is
+        checked, and the first inadmissible node in s raises
+        InadmissibleError with its margin.
+        """
         s, w = _gauss01(32)
         # row j becomes the integrand s_j phi (r_base - r_j) of I(s_j phi),
         # in place to keep the (nodes, n) temporaries few
@@ -128,46 +135,28 @@ class _Ray:
         f = f0 - log_mean_exp(grid.w * base.ratio, z) / (M_DIM + 1)
         return float(f0), float(f)
 
-    def k_energy(self, path: str = "linear") -> float:
+    def k_energy(self) -> float:
+        """K-energy by 48-node Gauss quadrature of
+        -int phidot (S_t - 2m(m+1)) dmu_t dt along phi_t = t phi.
+
+        The ratio r_t at each node is read off the affine ray
+        r(psi) + t Lap(phi)/4, all 48 as one array checked row by row, and
+        Lap(phi) is the same one field that carries the moved Laplacian of
+        log r_t, so the quadrature reads one Laplacian, the one phi keeps.
+        The first nonpositive r_t in t raises InadmissibleError with its
+        margin.
+        """
         t, t_weights = _gauss01(48)
-        if path == "linear":
-            a, adot = t, np.ones_like(t)
-        elif path == "quadratic":
-            a, adot = t * t, 2.0 * t
-        else:
-            raise ConfigurationError(f"unknown path {path!r}")
         w, phi = self.phi.grid.w, self.phi.values
-        ratios = _admissible(_ratio_ld(self.base.potential, self.phi, a))
-        # int phidot (S_t - 4) dmu_t with phidot = adot * phi; the
-        # Lap(log r_t) part of S_t r_t is moved onto phidot by
-        # self-adjointness before quadrature.
+        ratios = _admissible(_ratio_ld(self.base.potential, self.phi, t))
+        # int phi (S_t - 4) dmu_t; the Lap(log r_t) part of S_t r_t is
+        # moved onto phi by self-adjointness before quadrature.
         moved = np.log(ratios)
         moved *= self.phi._lap_ld.astype(np.float64)
         excess = np.subtract(1.0, ratios, out=ratios)
         excess *= phi
-        terms = t_weights * (adot * (SCALAR_TARGET * np.vecdot(excess, w) - 0.5 * np.vecdot(moved, w)))
+        terms = t_weights * (SCALAR_TARGET * np.vecdot(excess, w) - 0.5 * np.vecdot(moved, w))
         return float(-np.cumsum(terms)[-1])
-
-
-def eval_I(phi: BasicPotential, base: MetricState) -> float:
-    """I = int phi (dmu_base - dmu_phi), measures normalized to mass one."""
-    return _Ray(phi, base).i_value()
-
-
-def eval_J(phi: BasicPotential, base: MetricState) -> float:
-    """J = int_0^1 I(s phi)/s ds by Gauss quadrature in s.
-
-    I vanishes quadratically at s = 0, so the integrand extends smoothly.
-    Each node's I(s phi) reads the ratio of psi + s phi off the affine
-    ray, from the Laplacian phi keeps; the 32 nodes' ratios are formed
-    as one array and checked row by row.  The quadrature stays a real
-    32-point rule, so J = I/2 at m = 1 is a computed identity, not
-    a definition.  Admissibility along the ray follows from admissibility
-    of phi (ratios are affine in s, so positive at both ends means
-    positive between), and each node's ratio is checked: the first
-    inadmissible node in s raises InadmissibleError with its margin.
-    """
-    return _Ray(phi, base).j_value()
 
 
 def eval_F(phi: BasicPotential, base: MetricState) -> tuple[float, float]:
@@ -180,25 +169,6 @@ def eval_F(phi: BasicPotential, base: MetricState) -> tuple[float, float]:
     """
     ray = _Ray(phi, base)
     return ray.f_values(ray.j_value())
-
-
-def eval_K_energy(
-    phi: BasicPotential, base: MetricState, path: str = "linear"
-) -> float:
-    """K-energy by quadrature of -int phidot (S_t - 2m(m+1)) dmu_t dt.
-
-    ``path`` selects the parametrization of the ray to phi: "linear"
-    (phi_t = t phi) or "quadratic" (phi_t = t^2 phi).  The value is
-    path-independent; the second parametrization exists to verify that.
-    Any other ``path`` raises ConfigurationError.
-    The ratio r_t at each of the 48 Gauss nodes is read off the
-    affine ray r(psi) + a(t) Lap(phi)/4, all 48 as one array checked row
-    by row, and Lap(phi) is the same one field that carries the moved
-    Laplacian of log r_t, so the whole quadrature reads one Laplacian,
-    the one phi keeps.  The first nonpositive r_t in t raises
-    InadmissibleError with its margin.
-    """
-    return _Ray(phi, base).k_energy(path)
 
 
 # ---------------------------------------------------------------------------

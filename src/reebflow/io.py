@@ -44,7 +44,7 @@ __all__ = [
     "write_manifest",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # environment variables that set the BLAS thread count; the summation order
 # of a threaded dense product, and so the last bits of the artifacts,

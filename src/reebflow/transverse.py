@@ -455,19 +455,6 @@ class MetricState:
                 f"potential on a {phi.grid.n}-node grid, base on a {self.grid.n}-node grid"
             )
 
-    @property
-    def measure(self) -> NDArray[np.float64]:
-        """Quadrature weights of the deformed (normalized) measure."""
-        return self.grid.w * self.ratio
-
-    def integrate(self, f: NDArray) -> float:
-        """Integral against the deformed measure dmu_phi."""
-        return float(self.measure @ np.asarray(f, dtype=np.float64))
-
-    def laplacian(self, f: NDArray) -> NDArray[np.float64]:
-        """Laplacian of the deformed structure: reference Laplacian / ratio."""
-        return self.grid.laplacian(f) / self.ratio
-
     def grad_norm_sq(self, f: NDArray) -> NDArray[np.float64]:
         """|df|^2 in the deformed metric (``_grad_norm_sq``)."""
         return _grad_norm_sq(self.grid, self.ratio, self.grid.deriv(f))

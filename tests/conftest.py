@@ -5,13 +5,15 @@ import pytest
 
 from reebflow import (
     BasicPotential,
+    flow,
     functionals,
     make_grid,
     metric_state,
     reference_state,
+    relative_state,
     transverse,
 )
-from reebflow.transverse import Grid
+from reebflow.transverse import SCALAR_TARGET, Grid
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +49,17 @@ def ref256(grid256):
 def psi_bump(grid):
     """The standard manufactured deformation 0.3 (1 - x^2)."""
     return BasicPotential.from_callable(grid, lambda x: 0.3 * (1.0 - x * x))
+
+
+def rhs(v, base):
+    """The flow's right-hand side at base + v, as a record's vdot holds it."""
+    return flow._rhs(relative_state(base, v).ratio, v.values, base)
+
+
+def calabi(state):
+    """Calabi energy int (S^T - 2m(m+1))^2 dmu_phi, as a record's monitor
+    holds it."""
+    return float((state.grid.w * state.ratio) @ (state.scalar_curvature - SCALAR_TARGET) ** 2)
 
 
 @pytest.fixture(scope="session")

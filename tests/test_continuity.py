@@ -17,8 +17,6 @@ from reebflow import (
     SolverError,
     epsilon_pinching,
     eval_F,
-    eval_J,
-    flow_rhs,
     ma_defect,
     ma_jacobian,
     metric_state,
@@ -32,6 +30,10 @@ from reebflow import (
 )
 from reebflow.transverse import M_DIM
 from tests.conftest import psi_bump
+
+
+def record_ts(path):
+    return np.array([r.t for r in path.records])
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +185,7 @@ class TestNewtonSolve:
 class TestContinuityPath:
     def test_completes_and_orders(self, adaptive):
         assert adaptive.completed and adaptive.failure is None
-        ts = adaptive.ts()
+        ts = record_ts(adaptive)
         assert np.all(np.diff(ts) > 0)
         assert ts[0] == pytest.approx(0.1) and ts[-1] == pytest.approx(1.0)
 
@@ -204,7 +206,7 @@ class TestContinuityPath:
         assert gauss.record_weights is not None
         nodes, weights = np.polynomial.legendre.leggauss(48)
         np.testing.assert_allclose(
-            gauss.ts()[:-1], (nodes + 1.0) / 2.0, rtol=0, atol=1e-14
+            record_ts(gauss)[:-1], (nodes + 1.0) / 2.0, rtol=0, atol=1e-14
         )
         assert (weights / 2.0).sum() == pytest.approx(1.0, abs=1e-14)
         assert gauss.record_weights[-1] == 0.0
@@ -503,8 +505,6 @@ class TestGridMismatch:
         "solve_ma_at_t": lambda phi, base: solve_ma_at_t(0.5, base, phi),
         "ma_defect": lambda phi, base: ma_defect(phi, 0.5, base),
         "relative_state": lambda phi, base: relative_state(base, phi),
-        "flow_rhs": lambda phi, base: flow_rhs(phi, base),
-        "eval_J": lambda phi, base: eval_J(phi, base),
         "FunctionalLedger.evaluate": lambda phi, base: FunctionalLedger.evaluate("phi", phi, base),
     }
 
@@ -547,7 +547,7 @@ class TestStepperFailures:
     def test_adaptive_path_stops_at_the_floor(self, base96, newton_fails_past_half):
         path = run_continuity_path(base96)
         assert not path.completed
-        ts = path.ts()
+        ts = record_ts(path)
         assert 0.45 < ts[-1] <= 0.5
         assert path.failure == f"step floor 0.0001 reached at t = {ts[-1]:.6g}"
         assert path.record_weights is None
@@ -559,7 +559,7 @@ class TestStepperFailures:
         assert match and 0.45 < float(match.group(1)) <= 0.5
         nodes, weights = np.polynomial.legendre.leggauss(6)
         kept = (nodes + 1.0) / 2.0 <= 0.5
-        np.testing.assert_allclose(path.ts(), (nodes[kept] + 1.0) / 2.0, atol=1e-14)
+        np.testing.assert_allclose(record_ts(path), (nodes[kept] + 1.0) / 2.0, atol=1e-14)
         np.testing.assert_allclose(path.record_weights, weights[kept] / 2.0, atol=1e-14)
 
     def test_pinching_path_stalls(self, base96, newton_fails_past_half):
@@ -586,13 +586,12 @@ class TestStepperFailures:
 
 class TestMobius:
     def test_closed_form_j(self, grid256, ref256):
-        from reebflow import eval_J
-
         for lam in (2.0, 4.0, 16.0):
             mob = mobius_potential(lam, grid256)
             a = (lam**2 - 1.0) / (lam**2 + 1.0)
             expected = np.log(lam) / a - 1.0
-            assert eval_J(mob, ref256) == pytest.approx(expected, rel=1e-12)
+            ledger = FunctionalLedger.evaluate("mobius", mob, ref256)
+            assert ledger.J == pytest.approx(expected, rel=1e-12)
 
     def test_mean_free(self, grid256):
         mob = mobius_potential(3.0, grid256)
@@ -603,10 +602,12 @@ class TestMobius:
         assert np.abs(mob.values).max() < 1e-14
 
     def test_invalid_lambda(self, grid256):
-        with pytest.raises(ConfigurationError):
-            mobius_potential(0.0, grid256)
-        with pytest.raises(ConfigurationError):
-            mobius_potential(-2.0, grid256)
+        # not positive, or lam^2 (1 + x) overflows at the last node: refused
+        # by name before any arithmetic, so numpy raises nothing
+        with np.errstate(all="raise"):
+            for lam in (0.0, -2.0, 1e300, 1e154, np.inf):
+                with pytest.raises(ConfigurationError, match=re.escape(f"got lam = {lam}")):
+                    mobius_potential(lam, grid256)
 
     def test_min_ratio_resolved(self, grid256):
         # min r along the family is 1 / lambda^2, attained at the pole the

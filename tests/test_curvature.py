@@ -7,12 +7,13 @@ from reebflow import (
     BasicPotential,
     ConfigurationError,
     calabi_bound,
-    calabi_functional,
+    metric_state,
     round_tensor_contractions,
     verify_round_characteristic_integrand,
 )
 from reebflow.curvature import MAX_CURVATURE, MAX_DIMENSION, MAX_EPS
 from reebflow.transverse import SCALAR_TARGET
+from tests.conftest import calabi
 
 # frozen after grid-doubling agreement to 13 digits (n = 128 / 256 / 384)
 FROZEN_CALABI_BUMP = 2.1602202429598808e01
@@ -109,7 +110,7 @@ class TestQNormField:
 
 class TestCalabi:
     def test_round_is_zero(self, grid128):
-        assert calabi_functional(BasicPotential.zero(grid128)) == pytest.approx(
+        assert calabi(metric_state(BasicPotential.zero(grid128))) == pytest.approx(
             0.0, abs=1e-20
         )
 
@@ -117,7 +118,7 @@ class TestCalabi:
         phi = BasicPotential.from_callable(
             grid128, lambda x: 0.1 * (3 * x**2 - 1) / 2
         )
-        assert calabi_functional(phi) == pytest.approx(FROZEN_CALABI_BUMP, rel=1e-12)
+        assert calabi(metric_state(phi)) == pytest.approx(FROZEN_CALABI_BUMP, rel=1e-12)
 
     def test_bound_values(self):
         assert calabi_bound(0.05) == pytest.approx(0.81, abs=1e-15)
@@ -136,4 +137,4 @@ class TestCalabi:
     def test_bound_dominates_small_deviations(self, base128):
         # any |S - 4| <= eps structure has Calabi energy below the bound
         eps = float(np.abs(base128.scalar_curvature - 4.0).max()) + 1e-12
-        assert calabi_functional(base128.potential) < calabi_bound(eps)
+        assert calabi(base128) < calabi_bound(eps)

@@ -13,17 +13,14 @@ from reebflow import (
     ConfigurationError,
     FlowPolicy,
     InadmissibleError,
-    calabi_functional,
     epsilon_pinching,
-    flow_rhs,
-    holder_seminorm,
     metric_state,
     relative_state,
     run_flow,
     smoothing_monitors,
 )
 from reebflow.transverse import M_DIM, SCALAR_TARGET
-from tests.conftest import count_laplacians
+from tests.conftest import calabi, count_laplacians, rhs
 
 MP1 = M_DIM + 1
 
@@ -35,24 +32,22 @@ def traj96(base96):
 
 class TestRhs:
     def test_round_fixed_point(self, grid128, ref128):
-        rhs = flow_rhs(BasicPotential.zero(grid128), ref128)
-        assert np.abs(rhs).max() < 1e-13
+        assert np.abs(rhs(BasicPotential.zero(grid128), ref128)).max() < 1e-13
 
     def test_inadmissible_raises(self, grid96, ref96):
         v = BasicPotential.from_callable(grid96, lambda x: 3.0 * (1.0 - x * x))
         with pytest.raises(InadmissibleError):
-            flow_rhs(v, ref96)
+            rhs(v, ref96)
 
     def test_matches_record_vdot(self, traj96, base96):
         rec = traj96.records[-1]
-        assert np.array_equal(flow_rhs(rec.v, base96), rec.vdot)
+        assert np.array_equal(rhs(rec.v, base96), rec.vdot)
 
     def test_einstein_translate_fixed_point(self, grid128, base128, psi128):
         # v = -psi + const reaches a round total structure, where the
         # rhs cancels exactly against the base Ricci potential
         v = BasicPotential(values=-psi128.values + 0.3, grid=grid128)
-        rhs = flow_rhs(v, base128)
-        assert np.abs(rhs - 2.0 * 0.3 + base128.norm_constant).max() < 1e-12
+        assert np.abs(rhs(v, base128) - 2.0 * 0.3 + base128.norm_constant).max() < 1e-12
 
     def test_directional_linearization(self, traj96, base96):
         # d/de rhs(v + e u) = Lap_s u / 4 + (m+1) u at each record state
@@ -65,10 +60,10 @@ class TestRhs:
         )
         u = rec.vdot
         eps = 1e-6
-        up = flow_rhs(BasicPotential(values=rec.v.values + eps * u, grid=grid), base96)
-        dn = flow_rhs(BasicPotential(values=rec.v.values - eps * u, grid=grid), base96)
+        up = rhs(BasicPotential(values=rec.v.values + eps * u, grid=grid), base96)
+        dn = rhs(BasicPotential(values=rec.v.values - eps * u, grid=grid), base96)
         fd = (up - dn) / (2 * eps)
-        analytic = 0.25 * state.laplacian(u) + MP1 * u
+        analytic = 0.25 * grid.laplacian(u) / state.ratio + MP1 * u
         rel = np.abs(fd - analytic).max() / max(np.abs(analytic).max(), 1e-30)
         assert rel < 1e-6
 
@@ -115,7 +110,7 @@ class TestRunFlow:
             )
             assert traj.completed
             v = traj.endpoint().v
-            ends.append(v.values - base128.integrate(v.values))
+            ends.append(v.values - (base128.grid.w * base128.ratio) @ v.values)
         coarse, fine = (np.abs(a - b).max() for a, b in zip(ends, ends[1:]))
         assert fine < 1e-6
         assert coarse > 3.0 * fine
@@ -247,7 +242,7 @@ class TestLapHIdentity:
             pinch = 2.0 * (state.scalar_curvature - SCALAR_TARGET)
             sup_s = max(sup_s, 2.0 * float(np.abs(state.scalar_curvature).max()))
             worst_state = max(worst_state, abs(rec.monitors.lap_h_min - float(pinch.min())))
-            lap_h = state.laplacian(rec.h)
+            lap_h = grid.laplacian(rec.h) / state.ratio
             sup = max(sup, float(np.abs(lap_h).max()))
             worst = max(worst, abs(rec.monitors.lap_h_min - float(lap_h.min())))
         assert worst <= 1e-11 * sup
@@ -262,10 +257,10 @@ def reference_record(base, s, v_values):
     v = BasicPotential(values=v_values, grid=grid)
     state = relative_state(base, v)
     h = state.ricci_potential
-    vdot = flow_rhs(v, base)
+    vdot = rhs(v, base)
     dh2 = state.grad_norm_sq(h)
     lap_h = 2.0 * (state.scalar_curvature - SCALAR_TARGET)
-    c_s = state.integrate(h + vdot)
+    c_s = float((grid.w * state.ratio) @ (h + vdot))
     growth = math.exp(MP1 * s)
     h0_norm = float(np.abs(base.ricci_potential).max())
     lap0_h0 = 2.0 * (base.scalar_curvature - SCALAR_TARGET)
@@ -282,7 +277,7 @@ def reference_record(base, s, v_values):
         bound_d_slack=growth * h0_norm - abs(c_s),
         s_pinch=float(np.abs(state.scalar_curvature - SCALAR_TARGET).max()),
         lap_h_min=float(lap_h.min()),
-        calabi=calabi_functional(state.potential),
+        calabi=calabi(state),
     )
     return h, vdot, monitors
 
@@ -556,7 +551,7 @@ class TestChordStep:
         # fresh inverse solves to rounding
         q = FlowPolicy().ds / (4.0 * 1.5 * base96.ratio)
         solver, products = self.kept_solver(base96, q)
-        b = q * flow_rhs(BasicPotential.zero(base96.grid), base96)
+        b = q * rhs(BasicPotential.zero(base96.grid), base96)
         step_log["factorizations"].clear()
         x = solver(1.3 * q, b)
         assert len(step_log["factorizations"]) == 1 and 0 < products["kept"] <= 3
@@ -572,7 +567,7 @@ class TestChordStep:
         assert flow._CHORD_DRIFT == 0.5
         q = FlowPolicy().ds / (4.0 * 1.5 * base96.ratio)
         solver, products = self.kept_solver(base96, q)
-        b = q * flow_rhs(BasicPotential.zero(base96.grid), base96)
+        b = q * rhs(BasicPotential.zero(base96.grid), base96)
         step_log["factorizations"].clear()
         solver(growth * q, b)
         assert len(step_log["factorizations"]) == 1
@@ -584,7 +579,7 @@ class TestChordStep:
         q = FlowPolicy().ds / (4.0 * 1.5 * base96.ratio)
         solver, products = self.kept_solver(base96, q)
         step_log["factorizations"].clear()
-        solver(q, q * flow_rhs(BasicPotential.zero(base96.grid), base96))
+        solver(q, q * rhs(BasicPotential.zero(base96.grid), base96))
         assert step_log["factorizations"] == [] and products["kept"] == 2
 
     def test_nan_refreshes_and_is_returned(self, base96, step_log):
@@ -653,8 +648,7 @@ class TestBDF2Step:
         grid = base96.potential.grid
         ratio = transverse._admissible(1.0 + grid._laplacian_ld(base96.potential.values) / 4.0)
         a = np.eye(grid.n) - (h / (4.0 * ratio))[:, None] * grid.lap
-        rhs = flow_rhs(BasicPotential.zero(grid), base96)
-        exact = step_log["exact"](a, h * rhs)
+        exact = step_log["exact"](a, h * rhs(BasicPotential.zero(grid), base96))
         assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
 
     def test_rejection_halves_the_step(self, base96, monkeypatch):
@@ -837,39 +831,10 @@ class TestFlowSuiteMarch:
         assert not stationary.passed and stationary.value >= eps
 
 
-class TestHolderSeminorm:
-    def test_cached_distances_keep_the_bits(self, grid96, rng):
-        f = rng.standard_normal(grid96.n)
-        theta = np.arccos(np.clip(-grid96.x, -1.0, 1.0))
-        d = np.abs(theta[:, None] - theta[None, :]) / 2.0
-        mask = d > 0
-        df = np.abs(f[:, None] - f[None, :])
-        for k in (0.5, 0.25):
-            expected = float((df[mask] / d[mask] ** k).max())
-            assert holder_seminorm(grid96, f, k) == expected
-            assert holder_seminorm(grid96, f, k) == expected
-
-    def test_max_pair_closed_form(self, grid96):
-        # for f = theta the pairwise ratio sqrt(2 |dtheta|) peaks at the
-        # widest node separation
-        theta = np.arccos(-grid96.x)
-        expected = math.sqrt(2.0 * (theta.max() - theta.min()))
-        assert holder_seminorm(grid96, theta) == pytest.approx(expected, rel=1e-12)
-
-    def test_constant_is_zero(self, grid96):
-        assert holder_seminorm(grid96, np.ones(grid96.n)) == 0.0
-
-    def test_scaling(self, grid96, rng):
-        f = rng.standard_normal(grid96.n)
-        assert holder_seminorm(grid96, 3.0 * f) == pytest.approx(
-            3.0 * holder_seminorm(grid96, f), rel=1e-12
-        )
-
-
 class TestSmoothing:
     def test_report_fields(self, base96):
         traj = run_flow(base96, s_end=2.0, policy=FlowPolicy(record_stride=50))
-        rep = smoothing_monitors(traj, one_minus_t=0.4)
+        rep = smoothing_monitors(traj)
         assert rep.worst_a_slack >= -1e-10
         assert rep.worst_b_slack >= -1e-10
         assert rep.worst_c_min >= -1e-10
@@ -877,23 +842,18 @@ class TestSmoothing:
         assert rep.max_constancy_dev < 1e-12
         assert rep.u_bound_slack is not None and rep.u_bound_slack > 0
         assert rep.sandwich_held is not None
-        assert rep.c1_fit is not None and rep.c1_fit > 0
-        assert rep.c7_fit is not None and rep.c7_fit > 0
 
     def test_time_one_section_reads_one_ratio(self, base96, traj96, counts):
-        # the sandwich and the centring of h_1 read the volume ratio the
-        # record at s = 1 keeps: no Laplacian, no state
+        # the sandwich reads the volume ratio the record at s = 1 keeps: no
+        # Laplacian, no state
         counts.clear()
-        rep = smoothing_monitors(traj96, one_minus_t=0.4)
+        rep = smoothing_monitors(traj96)
         assert counts == {}
         # the same numbers, bit for bit, as a full state of base + v_1
         rec1 = traj96.record_at(1.0)
         full = relative_state(base96, rec1.v)
         assert rep.sandwich_lo_margin == float(full.ratio.min()) - 0.5
         assert rep.sandwich_hi_margin == 1.0 - float(full.ratio.max())
-        h0n = float(np.abs(base96.ricci_potential).max())
-        denom = 0.4 ** (1.0 / 3.0) * h0n ** (2.0 / 3.0)
-        assert rep.c1_fit == float(np.abs(rec1.h - full.integrate(rec1.h)).max() / denom)
 
     def test_short_trajectory_rejected(self, base96):
         traj = run_flow(base96, s_end=0.5, policy=FlowPolicy(record_stride=10**6))
@@ -913,17 +873,15 @@ class TestSmoothing:
         # is the time-one section
         traj = run_flow(base96, s_end=2.0, policy=FlowPolicy(record_stride=stride))
         assert all(abs(r.s - 1.0) > 0.05 for r in traj.records)
-        rep = smoothing_monitors(traj, one_minus_t=0.4)
+        rep = smoothing_monitors(traj)
         assert rep.u_bound_slack is None
         assert rep.sandwich_held is None
-        assert rep.c1_fit is None and rep.c7_fit is None
 
     def test_no_time_one_section_when_flow_is_short(self, base96):
         traj = run_flow(base96, s_end=0.5, policy=FlowPolicy(record_stride=100))
         rep = smoothing_monitors(traj)
         assert rep.u_bound_slack is None
         assert rep.sandwich_held is None
-        assert rep.c1_fit is None
 
 
 class TestPinching:

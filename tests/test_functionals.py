@@ -11,10 +11,6 @@ from reebflow import (
     InadmissibleError,
     admissibility,
     eval_F,
-    eval_I,
-    eval_J,
-    eval_K_energy,
-    flow_rhs,
     make_grid,
     metric_state,
     mobius_potential,
@@ -24,9 +20,9 @@ from reebflow import (
     verify_cocycle,
     verify_mabuchi_f_relation,
 )
-from reebflow.functionals import MabuchiReport
+from reebflow.functionals import MabuchiReport, _Ray
 from reebflow.transverse import M_DIM, SCALAR_TARGET, _ratio_ld, log_mean_exp
-from tests.conftest import psi_bump
+from tests.conftest import psi_bump, rhs
 
 # Frozen reference values for phi = 0.1 x on the round base.  I and J
 # have closed forms (I = 2 eps^2 / 3, J = I / 2 for eps x); F and K were
@@ -37,6 +33,10 @@ FROZEN_F = 4.433190719833457e-06
 FROZEN_K = 5.395322763893058e-05
 
 
+def ledger(phi, base):
+    return FunctionalLedger.evaluate("phi", phi, base)
+
+
 @pytest.fixture(scope="module")
 def linear128(grid128):
     return BasicPotential.from_callable(grid128, lambda x: 0.1 * x)
@@ -44,10 +44,10 @@ def linear128(grid128):
 
 class TestFrozenValues:
     def test_I_closed_form(self, linear128, ref128):
-        assert eval_I(linear128, ref128) == pytest.approx(FROZEN_I, rel=1e-13)
+        assert ledger(linear128, ref128).I == pytest.approx(FROZEN_I, rel=1e-13)
 
     def test_J_closed_form(self, linear128, ref128):
-        assert eval_J(linear128, ref128) == pytest.approx(FROZEN_J, rel=1e-13)
+        assert ledger(linear128, ref128).J == pytest.approx(FROZEN_J, rel=1e-13)
 
     def test_F_frozen(self, linear128, ref128):
         f0, f = eval_F(linear128, ref128)
@@ -55,23 +55,24 @@ class TestFrozenValues:
         assert f == pytest.approx(FROZEN_F, rel=1e-10)
 
     def test_K_frozen(self, linear128, ref128):
-        assert eval_K_energy(linear128, ref128) == pytest.approx(FROZEN_K, rel=1e-10)
+        assert ledger(linear128, ref128).K == pytest.approx(FROZEN_K, rel=1e-10)
 
     def test_zero_potential_annihilates(self, grid128, ref128):
         zero = BasicPotential.zero(grid128)
-        assert eval_I(zero, ref128) == 0.0
-        assert eval_J(zero, ref128) == 0.0
+        led = ledger(zero, ref128)
+        assert led.I == 0.0
+        assert led.J == 0.0
         f0, f = eval_F(zero, ref128)
         assert abs(f0) < 1e-16 and abs(f) < 1e-14
-        assert abs(eval_K_energy(zero, ref128)) < 1e-14
+        assert abs(led.K) < 1e-14
 
 
 class TestIdentities:
     def test_j_collapse(self, ref128, grid128, rng):
         for _ in range(5):
             phi = random_potential(grid128, rng)
-            i_val = eval_I(phi, ref128)
-            assert eval_J(phi, ref128) == pytest.approx(i_val / 2.0, abs=1e-14)
+            led = ledger(phi, ref128)
+            assert led.J == pytest.approx(led.I / 2.0, abs=1e-14)
 
     def test_translation_invariance(self, ref128, grid128, rng):
         phi = random_potential(grid128, rng)
@@ -120,23 +121,20 @@ class TestIdentities:
         dn = BasicPotential(values=(0.5 - h) * phi.values, grid=grid128)
         fd = (eval_F(up, ref128)[0] - eval_F(dn, ref128)[0]) / (2.0 * h)
         mid = relative_state(ref128, BasicPotential(values=0.5 * phi.values, grid=grid128))
-        expected = -mid.integrate(phi.values)
+        expected = -float((grid128.w * mid.ratio) @ phi.values)
         assert fd == pytest.approx(expected, rel=1e-6)
 
     def test_k_energy_path_independence(self, ref128, grid128, rng):
+        # the ledger's K on the linear ray t phi against K summed along the
+        # quadratic reparametrization t^2 phi of the same ray
         phi = random_potential(grid128, rng)
-        k_lin = eval_K_energy(phi, ref128, path="linear")
-        k_quad = eval_K_energy(phi, ref128, path="quadratic")
-        assert k_quad == pytest.approx(k_lin, abs=1e-8)
-
-    def test_k_energy_unknown_path(self, ref128, linear128):
-        with pytest.raises(ConfigurationError, match="unknown path 'cubic'"):
-            eval_K_energy(linear128, ref128, path="cubic")
+        k_quad = _per_node_ray(phi, ref128)[2]
+        assert k_quad == pytest.approx(ledger(phi, ref128).K, abs=1e-8)
 
     def test_k_energy_vanishes_on_automorphisms(self, ref128, grid128):
         for lam in (1.5, 2.0, 4.0):
             mob = mobius_potential(lam, grid128)
-            assert abs(eval_K_energy(mob, ref128)) < 1e-10
+            assert abs(ledger(mob, ref128).K) < 1e-10
 
     def test_i_minus_j_derivative(self, ref128, linear128, grid128):
         # d/dt (I - J)(t phi) = -(1/4) int phi_t Lap_t phidot dmu_t
@@ -145,16 +143,15 @@ class TestIdentities:
         t0 = 0.6
 
         def imj(t):
-            p = BasicPotential(values=t * phi.values, grid=grid128)
-            return eval_I(p, ref128) - eval_J(p, ref128)
+            led = ledger(BasicPotential(values=t * phi.values, grid=grid128), ref128)
+            return led.I - led.J
 
         fd = (imj(t0 + h) - imj(t0 - h)) / (2.0 * h)
         state = relative_state(
             ref128, BasicPotential(values=t0 * phi.values, grid=grid128)
         )
-        expected = -0.25 * state.integrate(
-            t0 * phi.values * state.laplacian(phi.values)
-        )
+        lap_t = grid128.laplacian(phi.values) / state.ratio
+        expected = -0.25 * float((grid128.w * state.ratio) @ (t0 * phi.values * lap_t))
         assert fd == pytest.approx(expected, rel=1e-5)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -163,10 +160,9 @@ class TestIdentities:
         grid = make_grid(64)
         ref = reference_state(grid)
         phi = random_potential(grid, np.random.default_rng(seed), degree=8)
-        i_val = eval_I(phi, ref)
-        j_val = eval_J(phi, ref)
-        assert abs(j_val - i_val / 2.0) < 1e-13
-        assert i_val >= -1e-15
+        led = ledger(phi, ref)
+        assert abs(led.J - led.I / 2.0) < 1e-13
+        assert led.I >= -1e-15
 
 
 class TestBoundReports:
@@ -176,13 +172,13 @@ class TestBoundReports:
         phi = random_potential(grid128, rng)
         shift = random_potential(grid128, rng, amplitude=0.1)
         rel = BasicPotential(values=phi.values - shift.values, grid=grid128)
-        lhs = abs(eval_I(rel, relative_state(ref128, shift)) - eval_I(phi, ref128))
+        lhs = abs(ledger(rel, relative_state(ref128, shift)).I - ledger(phi, ref128).I)
         assert lhs <= (M_DIM + 1) * shift.osc() + 1e-12
 
     def test_osc_bound(self, ref128, grid128):
         # oscillation dominates I for admissible potentials
         phi = BasicPotential.from_callable(grid128, lambda x: 0.1 * (1 - x * x))
-        assert eval_I(phi, ref128) <= phi.osc()
+        assert ledger(phi, ref128).I <= phi.osc()
 
 
 class TestRandomPotential:
@@ -295,10 +291,10 @@ class TestAffineRay:
         rng = np.random.default_rng(n + deformed)
         for _ in range(3):
             phi = random_potential(grid, rng, amplitude=0.05)
-            j_ref, k_lin_ref, k_quad_ref = _per_node_ray(phi, base)
-            assert eval_J(phi, base) == j_ref
-            assert eval_K_energy(phi, base, path="linear") == k_lin_ref
-            assert eval_K_energy(phi, base, path="quadratic") == k_quad_ref
+            j_ref, k_lin_ref, _ = _per_node_ray(phi, base)
+            led = ledger(phi, base)
+            assert led.J == j_ref
+            assert led.K == k_lin_ref
 
     @pytest.mark.parametrize("deformed", [False, True], ids=["ref128", "base128"])
     def test_relative_state_has_the_ledgers_ratio(self, deformed, ref128, base128, grid128, counts):
@@ -335,14 +331,14 @@ class TestAffineRay:
 
     def test_first_nonpositive_node_sets_the_margin(self, ref128, grid128):
         # the ray of 0.8 (1 - x^2) turns nonpositive partway, at s > 0.625:
-        # the error carries the margin of the first such Gauss node
+        # the error of each rule carries the margin of its first such Gauss
+        # node (the ledger checks s = 1 first, so the rules are called on
+        # the ray itself)
         phi = BasicPotential.from_callable(grid128, lambda x: 0.8 * (1 - x * x))
         ratio = _node_ratio(phi, ref128)
-        t48 = _gauss01(48)[0]
         rules = [
-            (eval_J, _gauss01(32)[0]),
-            (lambda p, b: eval_K_energy(p, b, path="linear"), t48),
-            (lambda p, b: eval_K_energy(p, b, path="quadratic"), t48 * t48),
+            (lambda p, b: _Ray(p, b).j_value(), _gauss01(32)[0]),
+            (lambda p, b: _Ray(p, b).k_energy(), _gauss01(48)[0]),
         ]
         for fn, nodes in rules:
             node_margins = [float(ratio(sj).min()) for sj in nodes]
@@ -361,19 +357,13 @@ class TestAffineRay:
         ).ratio.min() > 0.1
         i_ref, j_ref, f0_ref, f_ref, k_ref = _functionals_from_full_states(phi, base128)
         f0, f = eval_F(phi, base128)
-        assert abs(eval_I(phi, base128) - i_ref) <= 1e-13
-        assert abs(eval_J(phi, base128) - j_ref) <= 1e-13
+        led = FunctionalLedger.evaluate("deformed", phi, base128)
+        assert abs(led.I - i_ref) <= 1e-13
+        assert abs(led.J - j_ref) <= 1e-13
         assert abs(f0 - f0_ref) <= 1e-13
         assert abs(f - f_ref) <= 1e-13
-        assert abs(eval_K_energy(phi, base128) - k_ref) <= 1e-13
-        led = FunctionalLedger.evaluate("deformed", phi, base128)
-        assert (led.I, led.J, led.F0, led.F) == (
-            eval_I(phi, base128),
-            eval_J(phi, base128),
-            f0,
-            f,
-        )
-        assert led.K == eval_K_energy(phi, base128)
+        assert abs(led.K - k_ref) <= 1e-13
+        assert (led.F0, led.F) == (f0, f)
 
     def test_mabuchi_report_reads_h_off_the_ray(self, ref128, grid128, counts):
         # one Laplacian in the ledger of a fresh potential and none in that
@@ -394,7 +384,7 @@ class TestAffineRay:
             rep = verify_mabuchi_f_relation(led, ref128)
             assert counts == {}
             state = relative_state(ref128, phi)
-            k_val = eval_K_energy(phi, ref128)
+            k_val = _Ray(phi, ref128).k_energy()
             _, f_val = eval_F(phi, ref128)
             h_base = float(grid128.w @ (ref128.ratio * ref128.ricci_potential))
             h_state = float(grid128.w @ (state.ratio * state.ricci_potential))
@@ -414,22 +404,18 @@ class TestAffineRay:
         ok, margin = admissibility(phi)
         assert not ok
         with pytest.raises(InadmissibleError) as exc:
-            eval_I(phi, ref128)
-        assert exc.value.margin == margin
-        with pytest.raises(InadmissibleError) as exc:
             FunctionalLedger.evaluate("bad", phi, ref128)
         assert exc.value.margin == margin
-        for fn in (eval_J, eval_K_energy, eval_F):
-            with pytest.raises(InadmissibleError) as exc:
-                fn(phi, ref128)
-            assert exc.value.margin <= 0.0
+        with pytest.raises(InadmissibleError) as exc:
+            eval_F(phi, ref128)
+        assert exc.value.margin <= 0.0
 
     def test_nan_potential_raises(self, ref128, grid128):
         # refused where it is made, before any functional reads it
         values = np.zeros(grid128.n)
         values[grid128.n // 2] = np.nan
         with pytest.raises(ConfigurationError, match="non-finite"):
-            eval_I(BasicPotential(values=values, grid=grid128), ref128)
+            ledger(BasicPotential(values=values, grid=grid128), ref128)
 
 
 class TestSmallMarginProperty:
@@ -452,4 +438,4 @@ class TestSmallMarginProperty:
         assert all(np.isfinite(f).all() for f in fields)
         assert np.isfinite(state.norm_constant)
         assert np.isfinite(FunctionalLedger.evaluate("p", phi, ref).row()[1:]).all()
-        assert np.isfinite(flow_rhs(phi, ref)).all()
+        assert np.isfinite(rhs(phi, ref)).all()

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from io import StringIO
 
@@ -531,6 +534,23 @@ class TestCliExitCodes:
         rc = cli.main(["scan", "--n", "32", "--lambdas", "2,2", "--out", str(out)])
         assert rc == 1
         assert "2 distinct J values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_mobius_parameter_warns_of_nothing(self, tmp_path):
+        # lam^2 of 1e300 overflows: the parameter is refused by name before
+        # numpy computes with it, so stderr holds the one error line and no
+        # RuntimeWarning (run as a script, where numpy prints its warnings)
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "reebflow.cli", "scan", "--n", "16",
+             "--lambdas", "1,1e300", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("invalid input: Moebius parameter lam")
+        assert proc.stderr.endswith("got lam = 1e+300\n")
         assert not out.exists()
 
     def test_solver_error_prints_its_trace(self, tmp_path, capsys, monkeypatch):

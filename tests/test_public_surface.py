@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, removed ones stay gone,
 and the value classes that hold arrays compare by identity."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -8,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,12 @@ REMOVED = {
         "pinch_estimates",
         "verify_ij_sandwich",
         "PreconditionError",
+        "eval_I",
+        "eval_J",
+        "eval_K_energy",
+        "flow_rhs",
+        "holder_seminorm",
+        "calabi_functional",
     ),
     "reebflow.transverse": (
         "Model",
@@ -40,7 +48,16 @@ REMOVED = {
         "_legendre_pair_ld",
     ),
     "reebflow.continuity": ("gauss_record_ts", "_relative_ratio"),
-    "reebflow.curvature": ("q_norm_field", "pinch_estimates", "PinchEstimates", "_MIN_EPS"),
+    "reebflow.curvature": (
+        "q_norm_field",
+        "pinch_estimates",
+        "PinchEstimates",
+        "_MIN_EPS",
+        "calabi_functional",
+        "metric_state",
+        "BasicPotential",
+        "SCALAR_TARGET",
+    ),
     "reebflow.functionals": (
         "verify_ij_sandwich",
         "SandwichReport",
@@ -51,9 +68,12 @@ REMOVED = {
         "PreconditionError",
         "_cocycle_report",
         "_mabuchi_report",
+        "eval_I",
+        "eval_J",
+        "eval_K_energy",
     ),
     "reebflow.errors": ("PreconditionError",),
-    "reebflow.flow": ("_prefix", "_record_march", "_holder_distances"),
+    "reebflow.flow": ("_prefix", "_record_march", "_holder_distances", "flow_rhs", "holder_seminorm"),
 }
 
 # members of classes that no caller set and nothing read, or that one
@@ -61,7 +81,7 @@ REMOVED = {
 REMOVED_MEMBERS = {
     ("reebflow.functionals", "CocycleReport"): ("max_residual",),
     ("reebflow.functionals", "FunctionalLedger"): ("base",),
-    ("reebflow.continuity", "ContinuityPath"): ("base_tag",),
+    ("reebflow.continuity", "ContinuityPath"): ("base_tag", "ts"),
     ("reebflow.continuity", "PathDiagnostics"): (
         "decay_profile",
         "endpoint_growth_constant",
@@ -72,9 +92,11 @@ REMOVED_MEMBERS = {
     ("reebflow.verification", "PathSuiteBundle"): ("base", "endpoint_phi", "endpoint_state"),
     ("reebflow.functionals", "MabuchiReport"): ("k_energy", "f_value", "holds"),
     ("reebflow.transverse", "BasicPotential"): ("mean",),
-    ("reebflow.flow", "SmoothingReport"): ("holder_track",),
+    ("reebflow.flow", "SmoothingReport"): ("holder_track", "c1_fit", "c7_fit"),
     ("reebflow.flow", "FlowMonitors"): ("holder_h",),
-    ("reebflow.transverse", "MetricState"): ("margin", "_ratio_ext"),
+    ("reebflow.transverse", "MetricState"): (
+        "margin", "_ratio_ext", "laplacian", "integrate", "measure",
+    ),
     ("reebflow.continuity", "PathPolicy"): (
         "max_iterations",
         "max_backtracks",
@@ -90,10 +112,9 @@ REMOVED_MEMBERS = {
 }
 
 # parameters that no caller set, or whose value the function reads off its
-# other arguments, by the function that took them
+# other arguments, by the function that took them, or by the one that now
+# computes what a deleted function did
 REMOVED_PARAMETERS = {
-    ("reebflow.functionals", "eval_J"): ("s_nodes",),
-    ("reebflow.functionals", "eval_K_energy"): ("path_nodes",),
     ("reebflow.functionals", "verify_mabuchi_f_relation"): ("path_nodes",),
     ("reebflow.functionals", "random_potential"): ("max_tries",),
     ("reebflow.functionals", "FunctionalLedger.evaluate"): ("base_name", "path_nodes"),
@@ -103,9 +124,11 @@ REMOVED_PARAMETERS = {
     ("reebflow.transverse", "log_mean_exp"): ("grid_or_weights",),
     ("reebflow.flow", "epsilon_pinching"): ("t_start", "path_policy", "flow_policy"),
     ("reebflow.verification", "mobius_scan_suite"): ("lambdas",),
-    ("reebflow.curvature", "calabi_functional"): ("state",),
     ("reebflow.continuity", "path_diagnostics"): ("reference",),
     ("reebflow.flow", "_make_flow_records"): ("h0_norm",),
+    ("reebflow.flow", "smoothing_monitors"): ("one_minus_t",),
+    ("reebflow.functionals", "_Ray.j_value"): ("s_nodes",),
+    ("reebflow.functionals", "_Ray.k_energy"): ("path", "path_nodes"),
     ("reebflow.errors", "InadmissibleError.__init__"): ("message",),
 }
 
@@ -147,6 +170,62 @@ def test_removed_parameters_are_gone(owner):
     for attr in owner[1].split("."):
         fn = getattr(fn, attr)
     assert not set(inspect.signature(fn).parameters) & set(REMOVED_PARAMETERS[owner])
+
+
+# exported functions that no code in the package reads, and why each stays
+KEPT = {
+    "reebflow.cli.main": "the console-script entry point (pyproject.toml [project.scripts])",
+}
+
+
+def _read_names():
+    """The names the package's code reads: each loaded name or attribute in
+    a file under src/reebflow/, outside the top-level def or class of that
+    name.  A def line, an import and an ``__all__`` entry bind or list a
+    name and do not read it; docstrings and comments are no code.  The
+    ``if __name__ == "__main__":`` block is an entry point, as the console
+    script is, and no reader."""
+    read = set()
+    for path in Path(reebflow.__path__[0]).glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.If) and ast.unparse(top.test) == "__name__ == '__main__'":
+                continue
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return read
+
+
+def _exported_functions():
+    """Each function in the ``__all__`` of reebflow or of a module, by the
+    dotted name of its definition."""
+    found = {}
+    for module in ["reebflow", *MODULES]:
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", ()):
+            fn = getattr(mod, name)
+            if inspect.isfunction(inspect.unwrap(fn)):
+                found[f"{fn.__module__}.{fn.__name__}"] = fn.__name__
+    return found
+
+
+def test_every_public_function_has_a_reader():
+    # an exported function that no computation calls is API kept in step
+    # for nothing; a kept one states its reason in KEPT
+    read = _read_names()
+    exported = _exported_functions()
+    unread = sorted(q for q, name in exported.items() if name not in read and q not in KEPT)
+    assert not unread
+    # each KEPT entry is an exported function that still has no reader
+    assert all(q in exported and exported[q] not in read for q in KEPT)
+    assert all(reason.strip() for reason in KEPT.values())
 
 
 def test_flow_suite_needs_the_path_endpoint():
